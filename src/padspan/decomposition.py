@@ -2,10 +2,14 @@
 bounded diameter and which keep each radius-k ball intact with probability at
 least 1 - epsilon.
 
-Two samplers are provided: a vectorized centralized reference, and a
-message-passing protocol on the LOCAL engine whose output matches the
-centralized sampler exactly when the permutation is node-ID order and the
-radius draws share one seed.
+Every sampler takes its radii from `draw_radii`. The vectorized centralized
+sampler is the reference. `carve` is the one message-passing flood on the
+LOCAL engine: it runs t carvings bundled into one message stream, and in each
+one every node joins the smallest id whose flood reached it. The distributed
+sampler is its t=1 case and matches the centralized sampler exactly when the
+permutation is node-ID order and the seed and iteration are the same; the
+distributed solver runs all its iterations as one `carve`. `padded_mask` is
+the one padding test: is B(u, k) inside u's cluster.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ class DecompositionError(ValueError):
 class PaddedParams:
     """Parameters of a (k, epsilon)-padded decomposition on an n-node graph.
 
-    The carving radius is r = 2k/epsilon and every chosen radius is capped at
-    r*ln(n) + k.
+    The carving radius is r = 2k/epsilon. Every drawn radius is below
+    r*ln(n), so `radius_cap` = r*ln(n) + k bounds it, loosely by k.
     """
 
     k: float
@@ -58,8 +62,9 @@ def sample_radius(
     """Draw one carving radius by inverse CDF.
 
     The density (n/(n-1)) * exp(-z/r) / r on [0, r ln n] inverts to
-    z = -r * ln(1 - u*(n-1)/n) for uniform u in [0, 1); the result is then
-    clamped at the radius cap.
+    z = -r * ln(1 - u*(n-1)/n) for uniform u in [0, 1). As u < 1, z stays
+    below r ln n, so no clamp is needed and `radius_cap` bounds every radius,
+    loosely by k.
     """
     if n is None:
         n = params.n
@@ -68,8 +73,21 @@ def sample_radius(
     if params.k == 0:
         return 0.0
     u = rng.random()
-    z = -params.r * math.log1p(-u * (n - 1) / n)
-    return min(z, params.r * math.log(n) + params.k)
+    return -params.r * math.log1p(-u * (n - 1) / n)
+
+
+def draw_radii(params: PaddedParams, seed: int, iteration: int, n: int) -> np.ndarray:
+    """The n carving radii of one iteration, node v's from its own stream
+    keyed by (seed, iteration, v), so every sampler draws the same radii.
+
+    A single node has nothing to carve: its radius is 0.
+    """
+    if n == 1:
+        return np.zeros(1)
+    return np.array([
+        sample_radius(params, rng_stream(seed, "decomp-radius", iteration, v))
+        for v in range(n)
+    ])
 
 
 @dataclass
@@ -121,17 +139,7 @@ def sample_decomposition_centralized(
     to the draws the distributed protocol makes.
     """
     n = g.n
-    if n == 1:
-        return Clustering(
-            assignment=np.zeros(1, dtype=np.int64), centers={0: 0},
-            radii=np.zeros(1), pi_rank=np.zeros(1, dtype=np.int64),
-        )
-    radii = np.array(
-        [
-            sample_radius(params, rng_stream(seed, "decomp-radius", iteration, v))
-            for v in range(n)
-        ]
-    )
+    radii = draw_radii(params, seed, iteration, n)
     if permutation == "random":
         pi_order = rng_stream(seed, "decomp-perm", iteration).permutation(n)
     elif permutation == "ids":
@@ -146,17 +154,7 @@ def sample_decomposition_centralized(
                       pi_rank=pi_rank)
 
 
-# -- distributed sampler -------------------------------------------------
-
-
-@dataclass
-class _FloodState:
-    """Per-node flood bookkeeping for the decomposition protocol."""
-
-    budget: int
-    # origin -> (hop distance, remaining budget, delivering neighbor)
-    accepted: dict[int, tuple[int, int, int]]
-    center: int | None = None
+# -- the carving flood ------------------------------------------------------
 
 
 def _dominated(accepted: dict[int, tuple[int, int, int]], origin: int,
@@ -176,6 +174,66 @@ def decide_round(params: PaddedParams, n: int) -> int:
     return min(math.ceil(params.radius_cap), n - 1)
 
 
+def carve(
+    g: Graph, params: PaddedParams, radii: np.ndarray, transcript: RoundTranscript
+) -> tuple[list[list[dict[int, tuple[int, int, int]]]], np.ndarray]:
+    """Run t carving floods at once, bundled into one message stream.
+
+    `radii` is (t, n): node u floods (iteration i, id u, remaining budget)
+    with budget floor(radii[i, u]). A node accepts the first arrival of each
+    origin unless a smaller-id origin with at least as much budget left was
+    accepted already, and forwards what it accepts while budget remains. It
+    then joins, per iteration, the smallest accepted id.
+
+    Returns, per node and iteration, the accepted floods (origin -> (hop
+    distance, remaining budget, delivering neighbor)), and the (n, t) center
+    matrix.
+    """
+    t, n = radii.shape
+    r_decide = decide_round(params, n)
+    init = [
+        [{u: (0, int(math.floor(radii[i, u])), u)} for i in range(t)]
+        for u in range(n)
+    ]
+
+    def step(u: int, accepted, inbox, rnd: int) -> NodeStep:
+        fresh: list[tuple[int, int, int, int]] = []
+        if rnd == 0:
+            for i, acc in enumerate(accepted):
+                if acc[u][1] >= 1:
+                    fresh.append((i, u, acc[u][1] - 1, u))
+        else:
+            arrivals = sorted(
+                (i, origin, rem, src)
+                for src, entries in inbox for i, origin, rem in entries
+            )
+            for i, origin, rem, src in arrivals:
+                acc = accepted[i]
+                if origin in acc or _dominated(acc, origin, rem):
+                    continue
+                acc[origin] = (rnd, rem, src)
+                if rem >= 1:
+                    fresh.append((i, origin, rem - 1, src))
+        per_nbr: dict[int, list[tuple[int, int, int]]] = {}
+        for i, origin, rem, src in fresh:
+            for w in g.shadow_adj[u]:
+                if w != src:
+                    per_nbr.setdefault(w, []).append((i, origin, rem))
+        outbox = [(w, e, 3 * len(e)) for w, e in per_nbr.items()]
+        if rnd >= r_decide:
+            return NodeStep(accepted, outbox, done=True)
+        return NodeStep(accepted, outbox, done=False, wake=r_decide)
+
+    final, _ = run_protocol(
+        g, step, init, max_rounds=r_decide + 2,
+        transcript=transcript, phase="decomposition",
+    )
+    centers = np.array(
+        [[min(acc) for acc in accepted] for accepted in final], dtype=np.int64
+    )
+    return final, centers
+
+
 def sample_decomposition_distributed(
     g: Graph,
     params: PaddedParams,
@@ -185,71 +243,20 @@ def sample_decomposition_distributed(
 ) -> tuple[Clustering, RoundTranscript]:
     """Sample a padded decomposition with the LOCAL flood protocol.
 
-    Every node draws its radius, floods (id, hop budget) outward, and after
-    the decide round adopts the smallest node id whose flood reached it. The
+    The one-carving case of `carve`: every node draws its radius, floods its
+    id, and adopts the smallest node id whose flood reached it. The
     permutation is therefore ascending node id; output equals the centralized
     sampler run with permutation="ids" and the same seed/iteration.
     """
-    n = g.n
-    if n == 1:
-        clustering = sample_decomposition_centralized(
-            g, params, seed, iteration, permutation="ids"
-        )
-        if transcript is None:
-            transcript = RoundTranscript()
-        transcript.charge("decomposition", 0)
-        return clustering, transcript
-    r_decide = decide_round(params, n)
-    radii = np.empty(n)
-    states = []
-    for u in range(n):
-        rng = rng_stream(seed, "decomp-radius", iteration, u)
-        radii[u] = sample_radius(params, rng)
-        states.append(
-            _FloodState(budget=int(math.floor(radii[u])),
-                        accepted={u: (0, int(math.floor(radii[u])), u)})
-        )
-
-    def step(u: int, state: _FloodState, inbox, rnd: int) -> NodeStep:
-        outbox = []
-        if rnd == 0:
-            if state.budget >= 1:
-                entry = [(u, state.budget - 1)]
-                outbox = [(w, entry, 3) for w in g.shadow_adj[u]]
-        else:
-            fresh: list[tuple[int, int]] = []
-            arrivals = []
-            for src, entries in inbox:
-                for origin, rem in entries:
-                    arrivals.append((origin, rem, src))
-            arrivals.sort()
-            for origin, rem, src in arrivals:
-                if origin in state.accepted:
-                    continue
-                if _dominated(state.accepted, origin, rem):
-                    continue
-                state.accepted[origin] = (rnd, rem, src)
-                if rem >= 1:
-                    fresh.append((origin, rem - 1, src))
-            if fresh:
-                for w in g.shadow_adj[u]:
-                    entries = [(o, b) for o, b, src in fresh if src != w]
-                    if entries:
-                        outbox.append((w, entries, 2 * len(entries) + 1))
-        if rnd >= r_decide:
-            state.center = min(state.accepted)
-            return NodeStep(state, outbox, done=True)
-        return NodeStep(state, outbox, done=False, wake=r_decide)
-
-    final, transcript = run_protocol(
-        g, step, states, max_rounds=r_decide + 2,
-        transcript=transcript, phase="decomposition",
-    )
-    assignment = np.array([s.center for s in final], dtype=np.int64)
-    centers = {int(c): int(c) for c in np.unique(assignment)}
+    if transcript is None:
+        transcript = RoundTranscript()
+    radii = draw_radii(params, seed, iteration, g.n)
+    _, centers = carve(g, params, radii[None, :], transcript)
+    assignment = centers[:, 0]
     clustering = Clustering(
-        assignment=assignment, centers=centers, radii=radii,
-        pi_rank=np.arange(n),
+        assignment=assignment,
+        centers={int(c): int(c) for c in np.unique(assignment)},
+        radii=radii, pi_rank=np.arange(g.n),
     )
     return clustering, transcript
 
@@ -277,8 +284,7 @@ def sample_assignments_batch(
     if params.k == 0:
         radii = np.zeros((count, n))
     else:
-        z = -params.r * np.log1p(-u * (n - 1) / n)
-        radii = np.minimum(z, params.radius_cap)
+        radii = -params.r * np.log1p(-u * (n - 1) / n)
     dist = g.distance_matrix()
     out = np.empty((count, n), dtype=np.int64)
     cap2 = 2 * params.radius_cap
@@ -299,19 +305,17 @@ def sample_assignments_batch(
     return out
 
 
+def padded_mask(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:
+    """(s, n) booleans for an (s, n) assignment array: is B(u, k) contained
+    in u's cluster, for every clustering and node u."""
+    outside = g.distance_matrix() > k
+    same = assignments[:, :, None] == assignments[:, None, :]
+    return np.all(same | outside, axis=2)
+
+
 def padded_frequencies(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:
     """Per-node fraction of clusterings keeping B(u, k) in one cluster."""
-    dist = g.distance_matrix()
-    ball_mask = dist <= k  # (n, n)
-    count = assignments.shape[0]
-    freqs = np.zeros(g.n)
-    big = np.int64(2**62)
-    for s in range(count):
-        assign = assignments[s]
-        lo = np.where(ball_mask, assign[None, :], big).min(axis=1)
-        hi = np.where(ball_mask, assign[None, :], -1).max(axis=1)
-        freqs += lo == hi
-    return freqs / count
+    return padded_mask(g, assignments, k).mean(axis=0)
 
 
 # -- invariant checks and serialization ----------------------------------
@@ -333,9 +337,7 @@ def validate_clustering(
             raise DecompositionError(
                 f"node {u}: d(center {c}, u)={dist[c, u]} vs radius {r_c}"
             )
-    for c, members in clustering.clusters().items():
-        idx = np.array(members)
-        d_max = dist[np.ix_(idx, idx)].max()
+    for c, d_max in cluster_diameters(g, clustering).items():
         if d_max > 2 * cap:
             raise DecompositionError(
                 f"cluster {c} has hop diameter {d_max} > {2 * cap}"
@@ -354,13 +356,7 @@ def cluster_diameters(g: Graph, clustering: Clustering) -> dict[int, int]:
 
 def padded_nodes(g: Graph, clustering: Clustering, k: float) -> np.ndarray:
     """Boolean vector: is B(u, k) contained in u's cluster, for every u."""
-    dist = g.distance_matrix()
-    assign = clustering.assignment
-    out = np.empty(g.n, dtype=bool)
-    for u in range(g.n):
-        members = assign[np.asarray(dist[u] <= k).nonzero()[0]]
-        out[u] = bool(np.all(members == assign[u]))
-    return out
+    return padded_mask(g, clustering.assignment[None, :], k)[0]
 
 
 CLUSTERING_CSV_HEADER = "node,cluster_id,center,r_v"

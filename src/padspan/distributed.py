@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import CpInstance, evaluate_objective
-from .decomposition import Clustering, PaddedParams, decide_round, sample_radius
-from .localsim import NodeStep, RoundTranscript, rng_stream, run_protocol
+from .decomposition import (
+    Clustering, PaddedParams, carve, decide_round, draw_radii, padded_mask,
+)
+from .localsim import NodeStep, RoundTranscript, run_protocol
 from .lp import CpSolution, solve_cluster_cp
 
 
@@ -94,18 +96,14 @@ class _A2State:
     """Mutable per-node state threaded through all solver phases."""
 
     __slots__ = (
-        "node", "radii", "accepted", "centers", "known", "known_dist",
-        "downstream", "solutions",
+        "accepted", "centers", "known", "known_dist", "downstream", "solutions",
     )
 
-    def __init__(self, node: int, t: int):
-        self.node = node
-        self.radii = np.zeros(t)
+    def __init__(self, accepted: list[dict[int, tuple[int, int, int]]],
+                 centers: np.ndarray):
         # per iteration: origin -> (hop distance, remaining budget, via neighbor)
-        self.accepted: list[dict[int, tuple[int, int, int]]] = [
-            dict() for _ in range(t)
-        ]
-        self.centers = np.zeros(t, dtype=np.int64)
+        self.accepted = accepted
+        self.centers = centers
         # probe: origin node -> its per-iteration cluster vector / hop distance
         self.known: dict[int, np.ndarray] = {}
         self.known_dist: dict[int, int] = {}
@@ -113,11 +111,6 @@ class _A2State:
         self.downstream: dict[tuple[int, int], list[int]] = {}
         # broadcast: iteration -> this node's cluster solution
         self.solutions: dict[int, CpSolution] = {}
-
-
-def _dominated(accepted: dict[int, tuple[int, int, int]], origin: int,
-               rem: int) -> bool:
-    return any(o < origin and r >= rem for o, (_, r, _) in accepted.items())
 
 
 def solve_distributed(
@@ -149,15 +142,9 @@ def solve_distributed(
     D = instance.D
     t = config.iterations(n)
     params = PaddedParams(k=D, epsilon=config.lam, n=n)
-    states = [_A2State(u, t) for u in range(n)]
-    for u in range(n):
-        st = states[u]
-        for i in range(t):
-            rng = rng_stream(config.seed, "decomp-radius", i, u)
-            st.radii[i] = sample_radius(params, rng)
-            st.accepted[i][u] = (0, int(math.floor(st.radii[i])), u)
-
-    _phase_decomposition(g, params, states, t, transcript)
+    radii = np.stack([draw_radii(params, config.seed, i, n) for i in range(t)])
+    accepted, centers = carve(g, params, radii, transcript)
+    states = [_A2State(accepted[u], centers[u]) for u in range(n)]
     _phase_probe(g, states, D, t, transcript)
     demands_at: dict[int, list[int]] = {}
     for di, d in enumerate(instance.demands):
@@ -165,52 +152,7 @@ def solve_distributed(
     gathered = _phase_gather(g, params, states, t, demands_at, transcript)
     solutions, keys = _solve_clusters(instance, gathered, t, lp_cache)
     _phase_broadcast(g, params, states, t, solutions, transcript)
-    return _assemble(instance, config, states, solutions, keys, t, transcript)
-
-
-def _phase_decomposition(g, params, states, t, transcript) -> None:
-    """All t carving floods bundled: one merged payload per edge per round."""
-    r_decide = decide_round(params, g.n)
-
-    def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
-        outbox = []
-        if rnd == 0:
-            per_nbr: dict[int, list] = {}
-            for i in range(t):
-                b = int(math.floor(st.radii[i]))
-                if b >= 1:
-                    for w in g.shadow_adj[u]:
-                        per_nbr.setdefault(w, []).append((i, u, b - 1))
-            outbox = [(w, e, 3 * len(e)) for w, e in per_nbr.items()]
-        elif inbox:
-            fresh: list[tuple[int, int, int, int]] = []
-            arrivals: list[tuple[int, int, int, int]] = []
-            for src, entries in inbox:
-                for i, origin, rem in entries:
-                    arrivals.append((i, origin, rem, src))
-            arrivals.sort()
-            for i, origin, rem, src in arrivals:
-                acc = st.accepted[i]
-                if origin in acc or _dominated(acc, origin, rem):
-                    continue
-                acc[origin] = (rnd, rem, src)
-                if rem >= 1:
-                    fresh.append((i, origin, rem - 1, src))
-            if fresh:
-                per_nbr = {}
-                for i, origin, rem, src in fresh:
-                    for w in g.shadow_adj[u]:
-                        if w != src:
-                            per_nbr.setdefault(w, []).append((i, origin, rem))
-                outbox = [(w, e, 3 * len(e)) for w, e in per_nbr.items()]
-        if rnd >= r_decide:
-            for i in range(t):
-                st.centers[i] = min(st.accepted[i])
-            return NodeStep(st, outbox, done=True)
-        return NodeStep(st, outbox, done=False, wake=r_decide)
-
-    run_protocol(g, step, states, max_rounds=r_decide + 2,
-                 transcript=transcript, phase="decomposition")
+    return _assemble(instance, config, states, solutions, keys, radii, transcript)
 
 
 def _phase_probe(g, states, D, t, transcript) -> None:
@@ -249,8 +191,7 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
     so the broadcast can retrace the tree. Returns per (iteration, center)
     the member set and padded demand indices.
     """
-    n = g.n
-    r_gather = min(math.ceil(params.radius_cap), n - 1)
+    r_gather = decide_round(params, g.n)
     gathered: list[dict[int, dict]] = [dict() for _ in range(t)]
 
     def accept(center: int, i: int, report) -> None:
@@ -318,8 +259,7 @@ def _solve_clusters(instance, gathered, t, lp_cache=None):
 
 def _phase_broadcast(g, params, states, t, solutions, transcript) -> None:
     """Send each cluster solution back down the recorded gather tree."""
-    n = g.n
-    r_bcast = min(math.ceil(params.radius_cap), n - 1)
+    r_bcast = decide_round(params, g.n)
     size_cache: dict[int, int] = {}
 
     def sol_size(sol: CpSolution) -> int:
@@ -360,11 +300,12 @@ def _phase_broadcast(g, params, states, t, solutions, transcript) -> None:
                  transcript=transcript, phase="solve-broadcast")
 
 
-def _assemble(instance, config, states, solutions, keys, t,
+def _assemble(instance, config, states, solutions, keys, radii,
               transcript) -> DistributedRun:
     """Cap-averaged edge vector, endpoint consistency check, and records."""
     g = instance.graph
     n = g.n
+    t = len(radii)
     eps = config.epsilon
     centers_mat = np.stack([st.centers for st in states])  # (n, t)
     xt = np.zeros(g.m)
@@ -388,30 +329,25 @@ def _assemble(instance, config, states, solutions, keys, t,
             )
         xt[e] = val_u
 
-    dist = g.distance_matrix()
-    D = instance.D
+    padded = padded_mask(g, centers_mat.T, instance.D)  # (t, n)
     records = []
     for i in range(t):
         assign = centers_mat[:, i].copy()
         clustering = Clustering(
             assignment=assign,
             centers={int(c): int(c) for c in np.unique(assign)},
-            radii=np.array([st.radii[i] for st in states]),
+            radii=radii[i],
             pi_rank=np.arange(n),
         )
-        padded = np.zeros(n, dtype=bool)
-        for u in range(n):
-            members = assign[np.asarray(dist[u] <= D).nonzero()[0]]
-            padded[u] = bool(np.all(members == assign[u]))
         edge_same = np.array(
             [assign[u] == assign[v] for u, v in g.edges], dtype=bool
         )
         for e, (u, v) in enumerate(g.edges):
-            if padded[u] and not edge_same[e]:
+            if padded[i, u] and not edge_same[e]:
                 raise RuntimeError(f"padding bookkeeping violated at edge {e}")
         records.append(IterationRecord(
             index=i, clustering=clustering, solutions=solutions[i],
-            cluster_keys=keys[i], padded=padded, edge_same=edge_same,
+            cluster_keys=keys[i], padded=padded[i], edge_same=edge_same,
         ))
 
     value = evaluate_objective(instance.objective, xt, g)

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padspan.decomposition import (
     CLUSTERING_CSV_HEADER,
     DecompositionError,
     PaddedParams,
+    carve,
     cluster_diameters,
     clustering_csv,
     decide_round,
+    draw_radii,
     padded_frequencies,
     padded_nodes,
     sample_assignments_batch,
@@ -20,7 +24,7 @@ from padspan.decomposition import (
 )
 from padspan.graphs import Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
-from padspan.localsim import rng_stream
+from padspan.localsim import RoundTranscript, rng_stream
 
 
 class FixedRng:
@@ -80,6 +84,13 @@ class TestSampleRadius:
         for _ in range(200):
             assert 0 <= sample_radius(p, rng) <= p.radius_cap
 
+    def test_largest_uniform_stays_below_r_ln_n(self):
+        # the largest double below 1 still inverts to at most r ln n, so the
+        # radius cap r ln n + k never binds
+        for n in (2, 16, 1024):
+            p = PaddedParams(k=2, epsilon=0.5, n=n)
+            assert sample_radius(p, FixedRng(1 - 2**-53)) <= p.r * math.log(n)
+
 
 class TestCentralizedSampler:
     def graphs(self):
@@ -110,6 +121,9 @@ class TestCentralizedSampler:
         c = sample_decomposition_centralized(g, params, 0)
         assert c.assignment.tolist() == [0]
         assert c.centers == {0: 0}
+        d, transcript = sample_decomposition_distributed(g, params, 0)
+        assert d.assignment.tolist() == [0]
+        assert transcript.phase_rounds == {"decomposition": 0}
 
     def test_centers_within_own_radius(self):
         g = gen_gnp(20, 0.2, seed=5, directed=False)
@@ -154,6 +168,37 @@ class TestDistributedSampler:
                 dist, _ = sample_decomposition_distributed(g, params, seed)
                 assert np.array_equal(central.assignment, dist.assignment)
                 assert np.array_equal(central.radii, dist.radii)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=20),
+        directed=st.booleans(),
+        k=st.sampled_from([0, 1, 2]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_centralized_on_random_graphs(self, data, n, directed, k,
+                                                  seed):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                    max_size=2 * n))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)))
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+        g = Graph(n, edges, directed=directed)
+        params = PaddedParams(k=k, epsilon=0.5, n=n)
+        central = sample_decomposition_centralized(g, params, seed,
+                                                   permutation="ids")
+        dist, _ = sample_decomposition_distributed(g, params, seed)
+        assert np.array_equal(central.assignment, dist.assignment)
+        assert np.array_equal(central.radii, dist.radii)
+        # the bundled flood carves each iteration as the sampler would alone
+        radii = np.stack([draw_radii(params, seed, i, n) for i in range(3)])
+        _, centers = carve(g, params, radii, RoundTranscript())
+        for i in range(3):
+            alone = sample_decomposition_centralized(
+                g, params, seed, iteration=i, permutation="ids")
+            assert np.array_equal(centers[:, i], alone.assignment)
 
     def test_round_budget(self):
         g = gen_gnp(24, 0.2, seed=4, directed=False)
