@@ -7,6 +7,9 @@ guarantee as the spanner case, with the longest bound taking the role of k.
 Distance preservers (L = dist) and uniform-bound networks are special cases.
 """
 
+import os
+import tempfile
+
 from padspan import SolverConfig, build_dsn_instance, check_feasibility, concentration_report, read_instance, round_spanner, solve_distributed, solve_global_oracle, verify_stretch, write_instance
 from padspan.harness import gen_gnp, sample_spanning_demands
 
@@ -33,7 +36,10 @@ ok, violations = verify_stretch(g, out.edges, instance)
 print(f"\nrounded network: {len(out.edges)} edges, all bounds met: {ok}")
 
 # instances round-trip through a canonical text format
-write_instance(instance, "/tmp/dsn_instance.txt")
-back = read_instance("/tmp/dsn_instance.txt")
-print(f"\ninstance file round-trip OK: {back.demands == instance.demands}")
-print(open("/tmp/dsn_instance.txt").read().splitlines()[0:5])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "dsn_instance.txt")
+    write_instance(instance, path)
+    back = read_instance(path)
+    print(f"\ninstance file round-trip OK: {back.demands == instance.demands}")
+    with open(path) as f:
+        print(f.read().splitlines()[0:5])

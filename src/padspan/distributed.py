@@ -49,6 +49,10 @@ class SolverConfig:
             raise ConfigError(
                 f"epsilon must be in the open interval (0, 1), got {self.epsilon}"
             )
+        if self.t_override is not None and self.t_override < 1:
+            raise ConfigError(
+                f"t_override must be at least 1, got {self.t_override}"
+            )
 
     @property
     def lam(self) -> float:

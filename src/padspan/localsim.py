@@ -136,6 +136,11 @@ def run_protocol(
     fast-forwards through rounds where all nodes sleep and nothing is in
     flight, charging the skipped rounds as elapsed.
 
+    Guarantee: a step's inbox holds its `(sender, payload)` pairs in
+    ascending sender order, and one sender's messages in the order it sent
+    them. Senders step in ascending index order and their messages are
+    appended as they are sent, so the engine needs no sort for this.
+
     Returns the final per-node states and the transcript (phase `phase`
     charged with the rounds consumed here).
 
@@ -163,19 +168,20 @@ def run_protocol(
             if not (has_mail or awake):
                 continue
             stepped_any = True
-            mail = tuple(sorted(inboxes[u], key=lambda sp: sp[0]))
+            mail = tuple(inboxes[u])
             inboxes[u] = []
             res = step(u, states[u], mail, r)
             states[u] = res.state
             done[u] = res.done
             wake[u] = res.wake
+            neighbors = neighbor_sets[u]
             for item in res.outbox:
                 if len(item) == 3:
                     dst, payload, size = item
                 else:
                     dst, payload = item
                     size = payload_scalars(payload)
-                if dst not in neighbor_sets[u]:
+                if dst not in neighbors:
                     raise ProtocolError(
                         f"node {u} sent to non-neighbor {dst} in round {r}"
                     )

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from padspan.decomposition import (
     CLUSTERING_CSV_HEADER,
     DecompositionError,
     PaddedParams,
+    _admit,
     carve,
     cluster_diameters,
     clustering_csv,
@@ -221,6 +224,61 @@ class TestDistributedSampler:
         for seed in range(25):
             c, _ = sample_decomposition_distributed(g, params, seed)
             assert max(cluster_diameters(g, c).values()) <= cap2
+
+
+def carve_digest(g, params, seed, t):
+    """sha256 of canonical JSON of everything `carve` outputs: each node's
+    accepted floods per iteration, the centers and the transcript."""
+    radii = np.stack([draw_radii(params, seed, i, g.n) for i in range(t)])
+    transcript = RoundTranscript()
+    accepted, centers = carve(g, params, radii, transcript)
+    doc = {
+        "accepted": [
+            [sorted([o, *entry] for o, entry in acc.items()) for acc in node]
+            for node in accepted
+        ],
+        "centers": centers.tolist(),
+        "phase_rounds": transcript.phase_rounds,
+        "total_messages": transcript.total_messages,
+        "max_payload_scalars": transcript.max_payload_scalars,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestCarve:
+    @settings(max_examples=200, deadline=None)
+    @given(offers=st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 12)), max_size=60))
+    def test_staircase_matches_definition(self, offers):
+        # an offer is admitted iff no admitted smaller id has >= budget left
+        origins, rems = stair = ([], [])
+        admitted: dict[int, int] = {}
+        for origin, budget in offers:
+            if origin in admitted:
+                continue
+            expected = not any(o < origin and r >= budget
+                               for o, r in admitted.items())
+            assert _admit(stair, origin, budget) == expected
+            if expected:
+                admitted[origin] = budget
+            assert origins == sorted(origins)
+            assert all(a < b for a, b in zip(rems, rems[1:]))
+            assert set(origins) <= set(admitted)
+
+    def test_grid_output_pinned(self):
+        g = gen_grid(32, 32)
+        params = PaddedParams(k=2, epsilon=0.5, n=1024)
+        assert carve_digest(g, params, 1, 1) == (
+            "19e9a0310d1022b7ae35a151622d8d1205e156ab529195a3f5ff3f654c634461")
+        assert carve_digest(g, params, 3, 1) == (
+            "1d7c6d217cefdb1884ec212b0e27e14feaf166d5fc18c16113677140ebab9cf2")
+
+    def test_bundled_gnp_output_pinned(self):
+        g = gen_gnp(18, 0.25, seed=2)
+        params = PaddedParams(k=2, epsilon=0.5, n=18)
+        assert carve_digest(g, params, 2, 3) == (
+            "0a64a336d5bfc0b0eaf6acc82f2aa9dac416fc9e0c19a28d296546b80ab3c782")
 
 
 class TestPaddingStatistics:

@@ -42,6 +42,11 @@ class TestConfig:
     def test_override(self):
         assert SolverConfig(epsilon=0.5, seed=0, t_override=7).iterations(100) == 7
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_override_below_one_rejected(self, t):
+        with pytest.raises(ConfigError, match="t_override"):
+            SolverConfig(epsilon=0.5, seed=0, t_override=t)
+
 
 def small_run(seed=3, eps=0.5, n=12, t=40):
     g = gen_gnp(n, 0.3, seed=seed)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from padspan.cli import main as cli_main
+from padspan.distributed import ConfigError
 from padspan.graphs import directed_distances_from, write_graph
 from padspan.harness import (
     REPORT_CSV_HEADER,
@@ -15,6 +16,7 @@ from padspan.harness import (
     generate_instance,
     report_files,
     run_experiment,
+    run_trial,
     sample_spanning_demands,
 )
 
@@ -76,6 +78,11 @@ class TestRunExperiment:
             problem="directed-spanner", gen="gnp", n=10, p=0.35, k=2,
             epsilon=0.5, trials=trials, seed=42, out=out, t_override=25,
         )
+
+    def test_trial_rejects_zero_iterations(self):
+        cfg = ExperimentConfig(n=8, seed=1, t_override=0)
+        with pytest.raises(ConfigError, match="t_override"):
+            run_trial(cfg, 0, 0)
 
     def test_zero_trials_header_only(self, tmp_path):
         cfg = self.small_config(out=str(tmp_path / "r"), trials=0)

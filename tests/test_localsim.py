@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from padspan.graphs import Graph
+from padspan.harness import gen_gnp
 from padspan.localsim import (
     NodeStep,
     ProtocolError,
@@ -134,6 +135,36 @@ class TestRunProtocol:
         assert transcript.total_messages == 1
         assert transcript.max_payload_scalars == 17
         assert transcript.max_payload_bytes == 8 * 17
+
+
+def star(n, center):
+    return Graph(n, [(center, v) for v in range(n) if v != center],
+                 directed=False)
+
+
+class TestInboxOrder:
+    @pytest.mark.parametrize("g", [star(9, 4), gen_gnp(12, 0.5, seed=0)],
+                             ids=["star", "gnp"])
+    def test_senders_ascending(self, g):
+        # every node sends two messages to each neighbor, highest id
+        # first, for three rounds; inboxes must list them by sender, then
+        # in sending order
+        def step(u, seen, inbox, rnd):
+            seen.append([payload for _, payload in inbox])
+            assert all(src == payload[0] for src, payload in inbox)
+            outbox = [] if rnd >= 3 else [
+                (w, (u, seq)) for w in reversed(g.shadow_adj[u])
+                for seq in (0, 1)
+            ]
+            return NodeStep(seen, outbox, done=True)
+
+        states, _ = run_protocol(g, step, [[] for _ in range(g.n)],
+                                 max_rounds=5)
+        for u, seen in enumerate(states):
+            assert len(seen) == 4
+            for got in seen[1:]:
+                assert got == [(w, seq) for w in sorted(g.shadow_adj[u])
+                               for seq in (0, 1)]
 
 
 class TestBroadcastInCluster:
