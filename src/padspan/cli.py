@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .cp import build_spanner_instance
+from .cp import build_spanner_instance, path_edge_indices
 from .decomposition import (
     PaddedParams,
     clustering_csv,
@@ -19,15 +19,15 @@ from .decomposition import (
     sample_decomposition_distributed,
     validate_clustering,
 )
-from .distributed import SolverConfig, concentration_report, solve_distributed
 from .graphs import read_graph
 from .harness import (
     ExperimentConfig,
     generate_graph,
     generate_instance,
     run_experiment,
+    run_trial,
 )
-from .lp import check_feasibility, solve_global_oracle
+from .lp import solve_global_oracle
 from .rounding import output_csv, round_spanner, verify_stretch
 
 
@@ -85,17 +85,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_solve_cp(args) -> int:
     config = _config(args)
-    g, instance = generate_instance(config, args.seed)
-    run = solve_distributed(instance, SolverConfig(epsilon=args.epsilon, seed=args.seed))
-    oracle = solve_global_oracle(instance)
-    rep = concentration_report(run, instance)
-    feas = check_feasibility(instance, run.solution.x)
-    ratio = run.solution.value / oracle.value if oracle.value > 0 else 1.0
-    print(f"n={g.n} m={g.m} D={instance.D} t={len(run.records)}")
-    print(f"CP*={oracle.value:.6f} g(x~)={run.solution.value:.6f} ratio={ratio:.6f}")
-    print(f"rounds={run.transcript.rounds_elapsed} "
-          f"concentration={rep.pass_fraction:.3f} feasible={feas.feasible}")
-    ok = ratio <= 1 + args.epsilon + 1e-6 and (not rep.all_pass or feas.feasible)
+    row, manifest, _, _ = run_trial(config, 0, 0)
+    print(f"n={row.n} m={row.m} D={row.D} t={manifest['t']}")
+    print(f"CP*={row.cp_star:.6f} g(x~)={row.g_tilde:.6f} ratio={row.ratio:.6f}")
+    print(f"rounds={row.rounds} "
+          f"concentration={row.concentration_rate:.3f} feasible={row.feasible}")
+    ok = row.ratio <= 1 + args.epsilon + 1e-6 and (
+        not row.concentration_all or row.feasible)
     return 0 if ok else 1
 
 
@@ -141,7 +137,8 @@ def cmd_verify(args) -> int:
     # accept either the graph file format (with header) or bare `u v` pairs
     if lines and len(lines[0]) == 3 and lines[0][2] in ("directed", "undirected"):
         lines = lines[1:]
-    chosen = [g.edge_index[(int(a), int(b))] for a, b, *_ in lines]
+    # an unknown pair raises InstanceError; undirected pairs match either way
+    chosen = [path_edge_indices(g, (int(a), int(b)))[0] for a, b, *_ in lines]
     ok, violated = verify_stretch(g, chosen, instance)
     print(f"checked {len(instance.demands)} demands; "
           f"{'all satisfied' if ok else f'{len(violated)} violated'}")

@@ -1,11 +1,11 @@
 """Exact small-scale LP solving for network-design programs.
 
-A self-contained two-phase tableau simplex does all the work: float arithmetic
-with deterministic pivoting for speed, and an exact rational re-solve as a
-fallback when the float path stalls on a small enough problem. On top of the
-kernel sit the builders that turn an instance (optionally restricted to a
-cluster) into the path-flow LP, the global oracle, and a per-demand max-flow
-feasibility check.
+One self-contained two-phase tableau simplex does all the work. It runs over
+float arrays with deterministic pivoting for speed, or over object arrays of
+Fractions for an exact rational solve, which is also the fallback when the
+float path stalls on a small enough problem. On top of the kernel sit the
+builders that turn an instance (optionally restricted to a cluster) into the
+path-flow LP, the global oracle, and a per-demand max-flow feasibility check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class LpUnbounded(LpError):
 
 
 class SimplexStall(LpError):
-    """Float simplex exceeded its iteration budget."""
+    """Simplex exceeded its iteration budget, or a float solve lost accuracy."""
 
 
 @dataclass
@@ -75,44 +75,49 @@ class LpSolution:
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] = T[row] / T[row, col]
     colvals = T[:, col].copy()
-    colvals[row] = 0.0
+    colvals[row] = 0
     T -= np.outer(colvals, T[row])
-    T[row, col] = 1.0  # fight roundoff on the pivot column
+    T[row, col] = 1  # fight roundoff on the pivot column
     basis[row] = col
 
 
-def _simplex_float(
+def _simplex(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    n_struct: int,
     art_cols: list[int],
     basis0: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, int]:
     """Two-phase simplex on a prepared standard-form system.
 
-    Pivoting starts with Dantzig's rule (deterministic tie-breaks) and
-    switches permanently to Bland's rule after a stall, which guarantees
-    termination. Returns the full variable vector and the iteration count.
+    Float arrays pivot by Dantzig's rule (deterministic tie-breaks) and
+    switch permanently to Bland's rule after a stall. Object arrays of
+    Fractions (with tol = 0) are exact: they pivot by Bland's rule from the
+    start, which always terminates, so no stall is counted. Both keep an
+    iteration budget. Returns the full variable vector and the iteration
+    count.
     """
     nr, nc = A.shape
+    exact = A.dtype == object
     iterations = 0
 
     def run(costs: np.ndarray, T: np.ndarray, basis: np.ndarray,
-            allowed: np.ndarray) -> int:
+            allowed: np.ndarray):
         nonlocal iterations
-        # reduced-cost row: c - c_B B^-1 A, tracked incrementally
+        # reduced-cost row: c - c_B B^-1 A, tracked incrementally; an int
+        # start keeps Fractions exact (Fraction - float gives a float)
         obj = costs.copy()
-        rhs_obj = 0.0
+        rhs_obj = 0
         for i in range(nr):
             cb = costs[basis[i]]
-            if cb != 0.0:
+            if cb != 0:
                 obj -= cb * T[i, :-1]
                 rhs_obj -= cb * T[i, -1]
-        bland = False
+        bland = exact
         stall = 0
-        stall_limit = 4 * (nr + nc) + 100
+        # exact pivoting by Bland's rule terminates, so it counts no stall
+        stall_limit = math.inf if exact else 4 * (nr + nc) + 100
         best = math.inf
         max_iter = 200 * (nr + nc) + 2000
         while True:
@@ -136,7 +141,7 @@ def _simplex_float(
             factor = obj[col] / piv
             obj -= factor * T[row, :-1]
             rhs_obj -= factor * T[row, -1]
-            obj[col] = 0.0
+            obj[col] = 0
             _pivot(T, basis, row, col)
             iterations += 1
             val = -rhs_obj
@@ -153,17 +158,17 @@ def _simplex_float(
             if iterations > max_iter:
                 raise SimplexStall(f"iteration budget {max_iter} exceeded")
 
-    T = np.empty((nr, nc + 1))
+    T = np.empty((nr, nc + 1), dtype=A.dtype)
     T[:, :-1] = A
     T[:, -1] = b
     basis = basis0.copy()
 
     if art_cols:
-        c1 = np.zeros(nc)
-        c1[art_cols] = 1.0
+        c1 = np.zeros(nc, dtype=A.dtype)
+        c1[art_cols] = 1
         allowed = np.ones(nc, dtype=bool)
         val1 = run(c1, T, basis, allowed)
-        if val1 > max(1e-7, 1000 * tol):
+        if val1 > (0 if exact else max(1e-7, 1000 * tol)):
             raise LpInfeasible(f"phase-1 optimum {val1} > 0")
         art_set = set(art_cols)
         # drive leftover artificials out of the basis where possible
@@ -184,99 +189,15 @@ def _simplex_float(
         allowed = np.ones(nc, dtype=bool)
 
     run(c, T, basis, allowed)
-    values = np.zeros(nc)
+    values = np.zeros(nc, dtype=A.dtype)
     values[basis] = T[:, -1]
     return values, iterations
 
 
-def _simplex_exact(
-    A_rows: list[list[Fraction]],
-    b: list[Fraction],
-    c: list[Fraction],
-    art_cols: list[int],
-    basis0: list[int],
-) -> tuple[list[Fraction], int]:
-    """Exact-rational simplex with Bland's rule (always terminates)."""
-    nr = len(A_rows)
-    nc = len(c)
-    T = [row[:] + [b[i]] for i, row in enumerate(A_rows)]
-    basis = list(basis0)
-    iterations = 0
-    zero = Fraction(0)
-
-    def pivot(row: int, col: int) -> None:
-        piv = T[row][col]
-        T[row] = [v / piv for v in T[row]]
-        for i in range(nr):
-            if i != row and T[i][col] != zero:
-                f = T[i][col]
-                T[i] = [a - f * p for a, p in zip(T[i], T[row])]
-        basis[row] = col
-
-    def run(costs: list[Fraction], allowed: list[bool]) -> Fraction:
-        nonlocal iterations
-        obj = costs[:] + [zero]
-        for i in range(nr):
-            cb = costs[basis[i]]
-            if cb != zero:
-                obj = [a - cb * t for a, t in zip(obj, T[i])]
-        while True:
-            col = -1
-            for j in range(nc):
-                if allowed[j] and obj[j] < zero:
-                    col = j
-                    break
-            if col < 0:
-                return -obj[-1]
-            row = -1
-            best = None
-            for i in range(nr):
-                if T[i][col] > zero:
-                    ratio = T[i][-1] / T[i][col]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[row]
-                    ):
-                        best = ratio
-                        row = i
-            if row < 0:
-                raise LpUnbounded("unbounded entering column (exact mode)")
-            f = obj[col] / T[row][col]
-            obj = [a - f * p for a, p in zip(obj, T[row])]
-            obj[col] = zero
-            pivot(row, col)
-            iterations += 1
-
-    if art_cols:
-        c1 = [zero] * nc
-        for j in art_cols:
-            c1[j] = Fraction(1)
-        val1 = run(c1, [True] * nc)
-        if val1 != zero:
-            raise LpInfeasible(f"phase-1 optimum {val1} > 0 (exact mode)")
-        art_set = set(art_cols)
-        for i in range(nr):
-            if basis[i] in art_set:
-                for j in range(nc):
-                    if j not in art_set and T[i][j] != zero:
-                        pivot(i, j)
-                        break
-        keep = [i for i in range(nr) if basis[i] not in art_set]
-        T = [T[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        nr = len(T)
-    allowed = [j not in set(art_cols) for j in range(nc)]
-    run(c, allowed)
-    values = [zero] * nc
-    for i in range(nr):
-        values[basis[i]] = T[i][-1]
-    return values, iterations
-
-
-def _standard_form(problem: LpProblem, exact: bool):
+def _standard_form(problem: LpProblem):
     """Expand sense rows into equality standard form with slack/artificials."""
     nv = problem.num_vars
     nr = len(problem.rows)
-    make = Fraction if exact else float
     rows = []
     senses = []
     rhs = []
@@ -294,27 +215,6 @@ def _standard_form(problem: LpProblem, exact: bool):
     nc = nv + nr + n_art
     art_cols: list[int] = []
     basis = []
-    if exact:
-        A = [[Fraction(0)] * nc for _ in range(nr)]
-        bb = [Fraction(v).limit_denominator(10**12) if not isinstance(v, Fraction)
-              else v for v in rhs]
-        a_next = nv + nr
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                A[i][j] = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**12)
-            if senses[i] == "<=":
-                A[i][nv + i] = Fraction(1)
-                basis.append(nv + i)
-            else:
-                A[i][nv + i] = Fraction(-1)
-                A[i][a_next] = Fraction(1)
-                art_cols.append(a_next)
-                basis.append(a_next)
-                a_next += 1
-        c = [Fraction(0)] * nc
-        for j, v in problem.objective.items():
-            c[j] = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**12)
-        return A, bb, c, art_cols, basis
     A = np.zeros((nr, nc))
     bb = np.asarray(rhs, dtype=float)
     a_next = nv + nr
@@ -336,27 +236,32 @@ def _standard_form(problem: LpProblem, exact: bool):
     return A, bb, c, art_cols, np.asarray(basis, dtype=np.int64)
 
 
+# float -> nearby rational, elementwise into an object array
+_rational = np.frompyfunc(lambda v: Fraction(v).limit_denominator(10**12), 1, 1)
+
+
 def solve_lp(problem: LpProblem, tol: float = 1e-9, exact: bool = False) -> LpSolution:
     """Solve min c.y, y >= 0 over the problem's rows.
 
     The float path falls back to exact rationals when it stalls and the
-    problem has at most EXACT_VAR_LIMIT variables. Valid network-design
-    programs are always feasible and bounded, so LpInfeasible here signals an
-    internal error upstream.
+    problem has at most EXACT_VAR_LIMIT variables. Exact mode keeps the
+    iteration budget, so it raises SimplexStall rather than run on. Valid
+    network-design programs are always feasible and bounded, so LpInfeasible
+    here signals an internal error upstream.
     """
     nv = problem.num_vars
     if nv == 0:
         return LpSolution(np.zeros(0), 0.0, "optimal", 0, "trivial", 0.0)
+    A, b, c, art, basis = _standard_form(problem)
     if exact:
-        A, b, c, art, basis = _standard_form(problem, exact=True)
-        vals, iters = _simplex_exact(A, b, c, art, basis)
-        x = np.array([float(v) for v in vals[:nv]])
-        obj = float(sum(c[j] * vals[j] for j in range(nv)))
+        c = _rational(c)
+        vals, iters = _simplex(_rational(A), _rational(b), c, art, basis, 0)
+        x = vals[:nv].astype(float)
+        obj = float(np.dot(c[:nv], vals[:nv]))
         return LpSolution(x, obj, "optimal", iters, "exact",
                           _residual(problem, x))
     try:
-        A, b, c, art, basis = _standard_form(problem, exact=False)
-        vals, iters = _simplex_float(A, b, c, nv, art, basis, tol)
+        vals, iters = _simplex(A, b, c, art, basis, tol)
         x = vals[:nv]
         x[np.abs(x) < tol] = 0.0
         obj = float(np.dot(c[:nv], x))
@@ -412,6 +317,15 @@ def cluster_demands(instance: CpInstance, cluster: frozenset[int] | set[int]) ->
     return out
 
 
+def _paths_by_edge(fam_edges) -> list[tuple[int, list[int]]]:
+    """(edge, indices of the family's paths that use it), by ascending edge."""
+    by_edge: dict[int, list[int]] = {}
+    for j, edges in enumerate(fam_edges):
+        for e in edges:
+            by_edge.setdefault(e, []).append(j)
+    return sorted(by_edge.items())
+
+
 def build_cluster_cp(
     instance: CpInstance,
     cluster,
@@ -442,17 +356,12 @@ def build_cluster_cp(
         f_cols.append(cols)
 
     for slot, di in enumerate(demand_indices):
-        fam_edges = instance.family_edges[di]
-        by_edge: dict[int, list[int]] = {}
-        for pj, edges in enumerate(fam_edges):
-            for e in edges:
-                if e not in x_col:
-                    raise LpError(
-                        f"demand {di} path leaves the cluster scope (edge {e})"
-                    )
-                by_edge.setdefault(e, []).append(f_cols[slot][pj])
-        for e in sorted(by_edge):
-            coeffs = {col: 1.0 for col in by_edge[e]}
+        for e, pjs in _paths_by_edge(instance.family_edges[di]):
+            if e not in x_col:
+                raise LpError(
+                    f"demand {di} path leaves the cluster scope (edge {e})"
+                )
+            coeffs = {f_cols[slot][pj]: 1.0 for pj in pjs}
             coeffs[x_col[e]] = -1.0
             problem.add_row(coeffs, "<=", 0.0)
         problem.add_row({col: 1.0 for col in f_cols[slot]}, ">=", 1.0)
@@ -612,12 +521,8 @@ def _max_demand_flow(instance: CpInstance, di: int, x: np.ndarray,
     k = len(fam_edges)
     names = [f"f_{di}_{j}" for j in range(k)]
     problem = LpProblem(var_names=names, objective={j: -1.0 for j in range(k)})
-    by_edge: dict[int, list[int]] = {}
-    for j, edges in enumerate(fam_edges):
-        for e in edges:
-            by_edge.setdefault(e, []).append(j)
-    for e in sorted(by_edge):
-        problem.add_row({j: 1.0 for j in by_edge[e]}, "<=", float(x[e]))
+    for e, js in _paths_by_edge(fam_edges):
+        problem.add_row({j: 1.0 for j in js}, "<=", float(x[e]))
     # flow never needs to exceed one unit; keeps the LP bounded and small
     problem.add_row({j: 1.0 for j in range(k)}, "<=", 1.0)
     sol = solve_lp(problem, tol=tol)

@@ -5,7 +5,7 @@ import pytest
 
 from padspan.cli import main as cli_main
 from padspan.distributed import ConfigError
-from padspan.graphs import directed_distances_from, write_graph
+from padspan.graphs import Graph, directed_distances_from, write_graph
 from padspan.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -71,6 +71,11 @@ class TestGenerators:
         with pytest.raises(HarnessError):
             ExperimentConfig(gen="file", seed=1)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_config_rejects_t_override_below_one(self, t):
+        with pytest.raises(HarnessError, match="t_override"):
+            ExperimentConfig(n=8, seed=1, t_override=t)
+
 
 class TestRunExperiment:
     def small_config(self, out=None, trials=2):
@@ -80,7 +85,10 @@ class TestRunExperiment:
         )
 
     def test_trial_rejects_zero_iterations(self):
-        cfg = ExperimentConfig(n=8, seed=1, t_override=0)
+        # the config rejects 0 itself; the solver still checks a config
+        # changed after construction
+        cfg = ExperimentConfig(n=8, seed=1)
+        cfg.t_override = 0
         with pytest.raises(ConfigError, match="t_override"):
             run_trial(cfg, 0, 0)
 
@@ -182,6 +190,41 @@ class TestCli:
         ])
         assert rc == 0
         assert "ratio=" in capsys.readouterr().out
+
+    def test_solve_cp_prints_first_trial(self, capsys):
+        argv = ["--gen", "gnp", "--n", "10", "--p", "0.35", "--k", "2",
+                "--epsilon", "0.5", "--seed", "4"]
+        assert cli_main(["solve-cp"] + argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        cfg = ExperimentConfig(n=10, p=0.35, k=2, epsilon=0.5, seed=4)
+        row, manifest, _, _ = run_trial(cfg, 0, 0)
+        assert out == [
+            f"n={row.n} m={row.m} D={row.D} t={manifest['t']}",
+            f"CP*={row.cp_star:.6f} g(x~)={row.g_tilde:.6f} "
+            f"ratio={row.ratio:.6f}",
+            f"rounds={row.rounds} concentration={row.concentration_rate:.3f} "
+            f"feasible={row.feasible}",
+        ]
+
+    def verify_path_graph(self, tmp_path, directed, pairs):
+        gpath = str(tmp_path / "path.graph")
+        write_graph(Graph(3, [(0, 1), (1, 2)], directed=directed), gpath)
+        epath = str(tmp_path / "pairs.txt")
+        with open(epath, "w") as fh:
+            fh.write("".join(f"{a} {b}\n" for a, b in pairs))
+        return cli_main(["verify", "--graph", gpath, "--edges", epath,
+                         "--k", "1", "--seed", "1"])
+
+    def test_verify_unknown_pair_is_usage_error(self, tmp_path, capsys):
+        rc = self.verify_path_graph(tmp_path, True, [(0, 1), (2, 1)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "(2,1) is not a graph edge" in err
+
+    def test_verify_undirected_pair_either_orientation(self, tmp_path, capsys):
+        rc = self.verify_path_graph(tmp_path, False, [(1, 0), (2, 1)])
+        assert rc == 0
+        assert "all satisfied" in capsys.readouterr().out
 
     def test_round_and_verify(self, tmp_path, capsys):
         g = gen_gnp(10, 0.35, seed=5)

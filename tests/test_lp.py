@@ -10,10 +10,15 @@ from padspan.cp import (
     max_degree,
     p_norm,
 )
+from padspan import lp
 from padspan.graphs import Graph, restrict
 from padspan.harness import gen_gnp
 from padspan.lp import (
+    EXACT_VAR_LIMIT,
+    LpInfeasible,
     LpProblem,
+    LpUnbounded,
+    SimplexStall,
     build_cluster_cp,
     check_feasibility,
     cluster_demands,
@@ -64,6 +69,31 @@ def random_bounded_lp(rng):
     b = np.array(b_vals)
     c = rng.uniform(-1.0, 1.0, size=nv).round(3)
     return c, A, b
+
+
+def random_mixed_lp(rng):
+    """Feasible bounded LP with '<=' and '>=' rows and negative right-hand
+    sides: every row holds at a seeded point x0 > 0, with slack."""
+    nv = int(rng.integers(2, 7))
+    x0 = rng.uniform(0.2, 2.0, size=nv)
+    p = LpProblem(
+        var_names=[f"v{i}" for i in range(nv)],
+        objective={i: round(float(rng.uniform(-1.0, 1.0)), 3) for i in range(nv)},
+    )
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = {j: round(float(rng.normal()), 3) for j in range(nv)}
+        lhs = sum(v * x0[j] for j, v in coeffs.items())
+        slack = float(rng.uniform(0.05, 1.0))
+        if rng.random() < 0.5:
+            p.add_row(coeffs, "<=", round(lhs + slack, 3))
+        else:
+            p.add_row(coeffs, ">=", round(lhs - slack, 3))
+    # one row of each sense with a negative right-hand side
+    p.add_row({0: -1.0}, "<=", round(-x0[0] / 2, 3))
+    p.add_row({0: -1.0, 1: -1.0}, ">=", round(-(x0[0] + x0[1]) - 0.5, 3))
+    for j in range(nv):  # box keeps it bounded for any objective
+        p.add_row({j: 1.0}, "<=", round(float(x0[j] + rng.uniform(0.5, 3.0)), 3))
+    return p
 
 
 class TestSimplexKernel:
@@ -139,11 +169,52 @@ class TestSimplexKernel:
             f = solve_lp(p)
             e = solve_lp(p, exact=True)
             assert e.objective == pytest.approx(f.objective, abs=1e-9)
+        for _ in range(10):
+            p = random_mixed_lp(rng)
+            f = solve_lp(p)
+            e = solve_lp(p, exact=True)
+            assert (f.mode, e.mode) == ("float", "exact")
+            assert e.objective == pytest.approx(f.objective, abs=1e-9)
+            assert e.residual <= 1e-9
 
     def test_empty_problem(self):
         p = LpProblem(var_names=[], objective={})
         sol = solve_lp(p)
         assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_infeasible_and_unbounded_raise(self, exact):
+        p = LpProblem(var_names=["x"], objective={0: 1.0})
+        p.add_row({0: 1.0}, "<=", 1.0)
+        p.add_row({0: 1.0}, ">=", 2.0)
+        with pytest.raises(LpInfeasible):
+            solve_lp(p, exact=exact)
+        q = LpProblem(var_names=["x", "y"], objective={0: -1.0, 1: 1.0})
+        q.add_row({0: 1.0, 1: -1.0}, ">=", 1.0)
+        with pytest.raises(LpUnbounded):
+            solve_lp(q, exact=exact)
+
+    def test_float_stall_falls_back_to_exact(self, monkeypatch):
+        real = lp._simplex
+
+        def stall_when_float(A, b, c, art_cols, basis0, tol):
+            if tol > 0:
+                raise SimplexStall("forced stall")
+            return real(A, b, c, art_cols, basis0, tol)
+
+        p = random_mixed_lp(np.random.default_rng(12))
+        f = solve_lp(p)
+        big = LpProblem(
+            var_names=[f"v{i}" for i in range(EXACT_VAR_LIMIT + 1)],
+            objective={i: 1.0 for i in range(EXACT_VAR_LIMIT + 1)},
+        )
+        big.add_row({0: 1.0}, ">=", 1.0)
+        monkeypatch.setattr(lp, "_simplex", stall_when_float)
+        e = solve_lp(p)
+        assert e.mode == "exact"
+        assert e.objective == pytest.approx(f.objective, abs=1e-9)
+        with pytest.raises(SimplexStall, match="forced stall"):
+            solve_lp(big)
 
 
 class TestClusterCp:
