@@ -27,8 +27,7 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .lp import solve_global_oracle
-from .rounding import output_csv, round_spanner, verify_stretch
+from .rounding import verify_stretch
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -97,18 +96,16 @@ def cmd_solve_cp(args) -> int:
 
 def cmd_round(args) -> int:
     config = _config(args)
-    g, instance = generate_instance(config, args.seed)
-    oracle = solve_global_oracle(instance)
-    depth = args.k if config.problem != "dsn" else instance.D
-    out = round_spanner(g, oracle.x, depth, args.seed)
-    ok, violated = verify_stretch(g, out.edges, instance)
-    print(f"|E_out|={len(out.edges)} roots={len(out.roots)} stretch_ok={ok}")
-    if violated:
-        print(f"violated demands: {violated[:10]}")
+    if config.problem not in ("directed-spanner", "dsn"):
+        print(f"error: round has no spanner rounding for {config.problem}",
+              file=sys.stderr)
+        return 2
+    row, _, _, artifacts = run_trial(config, 0, 0)
+    print(f"|E_out|={row.e_out} stretch_ok={row.stretch_ok}")
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(output_csv(g, out))
-    return 0 if ok else 1
+            fh.write(artifacts["provenance"])
+    return 0 if row.stretch_ok else 1
 
 
 def cmd_experiment(args) -> int:

@@ -200,7 +200,8 @@ class CpInstance:
 
     `families[i]` lists the allowed paths of demand i as node tuples, and
     `family_edges[i]` the matching edge-index tuples. D is the length of the
-    longest allowed path across all demands.
+    longest allowed path across all demands; `spanning` says whether every
+    node is some demand's endpoint.
     """
 
     graph: Graph
@@ -208,7 +209,6 @@ class CpInstance:
     families: tuple[tuple[tuple[int, ...], ...], ...]
     objective: Objective
     family_edges: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, default=())
-    spanning: bool = False
 
     def __post_init__(self):
         if not self.family_edges:
@@ -248,19 +248,16 @@ class CpInstance:
             (len(p) - 1 for fam in self.families for p in fam), default=0
         )
 
-    def endpoints(self) -> set[int]:
-        out: set[int] = set()
-        for d in self.demands:
-            out.add(d.u)
-            out.add(d.v)
-        return out
+    @property
+    def spanning(self) -> bool:
+        touched = {d.u for d in self.demands} | {d.v for d in self.demands}
+        return len(touched) == self.graph.n
 
 
 def build_spanner_instance(
     g: Graph,
     k: int,
     objective: Objective | None = None,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> CpInstance:
     """Stretch-k spanner relaxation: one demand per edge, detours up to k hops."""
     if k < 1:
@@ -268,24 +265,19 @@ def build_spanner_instance(
     if objective is None:
         objective = linear_sum()
     demands = tuple(Demand(u, v, k) for u, v in g.edges)
-    families = tuple(
-        tuple(enumerate_paths(g, u, v, k, cap=cap)) for u, v in g.edges
-    )
-    spanning = _is_spanning(g.n, demands)
-    return CpInstance(g, demands, families, objective, spanning=spanning)
+    families = tuple(tuple(enumerate_paths(g, u, v, k)) for u, v in g.edges)
+    return CpInstance(g, demands, families, objective)
 
 
 def build_dsn_instance(
     g: Graph,
     demands: list[tuple[int, int, int]],
     objective: Objective | None = None,
-    cap: int = DEFAULT_PATH_CAP,
 ) -> CpInstance:
     """Steiner-network instance with per-demand distance bounds.
 
     Each demand (u, v, L) requires a directed u->v path of at most L edges;
-    a bound below the directed distance raises InfeasibleDemandError. The
-    spanning flag records whether every node is some demand's endpoint.
+    a bound below the directed distance raises InfeasibleDemandError.
     """
     if objective is None:
         objective = linear_sum()
@@ -303,19 +295,8 @@ def build_dsn_instance(
                 f"(directed distance {'inf' if dist[v] >= 2**40 else int(dist[v])})"
             )
         dms.append(Demand(u, v, int(bound)))
-        fams.append(tuple(enumerate_paths(g, u, v, int(bound), cap=cap)))
-    dms_t = tuple(dms)
-    return CpInstance(
-        g, dms_t, tuple(fams), objective, spanning=_is_spanning(g.n, dms_t)
-    )
-
-
-def _is_spanning(n: int, demands: tuple[Demand, ...]) -> bool:
-    touched: set[int] = set()
-    for d in demands:
-        touched.add(d.u)
-        touched.add(d.v)
-    return touched == set(range(n))
+        fams.append(tuple(enumerate_paths(g, u, v, int(bound))))
+    return CpInstance(g, tuple(dms), tuple(fams), objective)
 
 
 # -- instance files ------------------------------------------------------
@@ -343,7 +324,7 @@ def write_instance(instance: CpInstance, path: str, graph_filename: str | None =
         fh.write("\n".join(lines) + "\n")
 
 
-def read_instance(path: str, cap: int = DEFAULT_PATH_CAP) -> CpInstance:
+def read_instance(path: str) -> CpInstance:
     """Parse an instance file written by :func:`write_instance`."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="ascii") as fh:
@@ -358,7 +339,7 @@ def read_instance(path: str, cap: int = DEFAULT_PATH_CAP) -> CpInstance:
     if len(demand_rows) != count:
         raise InstanceError(f"{path}: expected {count} demand rows")
     triples = [tuple(int(t) for t in row.split()) for row in demand_rows]
-    inst = build_dsn_instance(g, triples, objective, cap=cap)
+    inst = build_dsn_instance(g, triples, objective)
     if inst.spanning != bool(int(head["spanning"])):
         raise InstanceError(f"{path}: spanning flag mismatch")
     return inst

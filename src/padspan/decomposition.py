@@ -9,7 +9,8 @@ one every node joins the smallest id whose flood reached it. The distributed
 sampler is its t=1 case and matches the centralized sampler exactly when the
 permutation is node-ID order and the seed and iteration are the same; the
 distributed solver runs all its iterations as one `carve`. `padded_mask` is
-the one padding test: is B(u, k) inside u's cluster.
+the one central padding test, is B(u, k) inside u's cluster; the solver's
+nodes decide the same fact locally from what they probed.
 """
 
 from __future__ import annotations
@@ -93,16 +94,19 @@ def draw_radii(params: PaddedParams, seed: int, iteration: int, n: int) -> np.nd
 
 @dataclass
 class Clustering:
-    """A partition of nodes with per-cluster centers and carving radii.
+    """A partition of nodes with per-node carving radii.
 
-    Cluster ids are the center node indices. `pi_rank[v]` is the position of
-    node v in the permutation that carved this clustering.
+    Cluster ids are the center node indices: `assignment[u]` is the center
+    of u's cluster.
     """
 
     assignment: np.ndarray
-    centers: dict[int, int]
     radii: np.ndarray
-    pi_rank: np.ndarray
+
+    @property
+    def centers(self) -> dict[int, int]:
+        """Cluster id -> its center (the same node)."""
+        return {int(c): int(c) for c in np.unique(self.assignment)}
 
     def clusters(self) -> dict[int, list[int]]:
         """Cluster id -> sorted member list."""
@@ -147,12 +151,7 @@ def sample_decomposition_centralized(
         pi_order = np.arange(n)
     else:
         raise DecompositionError(f"unknown permutation source {permutation!r}")
-    assignment = _assign(g, radii, pi_order)
-    pi_rank = np.empty(n, dtype=np.int64)
-    pi_rank[pi_order] = np.arange(n)
-    centers = {int(c): int(c) for c in np.unique(assignment)}
-    return Clustering(assignment=assignment, centers=centers, radii=radii,
-                      pi_rank=pi_rank)
+    return Clustering(assignment=_assign(g, radii, pi_order), radii=radii)
 
 
 # -- the carving flood ------------------------------------------------------
@@ -280,13 +279,7 @@ def sample_decomposition_distributed(
         transcript = RoundTranscript()
     radii = draw_radii(params, seed, iteration, g.n)
     _, centers = carve(g, params, radii[None, :], transcript)
-    assignment = centers[:, 0]
-    clustering = Clustering(
-        assignment=assignment,
-        centers={int(c): int(c) for c in np.unique(assignment)},
-        radii=radii, pi_rank=np.arange(g.n),
-    )
-    return clustering, transcript
+    return Clustering(assignment=centers[:, 0], radii=radii), transcript
 
 
 # -- batch Monte Carlo sampling -------------------------------------------
@@ -394,6 +387,6 @@ def clustering_csv(clustering: Clustering) -> str:
     """Serialize as CSV: one row per node."""
     lines = [CLUSTERING_CSV_HEADER]
     for u, c in enumerate(clustering.assignment):
-        lines.append(f"{u},{int(c)},{clustering.centers[int(c)]},"
+        lines.append(f"{u},{int(c)},{int(c)},"
                      f"{float(clustering.radii[u])!r}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cp import CpInstance, evaluate_objective
 from .decomposition import (
-    Clustering, PaddedParams, carve, decide_round, draw_radii, padded_mask,
+    Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
 from .localsim import NodeStep, RoundTranscript, run_protocol
 from .lp import CpSolution, solve_cluster_cp
@@ -75,9 +75,9 @@ def round_bound(config: SolverConfig, n: int, D: int) -> float:
 class IterationRecord:
     """One decomposition iteration: partition, cluster solutions, bookkeeping.
 
-    `padded[u]` says B(u, D) stayed inside u's cluster; `edge_same[e]` says
-    both endpoints of e shared a cluster. padded[u] implies edge_same on
-    every edge at u.
+    `padded[u]` says B(u, D) stayed inside u's cluster, as node u decided
+    from its probe; `edge_same[e]` says both endpoints of e shared a
+    cluster. padded[u] implies edge_same on every edge at u.
     """
 
     index: int
@@ -100,7 +100,7 @@ class _A2State:
     """Mutable per-node state threaded through all solver phases."""
 
     __slots__ = (
-        "accepted", "centers", "known", "known_dist", "downstream", "solutions",
+        "accepted", "centers", "known", "padded", "downstream", "solutions",
     )
 
     def __init__(self, accepted: list[dict[int, tuple[int, int, int]]],
@@ -108,9 +108,10 @@ class _A2State:
         # per iteration: origin -> (hop distance, remaining budget, via neighbor)
         self.accepted = accepted
         self.centers = centers
-        # probe: origin node -> its per-iteration cluster vector / hop distance
+        # probe: node within D hops -> its per-iteration cluster vector
         self.known: dict[int, np.ndarray] = {}
-        self.known_dist: dict[int, int] = {}
+        # gather: per iteration, did B(u, D) stay inside u's cluster
+        self.padded: np.ndarray | None = None
         # gather: (iteration, center) -> neighbors that route through us
         self.downstream: dict[tuple[int, int], list[int]] = {}
         # broadcast: iteration -> this node's cluster solution
@@ -166,7 +167,6 @@ def _phase_probe(g, states, D, t, transcript) -> None:
         forward: list[tuple[int, np.ndarray, int]] = []
         if rnd == 0:
             st.known[u] = st.centers
-            st.known_dist[u] = 0
             if D >= 1:
                 forward.append((u, st.centers, D - 1))
         else:
@@ -174,7 +174,6 @@ def _phase_probe(g, states, D, t, transcript) -> None:
                 for origin, vec, rem in entries:
                     if origin not in st.known:
                         st.known[origin] = vec
-                        st.known_dist[origin] = rnd
                         if rem >= 1:
                             forward.append((origin, vec, rem - 1))
         outbox = []
@@ -190,10 +189,12 @@ def _phase_probe(g, states, D, t, transcript) -> None:
 def _phase_gather(g, params, states, t, demands_at, transcript):
     """Route per-iteration node reports to cluster centers along flood trees.
 
-    A report names the node and, when its D-ball stayed inside the cluster,
-    its resident demands. Intermediate nodes remember who routed through them
-    so the broadcast can retrace the tree. Returns per (iteration, center)
-    the member set and padded demand indices.
+    Each node first decides, for all iterations at once, whether its D-ball
+    stayed inside its cluster: every probed cluster vector equals its own.
+    A report names the node and, when padded, its resident demands.
+    Intermediate nodes remember who routed through them so the broadcast can
+    retrace the tree. Returns per (iteration, center) the member set and
+    padded demand indices.
     """
     r_gather = decide_round(params, g.n)
     gathered: list[dict[int, dict]] = [dict() for _ in range(t)]
@@ -208,10 +209,9 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
     def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
         per_nbr: dict[int, list] = {}
         if rnd == 0:
-            ball_nodes = list(st.known_dist)
-            for i in range(t):
-                c = int(st.centers[i])
-                padded = all(int(st.known[w][i]) == c for w in ball_nodes)
+            st.padded = (np.stack(list(st.known.values())) == st.centers).all(axis=0)
+            for i, (c, padded) in enumerate(
+                    zip(st.centers.tolist(), st.padded.tolist())):
                 report = (u, padded,
                           tuple(demands_at.get(u, ())) if padded else ())
                 if c == u:
@@ -308,62 +308,61 @@ def _assemble(instance, config, states, solutions, keys, radii,
               transcript) -> DistributedRun:
     """Cap-averaged edge vector, endpoint consistency check, and records."""
     g = instance.graph
-    n = g.n
     t = len(radii)
     eps = config.epsilon
-    centers_mat = np.stack([st.centers for st in states])  # (n, t)
-    xt = np.zeros(g.m)
-    for e, (u, v) in enumerate(g.edges):
-        same = np.nonzero(centers_mat[u] == centers_mat[v])[0]
-        total_u = 0.0
-        total_v = 0.0
-        for i in same:
-            sol_u = states[u].solutions.get(int(i))
-            sol_v = states[v].solutions.get(int(i))
-            if sol_u is None or sol_v is None:
-                raise RuntimeError(f"missing broadcast solution at edge {e}")
-            total_u += sol_u.x[e]
-            total_v += sol_v.x[e]
-        # both endpoints evaluate the same rule from their own received data
-        val_u = min(1.0, (1 + eps) / t * total_u)
-        val_v = min(1.0, (1 + eps) / t * total_v)
-        if abs(val_u - val_v) > 1e-12:
-            raise RuntimeError(
-                f"endpoint disagreement on edge {e}: {val_u} vs {val_v}"
-            )
-        xt[e] = val_u
+    us = np.array([u for u, _ in g.edges], dtype=np.int64)
+    vs = np.array([v for _, v in g.edges], dtype=np.int64)
+    centers = np.stack([st.centers for st in states], axis=1)  # (t, n)
+    padded = np.stack([st.padded for st in states], axis=1)  # (t, n)
+    same = centers[:, us] == centers[:, vs]  # (t, m)
 
-    padded = padded_mask(g, centers_mat.T, instance.D)  # (t, n)
-    records = []
+    received = np.array([[i in st.solutions for st in states] for i in range(t)])
+    missing = same & ~(received[:, us] & received[:, vs])
+    if missing.any():
+        e = int(np.nonzero(missing.any(axis=0))[0][0])
+        raise RuntimeError(f"missing broadcast solution at edge {e}")
+    # each endpoint sums, in iteration order, the x_e of its own received
+    # solutions over the iterations it shares a cluster with the other end
+    zero = np.zeros(g.m)
+    total_u = np.zeros(g.m)
+    total_v = np.zeros(g.m)
+    edge_ids = np.arange(g.m)
     for i in range(t):
-        assign = centers_mat[:, i].copy()
-        clustering = Clustering(
-            assignment=assign,
-            centers={int(c): int(c) for c in np.unique(assign)},
-            radii=radii[i],
-            pi_rank=np.arange(n),
+        x_i = np.stack([
+            st.solutions[i].x if i in st.solutions else zero for st in states
+        ])  # (n, m): each node's received solution
+        total_u += np.where(same[i], x_i[us, edge_ids], 0.0)
+        total_v += np.where(same[i], x_i[vs, edge_ids], 0.0)
+    val_u = np.minimum(1.0, (1 + eps) / t * total_u)
+    val_v = np.minimum(1.0, (1 + eps) / t * total_v)
+    off = np.abs(val_u - val_v) > 1e-12
+    if off.any():
+        e = int(np.nonzero(off)[0][0])
+        raise RuntimeError(
+            f"endpoint disagreement on edge {e}: {val_u[e]} vs {val_v[e]}"
         )
-        edge_same = np.array(
-            [assign[u] == assign[v] for u, v in g.edges], dtype=bool
-        )
-        for e, (u, v) in enumerate(g.edges):
-            if padded[i, u] and not edge_same[e]:
-                raise RuntimeError(f"padding bookkeeping violated at edge {e}")
-        records.append(IterationRecord(
-            index=i, clustering=clustering, solutions=solutions[i],
-            cluster_keys=keys[i], padded=padded[i], edge_same=edge_same,
-        ))
+    broken = np.argwhere(padded[:, us] & ~same)
+    if broken.size:
+        raise RuntimeError(f"padding bookkeeping violated at edge {broken[0, 1]}")
 
-    value = evaluate_objective(instance.objective, xt, g)
+    records = [
+        IterationRecord(
+            index=i,
+            clustering=Clustering(assignment=centers[i], radii=radii[i]),
+            solutions=solutions[i], cluster_keys=keys[i],
+            padded=padded[i], edge_same=same[i],
+        )
+        for i in range(t)
+    ]
+    value = evaluate_objective(instance.objective, val_u, g)
     solution = CpSolution(
-        x=xt, flows={}, value=value, status="optimal", residual=0.0,
+        x=val_u, flows={}, value=value, status="optimal", residual=0.0,
         demand_indices=tuple(range(len(instance.demands))),
     )
     return DistributedRun(solution, transcript, records, config)
 
 
-def cached_global_oracle(instance: CpInstance, lp_cache: dict,
-                         tol: float = 1e-9) -> CpSolution:
+def cached_global_oracle(instance: CpInstance, lp_cache: dict) -> CpSolution:
     """Whole-graph optimum, reusing the solver's cache entry when present."""
     key = (
         frozenset(range(instance.graph.n)),
@@ -372,8 +371,7 @@ def cached_global_oracle(instance: CpInstance, lp_cache: dict,
     sol = lp_cache.get(key)
     if sol is None:
         sol = solve_cluster_cp(
-            instance, range(instance.graph.n), tol=tol,
-            demand_indices=list(key[1]),
+            instance, range(instance.graph.n), demand_indices=list(key[1])
         )
         lp_cache[key] = sol
     return sol

@@ -407,9 +407,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         if config.out:  # flush whatever completed before reporting the failure
             write_report(config.out, report,
                          elapsed=time.perf_counter() - started)
-        raise HarnessError(
-            f"trial {len(report.final_rows())} failed: {exc}"
-        ) from exc
+        raise HarnessError(f"trial {trial} retry {retry} failed: {exc}") from exc
     if config.out:
         write_report(config.out, report, elapsed=time.perf_counter() - started)
     return report

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cp import CpInstance, Objective, evaluate_objective
-from .graphs import as_edge_vector, ball
+from .decomposition import padded_mask
+from .graphs import as_edge_vector
 
 EXACT_VAR_LIMIT = 200
 
@@ -307,14 +308,10 @@ def cluster_demands(instance: CpInstance, cluster: frozenset[int] | set[int]) ->
 
     Exactly these demands have all allowed paths inside the induced subgraph.
     """
-    g = instance.graph
-    D = instance.D
-    members = frozenset(cluster)
-    out = []
-    for i, d in enumerate(instance.demands):
-        if ball(g, d.u, D) <= members:
-            out.append(i)
-    return out
+    inside = np.zeros(instance.graph.n, dtype=bool)
+    inside[list(cluster)] = True
+    padded = padded_mask(instance.graph, inside[None], instance.D)[0] & inside
+    return [i for i, d in enumerate(instance.demands) if padded[d.u]]
 
 
 def _paths_by_edge(fam_edges) -> list[tuple[int, list[int]]]:
@@ -401,8 +398,6 @@ def build_cluster_cp(
 def solve_cluster_cp(
     instance: CpInstance,
     cluster,
-    tol: float = 1e-9,
-    exact: bool = False,
     demand_indices: list[int] | None = None,
 ) -> CpSolution:
     """Optimal solution of the cluster-restricted program.
@@ -413,12 +408,12 @@ def solve_cluster_cp(
     """
     obj = instance.objective
     if obj.kind == "p-norm" and 1 < obj.p < math.inf:
-        return _solve_pnorm(instance, cluster, tol, demand_indices)
+        return _solve_pnorm(instance, cluster, demand_indices)
     problem, scope, dids = build_cluster_cp(instance, cluster, demand_indices)
     if not dids:
         x = np.zeros(instance.graph.m)
         return CpSolution(x, {}, 0.0, "optimal", 0.0, tuple())
-    sol = solve_lp(problem, tol=tol, exact=exact)
+    sol = solve_lp(problem)
     return _unpack(instance, problem, scope, dids, sol)
 
 
@@ -440,7 +435,7 @@ def _unpack(instance, problem, scope, dids, sol: LpSolution) -> CpSolution:
     )
 
 
-def _solve_pnorm(instance: CpInstance, cluster, tol: float,
+def _solve_pnorm(instance: CpInstance, cluster,
                  demand_indices: list[int] | None = None) -> CpSolution:
     """Kelley cutting planes: minimize t with t >= tangent of ||x||_p at iterates."""
     base, scope, dids = build_cluster_cp(
@@ -454,14 +449,14 @@ def _solve_pnorm(instance: CpInstance, cluster, tol: float,
     base.objective = {tcol: 1.0}
     best: CpSolution | None = None
     for _ in range(200):
-        sol = solve_lp(base, tol=tol)
+        sol = solve_lp(base)
         cps = _unpack(instance, base, scope, dids, sol)
         t_val = sol.values[tcol]
         g_val = float(np.sum(cps.x**p) ** (1.0 / p))
         if best is None or g_val < best.value:
             best = cps
             best.value = g_val
-        if g_val - t_val <= max(tol, 1e-9):
+        if g_val - t_val <= 1e-9:
             break
         xs = cps.x[scope]
         norm = max(g_val, 1e-12)
@@ -478,14 +473,13 @@ def _with_objective(instance: CpInstance, objective: Objective) -> CpInstance:
     return CpInstance(
         graph=instance.graph, demands=instance.demands,
         families=instance.families, objective=objective,
-        family_edges=instance.family_edges, spanning=instance.spanning,
+        family_edges=instance.family_edges,
     )
 
 
-def solve_global_oracle(instance: CpInstance, tol: float = 1e-9,
-                        exact: bool = False) -> CpSolution:
+def solve_global_oracle(instance: CpInstance) -> CpSolution:
     """Exact optimum of the whole-graph program (the comparison baseline)."""
-    return solve_cluster_cp(instance, range(instance.graph.n), tol=tol, exact=exact)
+    return solve_cluster_cp(instance, range(instance.graph.n))
 
 
 # -- feasibility ----------------------------------------------------------

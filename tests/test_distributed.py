@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from padspan.cp import build_spanner_instance, evaluate_objective
-from padspan.decomposition import PaddedParams, sample_decomposition_centralized
+from padspan.decomposition import (
+    PaddedParams, padded_mask, sample_decomposition_centralized,
+)
 from padspan.distributed import (
     ConfigError,
     NoCertificateError,
@@ -16,7 +20,7 @@ from padspan.distributed import (
     solve_distributed,
 )
 from padspan.graphs import Graph, restrict
-from padspan.harness import gen_gnp
+from padspan.harness import gen_gnp, gen_grid
 from padspan.lp import check_feasibility, solve_global_oracle
 
 
@@ -229,3 +233,70 @@ class TestCertificates:
         rep = concentration_report(run, inst)
         assert rep.all_pass
         assert all(c == 3 for c in rep.counts.values())
+
+
+def records_digest(run):
+    """sha256 of canonical JSON of each record's assignment, padding and
+    same-cluster edges, plus the transcript counters (integers and booleans
+    only, so the digest is the same on every platform)."""
+    doc = {
+        "records": [
+            [rec.clustering.assignment.tolist(), rec.padded.tolist(),
+             rec.edge_same.tolist()]
+            for rec in run.records
+        ],
+        "phase_rounds": run.transcript.phase_rounds,
+        "total_messages": run.transcript.total_messages,
+        "max_payload_scalars": run.transcript.max_payload_scalars,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# (graph, stretch, solver seed, iterations): a sparse directed gnp whose
+# clusterings split into several clusters, an undirected grid, and t = 1
+RECORD_CASES = {
+    "gnp-k2": (lambda: gen_gnp(20, 0.1, seed=2), 2, 2, 12),
+    "grid": (lambda: gen_grid(6, 6), 3, 5, 12),
+    "t1": (lambda: gen_grid(6, 6), 3, 2, 1),
+}
+
+RECORD_PINS = {
+    "gnp-k2": "3a2d486d4b394ce1e10e4d7b524c78d147984423c857c955d7d6014b93a2885a",
+    "grid": "b8672968b5472fb81c63a8ab3f73d84114e56df30418a90e38e18b241c03a50f",
+    "t1": "0eb48de1ea2023aafd335ac4932bbaa4ddbda14f067a7c4868ca5a922ee8cb72",
+}
+
+
+class TestRecords:
+    @pytest.fixture(scope="class", params=sorted(RECORD_CASES))
+    def case(self, request):
+        make, k, seed, t = RECORD_CASES[request.param]
+        g = make()
+        inst = build_spanner_instance(g, k)
+        run = solve_distributed(
+            inst, SolverConfig(epsilon=0.5, seed=seed, t_override=t))
+        return request.param, g, inst, run
+
+    def test_padding_matches_central_test(self, case):
+        # the padding the nodes decided is exactly the central ball test
+        _, g, inst, run = case
+        for rec in run.records:
+            ref = padded_mask(g, rec.clustering.assignment[None], inst.D)[0]
+            assert np.array_equal(rec.padded, ref)
+
+    def test_average_matches_edge_loop(self, case):
+        # reference: per edge, sum x_e over the shared iterations in order
+        _, g, _, run = case
+        t = len(run.records)
+        for e, (u, v) in enumerate(g.edges):
+            total = 0.0
+            for rec in run.records:
+                if rec.edge_same[e]:
+                    total += rec.solutions[rec.clustering.cluster_of(u)].x[e]
+            expect = min(1.0, (1 + run.config.epsilon) / t * total)
+            assert run.solution.x[e] == expect
+
+    def test_records_pinned(self, case):
+        name, _, _, run = case
+        assert records_digest(run) == RECORD_PINS[name]

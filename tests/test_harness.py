@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import padspan.harness as harness
 from padspan.cli import main as cli_main
 from padspan.distributed import ConfigError
 from padspan.graphs import Graph, directed_distances_from, write_graph
@@ -91,6 +92,22 @@ class TestRunExperiment:
         cfg.t_override = 0
         with pytest.raises(ConfigError, match="t_override"):
             run_trial(cfg, 0, 0)
+
+    def test_failure_names_trial_and_retry(self, monkeypatch):
+        # trial 0 misses concentration, then its retry raises: the error
+        # names that trial and retry, not the count of finished trials
+        real = harness.run_trial
+
+        def flaky(config, trial, retry):
+            if retry == 1:
+                raise RuntimeError("boom")
+            row, manifest, tr_row, artifacts = real(config, trial, retry)
+            row.concentration_all = False
+            return row, manifest, tr_row, artifacts
+
+        monkeypatch.setattr(harness, "run_trial", flaky)
+        with pytest.raises(HarnessError, match=r"^trial 0 retry 1 failed: boom$"):
+            run_experiment(self.small_config())
 
     def test_zero_trials_header_only(self, tmp_path):
         cfg = self.small_config(out=str(tmp_path / "r"), trials=0)
@@ -248,6 +265,28 @@ class TestCli:
             "--seed", "5",
         ])
         assert rc2 == 0
+
+    def test_round_prints_first_trial(self, tmp_path, capsys):
+        g = gen_gnp(10, 0.35, seed=5)
+        gpath = str(tmp_path / "g.graph")
+        write_graph(g, gpath)
+        out = str(tmp_path / "rounded.csv")
+        assert cli_main(["round", "--graph", gpath, "--k", "2", "--seed", "7",
+                         "--out", out]) == 0
+        cfg = ExperimentConfig(gen="file", graph_path=gpath, k=2, seed=7)
+        row, _, _, artifacts = run_trial(cfg, 0, 0)
+        assert capsys.readouterr().out.splitlines() == [
+            f"|E_out|={row.e_out} stretch_ok={row.stretch_ok}"
+        ]
+        assert open(out).read() == artifacts["provenance"]
+
+    @pytest.mark.parametrize("problem", ["raw-cp", "low-degree-spanner"])
+    def test_round_without_spanner_rounding_is_usage_error(self, problem,
+                                                          capsys):
+        rc = cli_main(["round", "--problem", problem, "--n", "8",
+                       "--seed", "1"])
+        assert rc == 2
+        assert "no spanner rounding" in capsys.readouterr().err
 
     def test_experiment_cli(self, tmp_path, capsys):
         rc = cli_main([
