@@ -8,6 +8,9 @@ every cluster, and averages; the result provably costs at most (1 + eps)
 times the true optimum and is feasible when concentration holds.
 """
 
+import os
+import tempfile
+
 from padspan import SolverConfig, build_spanner_instance, check_feasibility, concentration_report, implied_flow, round_bound, solve_distributed, solve_global_oracle
 from padspan.harness import gen_gnp
 from padspan.lp import build_cluster_cp, dump_lp
@@ -44,6 +47,10 @@ print(f"  demand 0 certificate ships {flow0.sum():.3f} units over "
 
 # the underlying linear program can be dumped for external solvers
 problem, _, _ = build_cluster_cp(instance, range(g.n))
-dump_lp(problem, "/tmp/spanner_program.lp")
-print(f"\nLP written to /tmp/spanner_program.lp "
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "spanner_program.lp")
+    dump_lp(problem, path)
+    with open(path) as f:
+        lines = f.read().splitlines()
+print(f"\nLP dump: {len(lines)} lines "
       f"({problem.num_vars} variables, {len(problem.rows)} rows)")

@@ -41,7 +41,6 @@ from .graphs import (
     read_graph,
     restrict,
     truncated_arborescence,
-    undirected_distance,
     write_graph,
 )
 from .harness import ExperimentConfig, RunReport, generate_instance, run_experiment
@@ -89,6 +88,6 @@ __all__ = [
     "run_experiment", "run_protocol", "sample_decomposition_centralized",
     "sample_decomposition_distributed", "sample_radius", "solve_cluster_cp",
     "solve_distributed", "solve_global_oracle", "solve_lp",
-    "truncated_arborescence", "undirected_distance", "validate_clustering",
+    "truncated_arborescence", "validate_clustering",
     "verify_stretch", "write_graph", "write_instance",
 ]

@@ -113,14 +113,6 @@ class Graph:
         return len(self.shadow_adj[self.check_node(u)])
 
 
-def undirected_distance(g: Graph, u: int, v: int) -> float:
-    """Hop distance between u and v ignoring edge directions; inf if disconnected."""
-    g.check_node(u)
-    g.check_node(v)
-    d = g.distance_matrix()[u, v]
-    return float("inf") if d == UNREACHABLE else int(d)
-
-
 def ball(g: Graph, u: int, radius: float) -> frozenset[int]:
     """Nodes within undirected hop distance `radius` of u (always includes u)."""
     g.check_node(u)
@@ -185,12 +177,6 @@ def restrict(x, cluster: Iterable[int], g: Graph) -> np.ndarray:
         if u in members and v in members:
             out[i] = x[i]
     return out
-
-
-def induced_edges(g: Graph, cluster: Iterable[int]) -> list[int]:
-    """Indices of edges with both endpoints in `cluster`, in edge order."""
-    members = set(cluster)
-    return [i for i, (u, v) in enumerate(g.edges) if u in members and v in members]
 
 
 # -- truncated shortest-path arborescences ------------------------------

@@ -1,16 +1,22 @@
-"""Exact small-scale LP solving for network-design programs.
+"""LP solving for network-design programs.
 
-One self-contained two-phase tableau simplex does all the work. It runs over
-float arrays with deterministic pivoting for speed, or over object arrays of
-Fractions for an exact rational solve, which is also the fallback when the
-float path stalls on a small enough problem. On top of the kernel sit the
-builders that turn an instance (optionally restricted to a cluster) into the
-path-flow LP, the global oracle, and a per-demand max-flow feasibility check.
+Float solves go to HiGHS (Huangfu & Hall 2018) through scipy's compiled
+binding, loaded from its file on the first solve so that `scipy` itself is
+never imported. A two-phase tableau simplex over Fractions stays as the
+exact-rational reference (`solve_lp(exact=True)`) that tests compare
+against; it refuses problems above EXACT_SIZE_LIMIT. On top of the solvers
+sit the builders that turn an instance (optionally restricted to a cluster)
+into the path-flow LP, the global oracle, and a per-demand max-flow
+feasibility check.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +26,10 @@ from .cp import CpInstance, Objective, evaluate_objective
 from .decomposition import padded_mask
 from .graphs import as_edge_vector
 
-EXACT_VAR_LIMIT = 200
+# variables + rows of the largest exact solve: a dense LP with 3-decimal
+# coefficients at size 78 takes 2.9 s (2-vCPU x86), and a 79-variable,
+# 158-row cutting-plane LP ran past 240 s
+EXACT_SIZE_LIMIT = 80
 
 
 class LpError(RuntimeError):
@@ -36,7 +45,7 @@ class LpUnbounded(LpError):
 
 
 class SimplexStall(LpError):
-    """Simplex exceeded its iteration budget, or a float solve lost accuracy."""
+    """The solver stopped without an optimum, or its answer lost accuracy."""
 
 
 @dataclass
@@ -70,7 +79,104 @@ class LpSolution:
     residual: float
 
 
-# -- simplex kernel -------------------------------------------------------
+# -- HiGHS ------------------------------------------------------------------
+
+
+def _highs_path() -> str:
+    """File of scipy's compiled HiGHS binding, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise LpError("scipy is not installed; its HiGHS binding is the LP solver")
+    base = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy", "_core")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next((p for p in paths if os.path.isfile(p)), paths[0])
+
+
+@functools.cache
+def _highs():
+    """The binding module, loaded from its file on the first float solve."""
+    path = _highs_path()
+    if not os.path.isfile(path):
+        raise LpError(f"no HiGHS binding at {path}")
+    spec = importlib.util.spec_from_file_location("_core", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# one thread, a fixed seed, no presolve: the vertex depends on the model alone
+_HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
+                  ("presolve", "off"), ("random_seed", 0), ("threads", 1))
+
+
+def _csr(problem: LpProblem):
+    """Row-wise CSR (start, index, value) of the rows, and the row bounds
+    (lower, upper) their senses give."""
+    nr = len(problem.rows)
+    start = np.zeros(nr + 1, dtype=np.int32)
+    lower, upper = np.full(nr, -np.inf), np.full(nr, np.inf)
+    index: list[int] = []
+    value: list[float] = []
+    for i, (coeffs, sense, rhs) in enumerate(problem.rows):
+        index.extend(coeffs)
+        value.extend(coeffs.values())
+        start[i + 1] = len(index)
+        (upper if sense == "<=" else lower)[i] = rhs
+    return start, np.asarray(index, dtype=np.int32), np.asarray(value), lower, upper
+
+
+def _cost(problem: LpProblem, ncols: int) -> np.ndarray:
+    c = np.zeros(ncols)
+    c[list(problem.objective)] = list(problem.objective.values())
+    return c
+
+
+def _residual(csr, x: np.ndarray) -> float:
+    """Worst violation of a row or of x >= 0 (0 when x is feasible)."""
+    start, index, value, lower, upper = csr
+    rows = np.repeat(np.arange(len(lower)), np.diff(start))
+    lhs = np.bincount(rows, weights=value * x[index], minlength=len(lower))
+    gaps = np.maximum(lhs - upper, lower - lhs)
+    return float(max(gaps.max(initial=0.0), -x.min(initial=0.0)))
+
+
+def _solve_highs(problem: LpProblem) -> LpSolution:
+    h = _highs()
+    nv, nr = problem.num_vars, len(problem.rows)
+    csr = _csr(problem)
+    cost = _cost(problem, nv)
+    lp = h.HighsLp()
+    lp.num_col_, lp.num_row_ = nv, nr
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(nv), np.full(nv, np.inf)
+    a = lp.a_matrix_
+    a.format_, a.num_col_, a.num_row_ = h.MatrixFormat.kRowwise, nv, nr
+    a.start_, a.index_, a.value_, lp.row_lower_, lp.row_upper_ = csr
+    solver = h._Highs()
+    for name, setting in _HIGHS_OPTIONS:
+        if solver.setOptionValue(name, setting) == h.HighsStatus.kError:
+            raise LpError(f"HiGHS rejected option {name}={setting!r}")
+    if solver.passModel(lp) == h.HighsStatus.kError:
+        raise LpError("HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    message = f"HiGHS: {solver.modelStatusToString(status)}"
+    if status == h.HighsModelStatus.kInfeasible:
+        raise LpInfeasible(message)
+    if status in (h.HighsModelStatus.kUnbounded,
+                  h.HighsModelStatus.kUnboundedOrInfeasible):
+        raise LpUnbounded(message)
+    if status != h.HighsModelStatus.kOptimal:
+        raise SimplexStall(message)
+    x = np.array(solver.getSolution().col_value)
+    x[np.abs(x) < 1e-9] = 0.0  # zeros come back as about -1e-14
+    res = _residual(csr, x)
+    if res > 1e-6:
+        raise SimplexStall(f"float residual {res} too large")
+    iters = solver.getInfo().simplex_iteration_count
+    return LpSolution(x, float(cost @ x), "optimal", iters, "float", res)
+
+
+# -- exact tableau simplex --------------------------------------------------
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -78,212 +184,120 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     colvals = T[:, col].copy()
     colvals[row] = 0
     T -= np.outer(colvals, T[row])
-    T[row, col] = 1  # fight roundoff on the pivot column
     basis[row] = col
 
 
-def _simplex(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    art_cols: list[int],
-    basis0: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, int]:
-    """Two-phase simplex on a prepared standard-form system.
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, art_cols: list[int],
+             basis: np.ndarray) -> tuple[np.ndarray, int]:
+    """Two-phase simplex over object arrays of Fractions.
 
-    Float arrays pivot by Dantzig's rule (deterministic tie-breaks) and
-    switch permanently to Bland's rule after a stall. Object arrays of
-    Fractions (with tol = 0) are exact: they pivot by Bland's rule from the
-    start, which always terminates, so no stall is counted. Both keep an
-    iteration budget. Returns the full variable vector and the iteration
+    Pivots by Bland's rule, which always terminates; an iteration budget
+    still bounds it. Returns the full variable vector and the iteration
     count.
     """
     nr, nc = A.shape
-    exact = A.dtype == object
     iterations = 0
+    max_iter = 200 * (nr + nc) + 2000
 
-    def run(costs: np.ndarray, T: np.ndarray, basis: np.ndarray,
-            allowed: np.ndarray):
+    def run(costs: np.ndarray, allowed: np.ndarray):
         nonlocal iterations
-        # reduced-cost row: c - c_B B^-1 A, tracked incrementally; an int
-        # start keeps Fractions exact (Fraction - float gives a float)
-        obj = costs.copy()
-        rhs_obj = 0
-        for i in range(nr):
-            cb = costs[basis[i]]
-            if cb != 0:
-                obj -= cb * T[i, :-1]
-                rhs_obj -= cb * T[i, -1]
-        bland = exact
-        stall = 0
-        # exact pivoting by Bland's rule terminates, so it counts no stall
-        stall_limit = math.inf if exact else 4 * (nr + nc) + 100
-        best = math.inf
-        max_iter = 200 * (nr + nc) + 2000
+        # reduced-cost row c - c_B B^-1 A, then tracked through each pivot
+        obj = costs - costs[basis] @ T[:, :-1]
+        rhs_obj = -(costs[basis] @ T[:, -1])
         while True:
-            cand = np.where(allowed & (obj < -tol))[0]
+            cand = np.where(allowed & (obj < 0))[0]
             if cand.size == 0:
                 return -rhs_obj
-            if bland:
-                col = int(cand[0])
-            else:
-                col = int(cand[np.argmin(obj[cand])])
+            col = int(cand[0])
             colvec = T[:, col]
-            pos = np.where(colvec > tol)[0]
+            pos = np.where(colvec > 0)[0]
             if pos.size == 0:
                 raise LpUnbounded("unbounded entering column")
             ratios = T[pos, -1] / colvec[pos]
-            rmin = ratios.min()
-            tie = pos[ratios <= rmin + tol]
+            tie = pos[ratios == ratios.min()]
             row = int(tie[np.argmin(basis[tie])])
-            piv = T[row, col]
-            # update objective row as part of the pivot
-            factor = obj[col] / piv
+            factor = obj[col] / T[row, col]
             obj -= factor * T[row, :-1]
             rhs_obj -= factor * T[row, -1]
             obj[col] = 0
             _pivot(T, basis, row, col)
             iterations += 1
-            val = -rhs_obj
-            if val < best - tol:
-                best = val
-                stall = 0
-            else:
-                stall += 1
-                if stall > stall_limit:
-                    if bland:
-                        raise SimplexStall("no progress under Bland's rule")
-                    bland = True
-                    stall = 0
             if iterations > max_iter:
                 raise SimplexStall(f"iteration budget {max_iter} exceeded")
 
-    T = np.empty((nr, nc + 1), dtype=A.dtype)
-    T[:, :-1] = A
-    T[:, -1] = b
-    basis = basis0.copy()
-
+    T = np.column_stack([A, b])
+    allowed = np.ones(nc, dtype=bool)
     if art_cols:
         c1 = np.zeros(nc, dtype=A.dtype)
         c1[art_cols] = 1
-        allowed = np.ones(nc, dtype=bool)
-        val1 = run(c1, T, basis, allowed)
-        if val1 > (0 if exact else max(1e-7, 1000 * tol)):
+        val1 = run(c1, allowed)
+        if val1 > 0:
             raise LpInfeasible(f"phase-1 optimum {val1} > 0")
+        # drive leftover artificials out of the basis where possible; a row
+        # where none can leave is zero outside the artificials, so its
+        # artificial stays basic at 0 without ever entering a ratio test
         art_set = set(art_cols)
-        # drive leftover artificials out of the basis where possible
         for i in range(nr):
             if basis[i] in art_set:
-                nonz = np.where(np.abs(T[i, :-1]) > tol)[0]
-                nonz = [j for j in nonz if j not in art_set]
+                nonz = [j for j in np.where(T[i, :-1] != 0)[0] if j not in art_set]
                 if nonz:
                     _pivot(T, basis, i, int(nonz[0]))
-        allowed = np.ones(nc, dtype=bool)
         allowed[art_cols] = False
-        keep = np.array([basis[i] not in art_set for i in range(nr)])
-        if not keep.all():
-            T = T[keep]
-            basis = basis[keep]
-            nr = T.shape[0]
-    else:
-        allowed = np.ones(nc, dtype=bool)
-
-    run(c, T, basis, allowed)
+    run(c, allowed)
     values = np.zeros(nc, dtype=A.dtype)
     values[basis] = T[:, -1]
     return values, iterations
 
 
-def _standard_form(problem: LpProblem):
-    """Expand sense rows into equality standard form with slack/artificials."""
-    nv = problem.num_vars
-    nr = len(problem.rows)
-    rows = []
-    senses = []
-    rhs = []
-    for coeffs, sense, b in problem.rows:
-        if b < 0:
-            flip = -1.0
-            senses.append(">=" if sense == "<=" else "<=")
-        else:
-            flip = 1.0
-            senses.append(sense)
-        rows.append({j: flip * v for j, v in coeffs.items()})
-        rhs.append(flip * b)
-    # after normalization every rhs >= 0; '>=' rows need artificials
-    n_art = sum(1 for s in senses if s == ">=")
-    nc = nv + nr + n_art
-    art_cols: list[int] = []
-    basis = []
-    A = np.zeros((nr, nc))
-    bb = np.asarray(rhs, dtype=float)
-    a_next = nv + nr
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            A[i, j] = v
-        if senses[i] == "<=":
-            A[i, nv + i] = 1.0
-            basis.append(nv + i)
-        else:
-            A[i, nv + i] = -1.0
-            A[i, a_next] = 1.0
-            art_cols.append(a_next)
-            basis.append(a_next)
-            a_next += 1
-    c = np.zeros(nc)
-    for j, v in problem.objective.items():
-        c[j] = v
-    return A, bb, c, art_cols, np.asarray(basis, dtype=np.int64)
+def _standard_form(problem: LpProblem, csr):
+    """Equality standard form: rows flipped to rhs >= 0, one slack per row,
+    then one artificial per '>=' row, which starts in the basis."""
+    nv, nr = problem.num_vars, len(problem.rows)
+    start, index, value, lower, upper = csr
+    b = np.where(np.isfinite(lower), lower, upper)
+    flip = np.where(b < 0, -1.0, 1.0)
+    ge = np.isfinite(lower) != (b < 0)
+    art = np.flatnonzero(ge)
+    art_cols = nv + nr + np.arange(art.size)
+    A = np.zeros((nr, nv + nr + art.size))
+    rows = np.repeat(np.arange(nr), np.diff(start))
+    A[rows, index] = value * flip[rows]
+    A[np.arange(nr), nv + np.arange(nr)] = np.where(ge, -1.0, 1.0)
+    A[art, art_cols] = 1.0
+    basis = nv + np.arange(nr)
+    basis[art] = art_cols
+    return A, b * flip, _cost(problem, A.shape[1]), art_cols.tolist(), basis
 
 
 # float -> nearby rational, elementwise into an object array
 _rational = np.frompyfunc(lambda v: Fraction(v).limit_denominator(10**12), 1, 1)
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9, exact: bool = False) -> LpSolution:
+def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Solve min c.y, y >= 0 over the problem's rows.
 
-    The float path falls back to exact rationals when it stalls and the
-    problem has at most EXACT_VAR_LIMIT variables. Exact mode keeps the
-    iteration budget, so it raises SimplexStall rather than run on. Valid
-    network-design programs are always feasible and bounded, so LpInfeasible
-    here signals an internal error upstream.
+    Float solves run HiGHS' simplex; `exact=True` runs the Fraction tableau,
+    which raises LpError at once for problems whose variables plus rows
+    exceed EXACT_SIZE_LIMIT. Valid network-design programs are always
+    feasible and bounded, so LpInfeasible here signals an internal error
+    upstream.
     """
     nv = problem.num_vars
     if nv == 0:
         return LpSolution(np.zeros(0), 0.0, "optimal", 0, "trivial", 0.0)
-    A, b, c, art, basis = _standard_form(problem)
-    if exact:
-        c = _rational(c)
-        vals, iters = _simplex(_rational(A), _rational(b), c, art, basis, 0)
-        x = vals[:nv].astype(float)
-        obj = float(np.dot(c[:nv], vals[:nv]))
-        return LpSolution(x, obj, "optimal", iters, "exact",
-                          _residual(problem, x))
-    try:
-        vals, iters = _simplex(A, b, c, art, basis, tol)
-        x = vals[:nv]
-        x[np.abs(x) < tol] = 0.0
-        obj = float(np.dot(c[:nv], x))
-        res = _residual(problem, x)
-        if res > max(1e-6, 1000 * tol):
-            raise SimplexStall(f"float residual {res} too large")
-        return LpSolution(x, obj, "optimal", iters, "float", res)
-    except SimplexStall:
-        if nv > EXACT_VAR_LIMIT:
-            raise
-        return solve_lp(problem, tol, exact=True)
-
-
-def _residual(problem: LpProblem, x: np.ndarray) -> float:
-    worst = 0.0
-    for coeffs, sense, rhs in problem.rows:
-        lhs = sum(v * x[j] for j, v in coeffs.items())
-        gap = lhs - rhs if sense == "<=" else rhs - lhs
-        worst = max(worst, gap)
-    worst = max(worst, float(-(x.min(initial=0.0))))
-    return worst
+    if not exact:
+        return _solve_highs(problem)
+    size = nv + len(problem.rows)
+    if size > EXACT_SIZE_LIMIT:
+        raise LpError(f"exact solve of {nv} variables + {len(problem.rows)} rows "
+                      f"= {size} exceeds EXACT_SIZE_LIMIT {EXACT_SIZE_LIMIT}")
+    csr = _csr(problem)
+    A, b, c, art, basis = _standard_form(problem, csr)
+    c = _rational(c)
+    vals, iters = _simplex(_rational(A), _rational(b), c, art, basis)
+    x = vals[:nv].astype(float)
+    obj = float(np.dot(c[:nv], vals[:nv]))
+    return LpSolution(x, obj, "optimal", iters, "exact", _residual(csr, x))
 
 
 # -- CP -> LP construction ------------------------------------------------
@@ -505,12 +519,11 @@ def check_feasibility(instance: CpInstance, x, tol: float = 1e-9) -> Feasibility
     x = as_edge_vector(g, x)
     flows = np.zeros(len(instance.demands))
     for i in range(len(instance.demands)):
-        flows[i] = _max_demand_flow(instance, i, x, tol)
+        flows[i] = _max_demand_flow(instance, i, x)
     return FeasibilityReport(bool(np.all(flows >= 1 - tol)), flows)
 
 
-def _max_demand_flow(instance: CpInstance, di: int, x: np.ndarray,
-                     tol: float) -> float:
+def _max_demand_flow(instance: CpInstance, di: int, x: np.ndarray) -> float:
     fam_edges = instance.family_edges[di]
     k = len(fam_edges)
     names = [f"f_{di}_{j}" for j in range(k)]
@@ -519,7 +532,7 @@ def _max_demand_flow(instance: CpInstance, di: int, x: np.ndarray,
         problem.add_row({j: 1.0 for j in js}, "<=", float(x[e]))
     # flow never needs to exceed one unit; keeps the LP bounded and small
     problem.add_row({j: 1.0 for j in range(k)}, "<=", 1.0)
-    sol = solve_lp(problem, tol=tol)
+    sol = solve_lp(problem)
     return -sol.objective
 
 

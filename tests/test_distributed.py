@@ -264,7 +264,9 @@ RECORD_CASES = {
 RECORD_PINS = {
     "gnp-k2": "3a2d486d4b394ce1e10e4d7b524c78d147984423c857c955d7d6014b93a2885a",
     "grid": "b8672968b5472fb81c63a8ab3f73d84114e56df30418a90e38e18b241c03a50f",
-    "t1": "0eb48de1ea2023aafd335ac4932bbaa4ddbda14f067a7c4868ca5a922ee8cb72",
+    # depends on which optimal vertex the LP kernel returns: HiGHS' vertex of
+    # the t1 cluster LP sets max_payload_scalars to 157
+    "t1": "916d379747f64ab597ce037c70eaad01c7756fb2a0a9cf2f025630f033180040",
 }
 
 

@@ -8,11 +8,9 @@ from padspan.graphs import (
     as_edge_vector,
     ball,
     directed_distances_from,
-    induced_edges,
     read_graph,
     restrict,
     truncated_arborescence,
-    undirected_distance,
     write_graph,
 )
 
@@ -82,24 +80,24 @@ class TestGraphConstruction:
 class TestDistances:
     def test_two_hop_path(self):
         g = path_graph(3)
-        assert undirected_distance(g, 0, 2) == 2
+        assert g.distance_matrix()[0, 2] == 2
 
     def test_identity(self):
         g = cycle(7)
-        assert undirected_distance(g, 3, 3) == 0
+        assert g.distance_matrix()[3, 3] == 0
 
     def test_direction_ignored(self):
         g = Graph(2, [(0, 1)])
-        assert undirected_distance(g, 1, 0) == 1
+        assert g.distance_matrix()[1, 0] == 1
 
     def test_disconnected_is_inf(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert undirected_distance(g, 0, 3) == float("inf")
+        assert g.distance_matrix()[0, 3] == UNREACHABLE
 
     def test_invalid_node(self):
         g = path_graph(3)
         with pytest.raises(GraphError):
-            undirected_distance(g, 0, 5)
+            ball(g, 5, 1)
 
     def test_metric_properties_random(self):
         rng = np.random.default_rng(0)
@@ -190,10 +188,6 @@ class TestRestrict:
         g = cycle(4)
         with pytest.raises(GraphError):
             as_edge_vector(g, [-1, 0, 0, 0])
-
-    def test_induced_edges(self):
-        g = Graph(3, [(0, 1), (1, 2), (2, 0)])
-        assert induced_edges(g, {0, 1}) == [0]
 
 
 class TestArborescence:

@@ -183,6 +183,18 @@ class TestRunExperiment:
         assert row.ratio <= 1.5 + 1e-6
         assert row.stretch_ok is not None
 
+    def test_raw_cp_p_norm_two(self):
+        # its cutting-plane LPs carry right-hand sides of rounding noise
+        # around 0, on which a textbook phase 1 can report unboundedness
+        cfg = ExperimentConfig(
+            problem="raw-cp", gen="gnp", n=9, p=0.35, objective="p-norm:2",
+            epsilon=0.5, trials=1, seed=1,
+        )
+        row = run_experiment(cfg).final_rows()[0]
+        assert row.cp_star == pytest.approx(3.51426, abs=1e-5)
+        assert row.feasible
+        assert row.ratio <= 1.5 + 1e-6
+
 
 class TestCli:
     def test_usage_error_exit_2(self, capsys):

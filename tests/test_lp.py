@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from padspan import lp
 from padspan.graphs import Graph, restrict
 from padspan.harness import gen_gnp
 from padspan.lp import (
-    EXACT_VAR_LIMIT,
+    EXACT_SIZE_LIMIT,
+    LpError,
     LpInfeasible,
     LpProblem,
     LpUnbounded,
@@ -194,27 +196,49 @@ class TestSimplexKernel:
         with pytest.raises(LpUnbounded):
             solve_lp(q, exact=exact)
 
-    def test_float_stall_falls_back_to_exact(self, monkeypatch):
-        real = lp._simplex
+    def test_stopped_solve_raises_stall(self, monkeypatch):
+        p = LpProblem(var_names=["x", "y"], objective={0: 2.0, 1: 3.0})
+        p.add_row({0: 1.0, 1: 1.0}, ">=", 2.0)
+        monkeypatch.setattr(lp, "_HIGHS_OPTIONS", lp._HIGHS_OPTIONS + (
+            ("simplex_iteration_limit", 0),))
+        with pytest.raises(SimplexStall, match="Iteration limit"):
+            solve_lp(p)
 
-        def stall_when_float(A, b, c, art_cols, basis0, tol):
-            if tol > 0:
-                raise SimplexStall("forced stall")
-            return real(A, b, c, art_cols, basis0, tol)
+    def test_residual_matches_row_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            p = random_mixed_lp(rng)
+            x = rng.normal(size=p.num_vars)
+            worst = max(0.0, float(-x.min()))
+            for coeffs, sense, rhs in p.rows:
+                lhs = sum(v * x[j] for j, v in coeffs.items())
+                worst = max(worst, lhs - rhs if sense == "<=" else rhs - lhs)
+            assert lp._residual(lp._csr(p), x) == worst
 
-        p = random_mixed_lp(np.random.default_rng(12))
-        f = solve_lp(p)
+    def test_exact_refuses_large_problems_at_once(self, monkeypatch):
+        def no_fractions(*args):
+            raise AssertionError("built Fractions before refusing")
+
         big = LpProblem(
-            var_names=[f"v{i}" for i in range(EXACT_VAR_LIMIT + 1)],
-            objective={i: 1.0 for i in range(EXACT_VAR_LIMIT + 1)},
+            var_names=[f"v{i}" for i in range(201)],
+            objective={i: 1.0 for i in range(201)},
         )
         big.add_row({0: 1.0}, ">=", 1.0)
-        monkeypatch.setattr(lp, "_simplex", stall_when_float)
-        e = solve_lp(p)
-        assert e.mode == "exact"
-        assert e.objective == pytest.approx(f.objective, abs=1e-9)
-        with pytest.raises(SimplexStall, match="forced stall"):
-            solve_lp(big)
+        assert big.num_vars + len(big.rows) > EXACT_SIZE_LIMIT
+        monkeypatch.setattr(lp, "_rational", no_fractions)
+        with pytest.raises(LpError, match=rf"202 exceeds EXACT_SIZE_LIMIT "
+                                          rf"{EXACT_SIZE_LIMIT}"):
+            solve_lp(big, exact=True)
+        assert solve_lp(big).objective == pytest.approx(1.0)
+
+    def test_highs_binding_loads(self):
+        assert lp._highs().HIGHS_VERSION_MAJOR >= 1
+
+    def test_missing_binding_raises_typed_error(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "_core.so")
+        monkeypatch.setattr(lp, "_highs_path", lambda: missing)
+        with pytest.raises(LpError, match=re.escape(missing)):
+            lp._highs.__wrapped__()
 
 
 class TestClusterCp:
