@@ -3,8 +3,9 @@
 
 Two local schemes: inflated per-edge coins plus sampled shortest-path trees
 (for edge-count objectives), and the power rounding x ** (1/k) (for the
-lowest-degree variant). Both run in O(k) rounds; coins belong to the
-smaller-ID endpoint, so the distributed run equals the centralized draw.
+lowest-degree variant). Both run in O(k) rounds. Edge e's coin is position
+e of one stream per iteration, which its smaller-ID endpoint computes alone,
+so the distributed run equals the centralized draw.
 """
 
 import numpy as np

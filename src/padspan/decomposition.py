@@ -2,8 +2,9 @@
 bounded diameter and which keep each radius-k ball intact with probability at
 least 1 - epsilon.
 
-Every sampler takes its radii from `draw_radii`. The vectorized centralized
-sampler is the reference. `carve` is the one message-passing flood on the
+Every sampler takes its radii from `draw_radii`, one stream per iteration.
+The vectorized centralized sampler is the reference, and the batch sampler
+runs it once per iteration. `carve` is the one message-passing flood on the
 LOCAL engine: it runs t carvings bundled into one message stream, and in each
 one every node joins the smallest id whose flood reached it. The distributed
 sampler is its t=1 case and matches the centralized sampler exactly when the
@@ -59,37 +60,38 @@ class PaddedParams:
 
 
 def sample_radius(
-    params: PaddedParams, rng: np.random.Generator, n: int | None = None
-) -> float:
-    """Draw one carving radius by inverse CDF.
+    params: PaddedParams, u: float | np.ndarray, n: int | None = None
+) -> float | np.ndarray:
+    """Carving radii by inverse CDF of uniforms `u` in [0, 1) (a float or an
+    array; the result has its shape).
 
     The density (n/(n-1)) * exp(-z/r) / r on [0, r ln n] inverts to
-    z = -r * ln(1 - u*(n-1)/n) for uniform u in [0, 1). As u < 1, z stays
-    below r ln n, so no clamp is needed and `radius_cap` bounds every radius,
-    loosely by k.
+    z = -r * ln(1 - u*(n-1)/n). As u < 1, z stays below r ln n, so no clamp
+    is needed and `radius_cap` bounds every radius, loosely by k.
     """
     if n is None:
         n = params.n
     if n < 2:
         raise DecompositionError(f"radius sampling needs n >= 2, got {n}")
+    u = np.asarray(u, dtype=float)
     if params.k == 0:
-        return 0.0
-    u = rng.random()
-    return -params.r * math.log1p(-u * (n - 1) / n)
+        return np.zeros(u.shape)[()]
+    return (-params.r * np.log1p(-u * (n - 1) / n))[()]
 
 
 def draw_radii(params: PaddedParams, seed: int, iteration: int, n: int) -> np.ndarray:
-    """The n carving radii of one iteration, node v's from its own stream
-    keyed by (seed, iteration, v), so every sampler draws the same radii.
+    """The n carving radii of one iteration, from the iteration's one stream
+    keyed by (seed, iteration): node v's radius comes from the stream's v-th
+    uniform, so every sampler draws the same radii.
 
-    A single node has nothing to carve: its radius is 0.
+    The draw stays node-local: Philox is counter-based, so node v computes its
+    own uniform alone, from a fresh stream with the same key advanced to block
+    v // 4. A single node has nothing to carve: its radius is 0.
     """
     if n == 1:
         return np.zeros(1)
-    return np.array([
-        sample_radius(params, rng_stream(seed, "decomp-radius", iteration, v))
-        for v in range(n)
-    ])
+    return sample_radius(
+        params, rng_stream(seed, "decomp-radius", iteration).random(n), n)
 
 
 @dataclass
@@ -139,9 +141,8 @@ def sample_decomposition_centralized(
     """Sample one padded decomposition with the centralized reference sampler.
 
     `permutation` is either "random" (seeded Fisher-Yates) or "ids"
-    (ascending node index, matching the distributed protocol). Radii are
-    drawn from per-node streams keyed by (seed, iteration, node), identical
-    to the draws the distributed protocol makes.
+    (ascending node index, matching the distributed protocol). Radii come
+    from `draw_radii`, identical to the draws the distributed protocol makes.
     """
     n = g.n
     radii = draw_radii(params, seed, iteration, n)
@@ -292,31 +293,22 @@ def sample_assignments_batch(
     count: int,
     permutation: str = "random",
 ) -> np.ndarray:
-    """Sample `count` clusterings at once; returns a (count, n) assignment array.
+    """Sample `count` clusterings; returns a (count, n) assignment array.
 
-    Draws the same radius distribution as the per-node streams but from one
-    batch stream, so it is the right tool for Monte Carlo statistics, not for
-    matching the distributed protocol draw-for-draw. Every sampled clustering
-    is checked against the 2x radius-cap diameter bound.
+    Row s is `sample_decomposition_centralized` at iteration s, so with
+    permutation="ids" it is also the distributed sampler's clustering. Every
+    sampled clustering is checked against the 2x radius-cap diameter bound.
     """
     n = g.n
-    rng = rng_stream(seed, "decomp-batch")
-    u = rng.random((count, n))
-    if params.k == 0:
-        radii = np.zeros((count, n))
-    else:
-        radii = -params.r * np.log1p(-u * (n - 1) / n)
     dist = g.distance_matrix()
+    finite = dist < np.int64(2**39)
     out = np.empty((count, n), dtype=np.int64)
     cap2 = 2 * params.radius_cap
     for s in range(count):
-        if permutation == "random":
-            pi_order = rng.permutation(n)
-        else:
-            pi_order = np.arange(n)
-        assign = _assign(g, radii[s], pi_order)
+        assign = sample_decomposition_centralized(
+            g, params, seed, iteration=s, permutation=permutation
+        ).assignment
         same = assign[:, None] == assign[None, :]
-        finite = dist < np.int64(2**39)
         diam = (dist * (same & finite)).max() if n > 1 else 0
         if diam > cap2:
             raise DecompositionError(
@@ -328,10 +320,15 @@ def sample_assignments_batch(
 
 def padded_mask(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:
     """(s, n) booleans for an (s, n) assignment array: is B(u, k) contained
-    in u's cluster, for every clustering and node u."""
+    in u's cluster, for every clustering and node u.
+
+    One clustering at a time, so memory stays at one (n, n) comparison.
+    """
     outside = g.distance_matrix() > k
-    same = assignments[:, :, None] == assignments[:, None, :]
-    return np.all(same | outside, axis=2)
+    mask = np.empty(assignments.shape, dtype=bool)
+    for s, assign in enumerate(assignments):
+        mask[s] = np.all((assign[:, None] == assign[None, :]) | outside, axis=1)
+    return mask
 
 
 def padded_frequencies(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:

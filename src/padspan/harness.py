@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise HarnessError(f"trials must be >= 0, got {self.trials}")
         if self.seed is None:
             raise HarnessError("seed is mandatory; wall-clock seeding is not allowed")
+        if self.dsn_slack < 0:
+            raise HarnessError(f"dsn_slack must be >= 0, got {self.dsn_slack}")
         if self.t_override is not None and self.t_override < 1:
             raise HarnessError(
                 f"t_override must be at least 1, got {self.t_override}"

@@ -3,9 +3,11 @@
 Thin demands are covered by inflating each edge value into an independent
 inclusion probability; thick demands are covered by sampling shortest-path
 in/out-arborescences from random roots, truncated at the distance bound. A
-power rounding (x ** (1/k)) targets the lowest-degree variant. Coins belong
-to the smaller-ID endpoint of each edge, which makes the distributed protocol
-and the centralized sampler draw identical outputs from one seed.
+power rounding (x ** (1/k)) targets the lowest-degree variant. Edge e's
+coin and node v's root coin are positions e and v of two counter-based
+streams per iteration, which the edge's smaller-ID endpoint and v compute
+alone, so the distributed protocol and the centralized sampler draw
+identical outputs from one seed.
 """
 
 from __future__ import annotations
@@ -61,22 +63,14 @@ def root_probability(n: int) -> float:
 
 
 def _edge_coins(g: Graph, seed: int, iteration: int) -> np.ndarray:
-    """One uniform coin per edge, drawn from the owning endpoint's stream.
+    """One uniform coin per edge: edge e's is the e-th uniform of the
+    iteration's edge stream.
 
-    The smaller-ID endpoint owns the edge and draws coins for its owned edges
-    in edge-index order; both the centralized and the distributed rounding
-    consume the same draws.
+    The smaller-ID endpoint owns the edge and computes coin e alone, from a
+    fresh stream with the same key advanced to block e // 4; both the
+    centralized and the distributed rounding consume the same draws.
     """
-    coins = np.empty(g.m)
-    owned: dict[int, list[int]] = {}
-    for e, (u, v) in enumerate(g.edges):
-        owned.setdefault(min(u, v), []).append(e)
-    for node, edge_ids in owned.items():
-        rng = rng_stream(seed, "round-edge", iteration, node)
-        draws = rng.random(len(edge_ids))
-        for j, e in enumerate(edge_ids):
-            coins[e] = draws[j]
-    return coins
+    return rng_stream(seed, "round-edge", iteration).random(g.m)
 
 
 def round_spanner(
@@ -94,16 +88,14 @@ def round_spanner(
     sampled = frozenset(
         e for e in range(g.m) if coins[e] < edge_probability(n, x[e])
     )
+    root_coins = rng_stream(seed, "round-root", iteration).random(n)
     p_root = root_probability(n)
-    roots = []
+    roots = [v for v in range(n) if root_coins[v] < p_root]
     tree_edges: set[int] = set()
-    for v in range(n):
-        rng = rng_stream(seed, "round-root", iteration, v)
-        if rng.random() < p_root:
-            roots.append(v)
-            for orientation in ("in", "out"):
-                arb = truncated_arborescence(g, v, depth, orientation)
-                tree_edges.update(g.edge_index[e] for e in arb.edges)
+    for v in roots:
+        for orientation in ("in", "out"):
+            arb = truncated_arborescence(g, v, depth, orientation)
+            tree_edges.update(g.edge_index[e] for e in arb.edges)
     return SpannerOutput(
         sampled=sampled, tree_edges=frozenset(tree_edges), roots=tuple(roots)
     )
@@ -123,6 +115,7 @@ def round_spanner_distributed(
     x = as_edge_vector(g, x)
     n = g.n
     coins = _edge_coins(g, seed, iteration)
+    root_coins = rng_stream(seed, "round-root", iteration).random(n)
     p_root = root_probability(n)
 
     class _RState:
@@ -149,8 +142,7 @@ def round_spanner_distributed(
                     st.sampled.add(e)
                 other = b if a == u else a
                 per_nbr.setdefault(other, []).append(("coin", e, hit))
-            rng = rng_stream(seed, "round-root", iteration, u)
-            if rng.random() < p_root:
+            if root_coins[u] < p_root:
                 st.is_root = True
                 st.levels[(u, "out")] = 0
                 st.levels[(u, "in")] = 0

@@ -18,6 +18,7 @@ from padspan.decomposition import (
     decide_round,
     draw_radii,
     padded_frequencies,
+    padded_mask,
     padded_nodes,
     sample_assignments_batch,
     sample_decomposition_centralized,
@@ -28,16 +29,6 @@ from padspan.decomposition import (
 from padspan.graphs import Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.localsim import RoundTranscript, rng_stream
-
-
-class FixedRng:
-    """Stand-in generator returning preset uniforms."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
 
 
 class TestParams:
@@ -61,11 +52,11 @@ class TestParams:
 class TestSampleRadius:
     def test_u_zero_gives_zero(self):
         p = PaddedParams(k=1, epsilon=0.5, n=8)
-        assert sample_radius(p, FixedRng(0.0)) == 0.0
+        assert sample_radius(p, 0.0) == 0.0
 
     def test_u_near_one_approaches_support_end(self):
         p = PaddedParams(k=1, epsilon=0.5, n=8)
-        z = sample_radius(p, FixedRng(1 - 1e-12))
+        z = sample_radius(p, 1 - 1e-12)
         assert abs(z - p.r * math.log(8)) < 1e-6
 
     def test_inverse_cdf_midpoint(self):
@@ -73,26 +64,26 @@ class TestSampleRadius:
         # [0, z*] equals 0.5 at z* = -6 ln(1 - 0.5 * 7/8)
         p = PaddedParams(k=3, epsilon=1.0, n=8)
         assert p.r == 6.0
-        z = sample_radius(p, FixedRng(0.5))
+        z = sample_radius(p, 0.5)
         assert abs(z - 3.452184869421371) < 1e-12
 
     def test_small_n_rejected(self):
         p = PaddedParams(k=1, epsilon=0.5, n=8)
         with pytest.raises(DecompositionError):
-            sample_radius(p, FixedRng(0.5), n=1)
+            sample_radius(p, 0.5, n=1)
 
     def test_never_exceeds_cap(self):
         p = PaddedParams(k=2, epsilon=0.25, n=32)
-        rng = rng_stream(0, "radius-test")
-        for _ in range(200):
-            assert 0 <= sample_radius(p, rng) <= p.radius_cap
+        z = sample_radius(p, rng_stream(0, "radius-test").random(200))
+        assert z.shape == (200,)
+        assert np.all((0 <= z) & (z <= p.radius_cap))
 
     def test_largest_uniform_stays_below_r_ln_n(self):
         # the largest double below 1 still inverts to at most r ln n, so the
         # radius cap r ln n + k never binds
         for n in (2, 16, 1024):
             p = PaddedParams(k=2, epsilon=0.5, n=n)
-            assert sample_radius(p, FixedRng(1 - 2**-53)) <= p.r * math.log(n)
+            assert sample_radius(p, 1 - 2**-53) <= p.r * math.log(n)
 
 
 class TestCentralizedSampler:
@@ -270,15 +261,15 @@ class TestCarve:
         g = gen_grid(32, 32)
         params = PaddedParams(k=2, epsilon=0.5, n=1024)
         assert carve_digest(g, params, 1, 1) == (
-            "19e9a0310d1022b7ae35a151622d8d1205e156ab529195a3f5ff3f654c634461")
+            "b274fc80e8e5cf42e670e725759ee47d03452bd6df5cc0fa11713fe5a944fd8a")
         assert carve_digest(g, params, 3, 1) == (
-            "1d7c6d217cefdb1884ec212b0e27e14feaf166d5fc18c16113677140ebab9cf2")
+            "9c48285d6ec18a12ba01962fd3da9441b6ad06542fdaf52c2bb043c8e4f2def9")
 
     def test_bundled_gnp_output_pinned(self):
         g = gen_gnp(18, 0.25, seed=2)
         params = PaddedParams(k=2, epsilon=0.5, n=18)
         assert carve_digest(g, params, 2, 3) == (
-            "0a64a336d5bfc0b0eaf6acc82f2aa9dac416fc9e0c19a28d296546b80ab3c782")
+            "dfebda3bdbdb54b3c586aae7aaf7fc496e6e2b808e2eff211de22374e45c49f0")
 
 
 class TestPaddingStatistics:
@@ -301,6 +292,45 @@ class TestPaddingStatistics:
         direct = padded_nodes(g, c, 1)
         batch = padded_frequencies(g, c.assignment[None, :], 1)
         assert np.array_equal(direct, batch.astype(bool))
+
+    def test_padded_mask_matches_broadcast_formula(self):
+        # reference: one (s, n, n) comparison of every clustering at once
+        rng = rng_stream(3, "mask-test")
+        graphs = [
+            gen_grid(4, 4),
+            gen_gnp(12, 0.3, seed=1, directed=True),
+            Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)], directed=False),
+        ]
+        for g in graphs:
+            outside_of = {k: g.distance_matrix() > k for k in (0, 1, 2)}
+            for labels in (2, 4, g.n):
+                assignments = rng.integers(0, labels, size=(30, g.n))
+                same = assignments[:, :, None] == assignments[:, None, :]
+                for k, outside in outside_of.items():
+                    expect = np.all(same | outside, axis=2)
+                    assert np.array_equal(
+                        padded_mask(g, assignments, k), expect)
+            assert padded_mask(g, assignments[:0], 1).shape == (0, g.n)
+
+    @pytest.mark.parametrize("permutation", ["random", "ids"])
+    def test_batch_rows_are_centralized_samples(self, permutation):
+        graphs = [
+            gen_grid(4, 4),
+            gen_gnp(14, 0.25, seed=3, directed=True),
+            Graph(6, [(0, 1), (1, 2), (3, 4)], directed=False),
+        ]
+        for g in graphs:
+            params = PaddedParams(k=1, epsilon=0.5, n=g.n)
+            batch = sample_assignments_batch(
+                g, params, seed=7, count=6, permutation=permutation)
+            for s, row in enumerate(batch):
+                central = sample_decomposition_centralized(
+                    g, params, 7, iteration=s, permutation=permutation)
+                assert np.array_equal(row, central.assignment)
+                if permutation == "ids":
+                    dist, _ = sample_decomposition_distributed(
+                        g, params, 7, iteration=s)
+                    assert np.array_equal(row, dist.assignment)
 
     def test_batch_diameter_guard(self):
         g = gen_cycle(12, directed=False)

@@ -262,11 +262,11 @@ RECORD_CASES = {
 }
 
 RECORD_PINS = {
-    "gnp-k2": "3a2d486d4b394ce1e10e4d7b524c78d147984423c857c955d7d6014b93a2885a",
-    "grid": "b8672968b5472fb81c63a8ab3f73d84114e56df30418a90e38e18b241c03a50f",
+    "gnp-k2": "60012acde1d2589b895e3921df0ced8763aa1fdd024a27dc84ca5d533d607b30",
+    "grid": "404587a528ac8b4a66003ace4d276684bb7fde95ae035a6b3518b14148535f7d",
     # depends on which optimal vertex the LP kernel returns: HiGHS' vertex of
     # the t1 cluster LP sets max_payload_scalars to 157
-    "t1": "916d379747f64ab597ce037c70eaad01c7756fb2a0a9cf2f025630f033180040",
+    "t1": "9175baac8ee59393acfc784a616d50a9089b88117c49a801d135a3aa6ac45c27",
 }
 
 

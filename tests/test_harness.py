@@ -72,6 +72,10 @@ class TestGenerators:
         with pytest.raises(HarnessError):
             ExperimentConfig(gen="file", seed=1)
 
+    def test_config_rejects_negative_dsn_slack(self):
+        with pytest.raises(HarnessError, match="dsn_slack"):
+            ExperimentConfig(problem="dsn", n=12, seed=3, dsn_slack=-1)
+
     @pytest.mark.parametrize("t", [0, -1])
     def test_config_rejects_t_override_below_one(self, t):
         with pytest.raises(HarnessError, match="t_override"):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import padspan.rounding as rounding
+from padspan.decomposition import PaddedParams, draw_radii, sample_radius
 from padspan.graphs import Graph
 from padspan.harness import gen_gnp
 from padspan.localsim import (
@@ -15,6 +17,7 @@ from padspan.localsim import (
     run_protocol,
     transcript_csv_row,
 )
+from padspan.rounding import _edge_coins, round_spanner, round_spanner_distributed
 
 
 def path_graph(n):
@@ -213,6 +216,44 @@ class TestRngStream:
 
     def test_seed_changes_stream(self):
         assert rng_stream(1, "x").random() != rng_stream(2, "x").random()
+
+
+def local_uniform(seed, phase, iteration, index):
+    """The uniform at `index` of a stream, computed from its key alone: a
+    fresh stream advanced to block index // 4 (Philox emits four 64-bit
+    words per block), then index % 4 + 1 draws, keeping the last."""
+    rng = rng_stream(seed, phase, iteration)
+    rng.bit_generator.advance(index // 4)
+    return rng.random(index % 4 + 1)[-1]
+
+
+class TestLocalDraws:
+    """Every radius and coin is computable by its node from its key alone,
+    as the LOCAL model requires: no node needs another's draws."""
+
+    def test_radius_is_node_local(self):
+        n = 37
+        params = PaddedParams(k=2, epsilon=0.5, n=n)
+        u = np.array([local_uniform(5, "decomp-radius", 3, v)
+                      for v in range(n)])
+        assert np.array_equal(draw_radii(params, 5, 3, n),
+                              sample_radius(params, u, n))
+
+    def test_coins_are_owner_local(self, monkeypatch):
+        g = gen_gnp(12, 0.4, seed=1)
+        coins = _edge_coins(g, 7, 2)
+        assert g.m > 40
+        for e in range(g.m):
+            assert coins[e] == local_uniform(7, "round-edge", 2, e)
+        # below n = 289 every node is a root; halve the odds to see the coins
+        monkeypatch.setattr(rounding, "root_probability", lambda n: 0.5)
+        roots = tuple(v for v in range(g.n)
+                      if local_uniform(7, "round-root", 2, v) < 0.5)
+        assert 0 < len(roots) < g.n
+        x = np.zeros(g.m)
+        assert round_spanner(g, x, 1, seed=7, iteration=2).roots == roots
+        out, _ = round_spanner_distributed(g, x, 1, seed=7, iteration=2)
+        assert out.roots == roots
 
 
 class TestTranscript:
