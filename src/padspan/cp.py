@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, as_edge_vector, directed_distances_from, read_graph, write_graph
+from .graphs import UNREACHABLE, Graph, as_edge_vector, directed_distances_from, read_graph, write_graph
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -292,7 +292,7 @@ def build_dsn_instance(
         if dist[v] > bound:
             raise InfeasibleDemandError(
                 f"demand ({u},{v}) unreachable within bound {bound} "
-                f"(directed distance {'inf' if dist[v] >= 2**40 else int(dist[v])})"
+                f"(directed distance {'inf' if dist[v] >= UNREACHABLE else int(dist[v])})"
             )
         dms.append(Demand(u, v, int(bound)))
         fams.append(tuple(enumerate_paths(g, u, v, int(bound))))

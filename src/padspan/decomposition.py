@@ -299,22 +299,18 @@ def sample_assignments_batch(
     permutation="ids" it is also the distributed sampler's clustering. Every
     sampled clustering is checked against the 2x radius-cap diameter bound.
     """
-    n = g.n
-    dist = g.distance_matrix()
-    finite = dist < np.int64(2**39)
-    out = np.empty((count, n), dtype=np.int64)
+    out = np.empty((count, g.n), dtype=np.int64)
     cap2 = 2 * params.radius_cap
     for s in range(count):
-        assign = sample_decomposition_centralized(
+        clustering = sample_decomposition_centralized(
             g, params, seed, iteration=s, permutation=permutation
-        ).assignment
-        same = assign[:, None] == assign[None, :]
-        diam = (dist * (same & finite)).max() if n > 1 else 0
+        )
+        diam = max(cluster_diameters(g, clustering).values())
         if diam > cap2:
             raise DecompositionError(
                 f"sample {s}: cluster diameter {diam} exceeds {cap2}"
             )
-        out[s] = assign
+        out[s] = clustering.assignment
     return out
 
 
@@ -342,19 +338,30 @@ def padded_frequencies(g: Graph, assignments: np.ndarray, k: float) -> np.ndarra
 def validate_clustering(
     g: Graph, params: PaddedParams, clustering: Clustering
 ) -> None:
-    """Assert partition totality, center distance, and diameter invariants."""
+    """Assert partition totality, center distance, and diameter invariants.
+
+    Every cluster id must be a node and there must be one radius per node.
+    A failed per-node check names the smallest offending node.
+    """
     n = g.n
-    if clustering.assignment.shape != (n,):
+    assign, radii = clustering.assignment, clustering.radii
+    if assign.shape != (n,):
         raise DecompositionError("assignment is not total")
-    dist = g.distance_matrix()
+    if radii.shape != (n,):
+        raise DecompositionError(f"radii have shape {radii.shape}, expected ({n},)")
+    foreign = (assign < 0) | (assign >= n)
+    if foreign.any():
+        u = int(np.argmax(foreign))
+        raise DecompositionError(f"node {u}: cluster id {assign[u]} is not a node")
     cap = params.radius_cap
-    for u in range(n):
-        c = clustering.cluster_of(u)
-        r_c = clustering.radii[c]
-        if not (dist[c, u] <= r_c <= cap + 1e-12):
-            raise DecompositionError(
-                f"node {u}: d(center {c}, u)={dist[c, u]} vs radius {r_c}"
-            )
+    d_c = g.distance_matrix()[assign, np.arange(n)]
+    r_c = radii[assign]
+    bad = ~((d_c <= r_c) & (r_c <= cap + 1e-12))
+    if bad.any():
+        u = int(np.argmax(bad))
+        raise DecompositionError(
+            f"node {u}: d(center {assign[u]}, u)={d_c[u]} vs radius {r_c[u]}"
+        )
     for c, d_max in cluster_diameters(g, clustering).items():
         if d_max > 2 * cap:
             raise DecompositionError(

@@ -92,20 +92,43 @@ class Graph:
 
         Entry [u, v] is the shortest hop count, or UNREACHABLE. Computed once
         and cached; the cache fill is idempotent.
+
+        One level-synchronous BFS runs from all sources at once. Row v of the
+        frontier and visited bitsets packs, over sources, the searches that
+        have reached v. A level ORs the frontier rows of v's neighbours,
+        gathered through a padded neighbour table whose pad points at an
+        all-zero row, and writes level into the (v, source) pairs it newly
+        reaches; the metric is symmetric, so those writes run along rows.
+        Temporaries stay at n * ceil(n/8) bytes, and a level costs about
+        (max degree + 8) * n * ceil(n/8) byte operations.
         """
         if self._dist is None:
-            d = np.full((self.n, self.n), UNREACHABLE, dtype=np.int64)
-            for s in range(self.n):
-                d[s, s] = 0
-                q = deque([s])
-                row = d[s]
-                while q:
-                    u = q.popleft()
-                    du = row[u]
-                    for w in self.shadow_adj[u]:
-                        if row[w] == UNREACHABLE:
-                            row[w] = du + 1
-                            q.append(w)
+            n, width = self.n, (self.n + 7) // 8
+            nbrs = np.full((max(map(len, self.shadow_adj)), n), n, dtype=np.intp)
+            for u, adj in enumerate(self.shadow_adj):
+                nbrs[:len(adj), u] = adj
+            ids = np.arange(n)
+            front = np.zeros((n + 1, width), dtype=np.uint8)  # row n: the pad
+            front[ids, ids // 8] = 0x80 >> (ids % 8)
+            seen = front[:n].copy()
+            d = np.full((n, n), UNREACHABLE, dtype=np.int64)
+            np.fill_diagonal(d, 0)
+            level = 0
+            while True:
+                new = np.zeros_like(seen)
+                for col in nbrs:
+                    new |= front[col]
+                new &= ~seen
+                if not new.any():
+                    break
+                level += 1
+                seen |= new
+                front[:n] = new
+                for v in range(0, n, width):
+                    block = new[v:v + width]
+                    if block.any():
+                        reached = np.unpackbits(block, axis=1, count=n).view(bool)
+                        d[v:v + width][reached] = level
             self._dist = d
         return self._dist
 

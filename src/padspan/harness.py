@@ -33,7 +33,7 @@ from .distributed import (
     round_bound,
     solve_distributed,
 )
-from .graphs import Graph, directed_distances_from, read_graph
+from .graphs import UNREACHABLE, Graph, directed_distances_from, read_graph
 from .localsim import TRANSCRIPT_CSV_HEADER, rng_stream, transcript_csv_row
 from .lp import check_feasibility
 from .rounding import output_csv, round_low_degree, round_spanner_distributed, verify_stretch
@@ -159,14 +159,14 @@ def sample_spanning_demands(
     for u, v in pairs:
         u, v = int(u), int(v)
         dist = directed_distances_from(g, u)
-        if dist[v] >= 2**40:
-            reachable = [w for w in range(n) if w != u and dist[w] < 2**40]
+        if dist[v] >= UNREACHABLE:
+            reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
             retry = 0
             while not reachable and retry < RETRY_CAP:
                 retry += 1
                 u = int(rng.integers(n))
                 dist = directed_distances_from(g, u)
-                reachable = [w for w in range(n) if w != u and dist[w] < 2**40]
+                reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
             if not reachable:
                 raise HarnessError(
                     f"node {u} reaches nothing; cannot build spanning demands"

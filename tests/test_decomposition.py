@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padspan import decomposition
 from padspan.decomposition import (
     CLUSTERING_CSV_HEADER,
+    Clustering,
     DecompositionError,
     PaddedParams,
     _admit,
@@ -26,7 +28,7 @@ from padspan.decomposition import (
     sample_radius,
     validate_clustering,
 )
-from padspan.graphs import Graph
+from padspan.graphs import UNREACHABLE, Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.localsim import RoundTranscript, rng_stream
 
@@ -143,6 +145,45 @@ class TestCentralizedSampler:
             for u in range(6):
                 same_side = (u < 3) == (c.cluster_of(u) < 3)
                 assert same_side
+
+
+class TestValidateClustering:
+    def path(self, n):
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)], directed=False)
+        return g, PaddedParams(k=1, epsilon=0.5, n=n)
+
+    def check(self, g, params, assignment, radii):
+        validate_clustering(g, params, Clustering(
+            assignment=np.array(assignment, dtype=np.int64),
+            radii=np.array(radii, dtype=float)))
+
+    def test_negative_cluster_id_rejected(self):
+        # numpy would read id -1 as node 2, whose radius covers the path
+        g, params = self.path(3)
+        with pytest.raises(DecompositionError, match="node 0: cluster id -1"):
+            self.check(g, params, [-1, -1, -1], [0, 0, 3])
+
+    def test_cluster_id_past_last_node_rejected(self):
+        g, params = self.path(3)
+        with pytest.raises(DecompositionError, match="node 1: cluster id 3"):
+            self.check(g, params, [0, 3, 3], [3, 0, 0])
+
+    def test_radii_length_checked(self):
+        g, params = self.path(3)
+        with pytest.raises(DecompositionError, match="radii"):
+            self.check(g, params, [0, 0, 0], [3, 0])
+
+    def test_reports_smallest_offending_node(self):
+        g, params = self.path(5)
+        with pytest.raises(DecompositionError) as err:
+            self.check(g, params, [0] * 5, [1, 0, 0, 0, 0])
+        assert str(err.value) == "node 2: d(center 0, u)=2 vs radius 1.0"
+
+    def test_radius_above_cap_rejected(self):
+        g, params = self.path(3)
+        with pytest.raises(DecompositionError) as err:
+            self.check(g, params, [0, 0, 0], [10, 0, 0])
+        assert str(err.value) == "node 0: d(center 0, u)=0 vs radius 10.0"
 
 
 class TestDistributedSampler:
@@ -337,6 +378,18 @@ class TestPaddingStatistics:
         params = PaddedParams(k=1, epsilon=0.5, n=12)
         # well-formed sampling never trips the guard
         sample_assignments_batch(g, params, seed=0, count=50)
+
+    def test_batch_guard_counts_unreachable_pairs(self, monkeypatch):
+        # a cluster spanning two components has an unbounded diameter
+        g = Graph(4, [(0, 1), (2, 3)], directed=False)
+        params = PaddedParams(k=1, epsilon=0.5, n=4)
+        joined = Clustering(assignment=np.zeros(4, dtype=np.int64),
+                            radii=np.zeros(4))
+        monkeypatch.setattr(decomposition, "sample_decomposition_centralized",
+                            lambda *args, **kwargs: joined)
+        with pytest.raises(DecompositionError,
+                           match=f"sample 0: cluster diameter {UNREACHABLE} exceeds"):
+            sample_assignments_batch(g, params, seed=0, count=3)
 
     def test_five_hundred_samples_n64_within_diameter_cap(self):
         # every sampled clustering is exhaustively diameter-checked inside

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,9 @@ from padspan.graphs import (
     truncated_arborescence,
     write_graph,
 )
+from padspan.harness import gen_gnp, gen_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def path_graph(n, directed=True):
@@ -115,15 +124,42 @@ class TestDistances:
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(1)
-        g = random_graph(12, 0.25, rng)
-        d = g.distance_matrix()
-        for s in range(g.n):
-            oracle = bfs_oracle(g, s)
-            for v in range(g.n):
-                if v in oracle:
-                    assert d[s, v] == oracle[v]
-                else:
-                    assert d[s, v] == UNREACHABLE
+        graphs = [
+            random_graph(12, 0.25, rng),
+            gen_grid(6, 7),
+            gen_gnp(17, 0.2, seed=4, directed=False),
+            # isolated nodes 3 and 6 beside two components
+            Graph(7, [(0, 1), (1, 2), (4, 5)], directed=False),
+            Graph(1, []),
+            Graph(2, [(0, 1), (1, 0)]),  # antiparallel pair
+        ]
+        for g in graphs:
+            d = g.distance_matrix()
+            assert d.dtype == np.int64 and d.shape == (g.n, g.n)
+            for s in range(g.n):
+                oracle = bfs_oracle(g, s)
+                for v in range(g.n):
+                    if v in oracle:
+                        assert d[s, v] == oracle[v]
+                    else:
+                        assert d[s, v] == UNREACHABLE
+
+    def test_grid_matrix_pinned(self):
+        # sha256 of the 32x32 grid's matrix bytes, pinned from the
+        # per-source Python BFS that the bitset BFS replaced
+        d = gen_grid(32, 32).distance_matrix()
+        assert hashlib.sha256(d.tobytes()).hexdigest() == (
+            "50ff989e9d100106be67a94ebcc7ca7cd3a989a3e2c2c3a183294a1cbd783a0d")
+
+    def test_build_leaves_scipy_unimported(self):
+        code = ("import sys; from padspan.harness import gen_grid; "
+                "gen_grid(32, 32).distance_matrix(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBall:
