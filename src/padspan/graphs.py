@@ -179,10 +179,12 @@ def directed_distances_from(
 
 
 def as_edge_vector(g: Graph, values) -> np.ndarray:
-    """Validate and convert to a dense nonnegative edge vector of length m."""
+    """Validate and convert to a dense finite nonnegative edge vector of length m."""
     x = np.asarray(values, dtype=float)
     if x.shape != (g.m,):
         raise GraphError(f"edge vector has shape {x.shape}, expected ({g.m},)")
+    if not np.all(np.isfinite(x)):
+        raise GraphError("edge vector has non-finite entries")
     if np.any(x < 0):
         raise GraphError("edge vector has negative entries")
     return x

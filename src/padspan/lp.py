@@ -6,8 +6,8 @@ never imported. A two-phase tableau simplex over Fractions stays as the
 exact-rational reference (`solve_lp(exact=True)`) that tests compare
 against; it refuses problems above EXACT_SIZE_LIMIT. On top of the solvers
 sit the builders that turn an instance (optionally restricted to a cluster)
-into the path-flow LP, the global oracle, and a per-demand max-flow
-feasibility check.
+into the path-flow LP, the global oracle, and the feasibility certificate:
+one block max-flow LP over all demands.
 """
 
 from __future__ import annotations
@@ -504,36 +504,32 @@ class FeasibilityReport:
     feasible: bool
     demand_flow: np.ndarray
 
-    def witness(self) -> dict[int, float]:
-        return {i: float(v) for i, v in enumerate(self.demand_flow)}
-
 
 def check_feasibility(instance: CpInstance, x, tol: float = 1e-9) -> FeasibilityReport:
     """Max-flow certificate: does x admit one unit of allowed-path flow per demand?
 
-    For each demand a small LP maximizes total flow over its path family with
-    x as edge capacities; the instance is feasible iff every demand reaches
-    flow >= 1 - tol.
+    One block LP maximizes the total flow. Each demand has its own block of
+    path-flow columns, with capacity rows sum_{p: e in p} f_p <= x_e and a row
+    sum f <= 1 that keeps it bounded. The blocks share no rows or columns, so
+    an optimum of the sum is optimal in every block, and demand i's max flow
+    is the sum of its block. The instance is feasible iff every demand
+    reaches flow >= 1 - tol.
     """
-    g = instance.graph
-    x = as_edge_vector(g, x)
-    flows = np.zeros(len(instance.demands))
-    for i in range(len(instance.demands)):
-        flows[i] = _max_demand_flow(instance, i, x)
-    return FeasibilityReport(bool(np.all(flows >= 1 - tol)), flows)
-
-
-def _max_demand_flow(instance: CpInstance, di: int, x: np.ndarray) -> float:
-    fam_edges = instance.family_edges[di]
-    k = len(fam_edges)
-    names = [f"f_{di}_{j}" for j in range(k)]
-    problem = LpProblem(var_names=names, objective={j: -1.0 for j in range(k)})
-    for e, js in _paths_by_edge(fam_edges):
-        problem.add_row({j: 1.0 for j in js}, "<=", float(x[e]))
-    # flow never needs to exceed one unit; keeps the LP bounded and small
-    problem.add_row({j: 1.0 for j in range(k)}, "<=", 1.0)
+    x = as_edge_vector(instance.graph, x)
+    problem = LpProblem(var_names=[], objective={})
+    sizes = []
+    for di, fam_edges in enumerate(instance.family_edges):
+        base, k = problem.num_vars, len(fam_edges)
+        problem.var_names.extend(f"f_{di}_{j}" for j in range(k))
+        for e, js in _paths_by_edge(fam_edges):
+            problem.add_row({base + j: 1.0 for j in js}, "<=", float(x[e]))
+        problem.add_row({base + j: 1.0 for j in range(k)}, "<=", 1.0)
+        sizes.append(k)
+    problem.objective = dict.fromkeys(range(problem.num_vars), -1.0)
     sol = solve_lp(problem)
-    return -sol.objective
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    flows = np.bincount(owner, weights=sol.values, minlength=len(sizes)).astype(float)
+    return FeasibilityReport(bool(np.all(flows >= 1 - tol)), flows)
 
 
 # -- LP text dump ----------------------------------------------------------

@@ -139,6 +139,13 @@ class TestObjectives:
         with pytest.raises(GraphError):
             evaluate_objective(linear_sum(), [-0.1], g)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = Graph(2, [(0, 1), (1, 0)])
+        from padspan.graphs import GraphError
+        with pytest.raises(GraphError, match="non-finite"):
+            evaluate_objective(linear_sum(), [0.5, bad], g)
+
     def test_combiner_examples(self):
         assert combiner_value(max_degree(), [1.5, 0.2, 0.0]) == 1.5
         assert combiner_value(linear_sum(), []) == 0.0

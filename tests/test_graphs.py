@@ -225,6 +225,12 @@ class TestRestrict:
         with pytest.raises(GraphError):
             as_edge_vector(g, [-1, 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        g = cycle(4)
+        with pytest.raises(GraphError, match="non-finite"):
+            as_edge_vector(g, [0, bad, 0, 0])
+
 
 class TestArborescence:
     def test_depth_zero(self):

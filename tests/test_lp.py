@@ -12,8 +12,8 @@ from padspan.cp import (
     p_norm,
 )
 from padspan import lp
-from padspan.graphs import Graph, restrict
-from padspan.harness import gen_gnp
+from padspan.graphs import Graph, GraphError, restrict
+from padspan.harness import ExperimentConfig, gen_gnp, generate_instance
 from padspan.lp import (
     EXACT_SIZE_LIMIT,
     LpError,
@@ -396,6 +396,82 @@ class TestFeasibility:
         inst = build_spanner_instance(g, 2)
         sol = solve_global_oracle(inst)
         assert check_feasibility(inst, sol.x, tol=1e-7).feasible
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = Graph(3, [(0, 1), (1, 2)])
+        inst = build_dsn_instance(g, [(0, 2, 2)])
+        with pytest.raises(GraphError, match="non-finite"):
+            check_feasibility(inst, np.array([1.0, bad]))
+
+    def test_no_demands_feasible(self):
+        g = Graph(2, [(0, 1)])
+        inst = build_dsn_instance(g, [])
+        rep = check_feasibility(inst, np.zeros(1))
+        assert rep.feasible
+        assert rep.demand_flow.shape == (0,)
+
+    def test_one_solve_per_certificate(self, monkeypatch):
+        g = gen_gnp(10, 0.3, seed=16)
+        inst = build_spanner_instance(g, 2)
+        calls = []
+
+        def counted(problem, exact=False):
+            calls.append(problem.num_vars)
+            return solve_lp(problem, exact)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        rep = check_feasibility(inst, np.ones(g.m))
+        assert rep.feasible
+        assert calls == [sum(len(fam) for fam in inst.families)]
+
+
+def per_demand_max_flow(instance, x):
+    """Reference certificate: one max-flow LP per demand."""
+    flows = []
+    for fam_edges in instance.family_edges:
+        k = len(fam_edges)
+        problem = LpProblem([f"f_{j}" for j in range(k)], {j: -1.0 for j in range(k)})
+        for e in sorted({e for path in fam_edges for e in path}):
+            uses = {j: 1.0 for j, path in enumerate(fam_edges) if e in path}
+            problem.add_row(uses, "<=", float(x[e]))
+        problem.add_row({j: 1.0 for j in range(k)}, "<=", 1.0)
+        flows.append(-solve_lp(problem).objective)
+    return np.array(flows)
+
+
+FEASIBILITY_INSTANCES = {
+    "gnp-k2": lambda: build_spanner_instance(gen_gnp(12, 0.3, seed=17), 2),
+    "gnp-k3": lambda: build_spanner_instance(gen_gnp(10, 0.3, seed=5), 3),
+    "dsn": lambda: generate_instance(
+        ExperimentConfig(problem="dsn", gen="gnp", n=14, p=0.35), seed=3)[1],
+}
+
+
+class TestBlockCertificate:
+    """The block LP against one LP per demand, on shared-edge families."""
+
+    @pytest.mark.parametrize("name", sorted(FEASIBILITY_INSTANCES))
+    def test_matches_per_demand_reference(self, name):
+        inst = FEASIBILITY_INSTANCES[name]()
+        opt = solve_global_oracle(inst).x
+        rng = np.random.default_rng(23)
+        for x in (opt, 0.5 * opt, rng.random(inst.graph.m)):
+            ref = per_demand_max_flow(inst, x)
+            rep = check_feasibility(inst, x)
+            assert rep.demand_flow.shape == ref.shape
+            assert np.max(np.abs(rep.demand_flow - ref)) <= 1e-12
+            assert rep.feasible == bool(np.all(ref >= 1 - 1e-9))
+        assert check_feasibility(inst, opt).feasible
+        assert not check_feasibility(inst, 0.5 * opt).feasible
+        # the blocks couple through x: some edge caps paths of two demands
+        users = [{e for path in fam for e in path} for fam in inst.family_edges]
+        assert any(a & b for a, b in itertools.combinations(users, 2))
+
+    def test_paths_share_edges_within_a_demand(self):
+        inst = FEASIBILITY_INSTANCES["gnp-k3"]()
+        assert any(set(p) & set(q) for fam in inst.family_edges
+                   for p, q in itertools.combinations(fam, 2))
 
 
 class TestLpDump:

@@ -5,7 +5,7 @@ import pytest
 
 import padspan.rounding as rounding
 from padspan.cp import build_dsn_instance, build_spanner_instance
-from padspan.graphs import Graph
+from padspan.graphs import Graph, GraphError
 from padspan.harness import gen_gnp
 from padspan.lp import solve_global_oracle
 from padspan.rounding import (
@@ -47,6 +47,14 @@ class TestRoundSpanner:
         out = round_spanner(g, np.zeros(g.m), 2, seed=2)
         assert out.edges == frozenset()
         assert out.roots == ()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = gen_gnp(9, 0.4, seed=21)
+        x = np.zeros(g.m)
+        x[3] = bad
+        with pytest.raises(GraphError, match="non-finite"):
+            round_spanner(g, x, 2, seed=1)
 
     def test_sampled_size_expectation(self):
         # Monte Carlo mean within 3 sigma of the analytic expectation
