@@ -19,7 +19,7 @@ from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
 from .localsim import NodeStep, RoundTranscript, run_protocol
-from .lp import CpSolution, solve_cluster_cp
+from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
 
 
 class ConfigError(ValueError):
@@ -141,7 +141,7 @@ def solve_distributed(
         transcript = RoundTranscript()
     if not instance.demands:
         return DistributedRun(
-            CpSolution(np.zeros(g.m), {}, 0.0, "optimal", 0.0, ()),
+            CpSolution(np.zeros(g.m), {}, 0.0, 0.0, ()),
             transcript, [], config,
         )
     D = instance.D
@@ -356,7 +356,7 @@ def _assemble(instance, config, states, solutions, keys, radii,
     ]
     value = evaluate_objective(instance.objective, val_u, g)
     solution = CpSolution(
-        x=val_u, flows={}, value=value, status="optimal", residual=0.0,
+        x=val_u, flows={}, value=value, residual=0.0,
         demand_indices=tuple(range(len(instance.demands))),
     )
     return DistributedRun(solution, transcript, records, config)
@@ -370,9 +370,7 @@ def cached_global_oracle(instance: CpInstance, lp_cache: dict) -> CpSolution:
     )
     sol = lp_cache.get(key)
     if sol is None:
-        sol = solve_cluster_cp(
-            instance, range(instance.graph.n), demand_indices=list(key[1])
-        )
+        sol = solve_global_oracle(instance)
         lp_cache[key] = sol
     return sol
 

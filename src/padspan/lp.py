@@ -1,13 +1,11 @@
 """LP solving for network-design programs.
 
-Float solves go to HiGHS (Huangfu & Hall 2018) through scipy's compiled
+Every solve goes to HiGHS (Huangfu & Hall 2018) through scipy's compiled
 binding, loaded from its file on the first solve so that `scipy` itself is
-never imported. A two-phase tableau simplex over Fractions stays as the
-exact-rational reference (`solve_lp(exact=True)`) that tests compare
-against; it refuses problems above EXACT_SIZE_LIMIT. On top of the solvers
-sit the builders that turn an instance (optionally restricted to a cluster)
-into the path-flow LP, the global oracle, and the feasibility certificate:
-one block max-flow LP over all demands.
+never imported. On top of the solver sit the builders that turn an instance
+(optionally restricted to a cluster) into the path-flow LP, the global
+oracle, and the feasibility certificate: one block max-flow LP over all
+demands.
 """
 
 from __future__ import annotations
@@ -18,18 +16,12 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .cp import CpInstance, Objective, evaluate_objective
 from .decomposition import padded_mask
 from .graphs import as_edge_vector
-
-# variables + rows of the largest exact solve: a dense LP with 3-decimal
-# coefficients at size 78 takes 2.9 s (2-vCPU x86), and a 79-variable,
-# 158-row cutting-plane LP ran past 240 s
-EXACT_SIZE_LIMIT = 80
 
 
 class LpError(RuntimeError):
@@ -73,9 +65,7 @@ class LpProblem:
 class LpSolution:
     values: np.ndarray
     objective: float
-    status: str
     iterations: int
-    mode: str
     residual: float
 
 
@@ -173,131 +163,22 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     if res > 1e-6:
         raise SimplexStall(f"float residual {res} too large")
     iters = solver.getInfo().simplex_iteration_count
-    return LpSolution(x, float(cost @ x), "optimal", iters, "float", res)
+    return LpSolution(x, float(cost @ x), iters, res)
 
 
-# -- exact tableau simplex --------------------------------------------------
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve min c.y, y >= 0 over the problem's rows with HiGHS' simplex.
 
-
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0
-    T -= np.outer(colvals, T[row])
-    basis[row] = col
-
-
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, art_cols: list[int],
-             basis: np.ndarray) -> tuple[np.ndarray, int]:
-    """Two-phase simplex over object arrays of Fractions.
-
-    Pivots by Bland's rule, which always terminates; an iteration budget
-    still bounds it. Returns the full variable vector and the iteration
-    count.
+    Valid network-design programs are always feasible and bounded, so
+    LpInfeasible here signals an internal error upstream.
     """
-    nr, nc = A.shape
-    iterations = 0
-    max_iter = 200 * (nr + nc) + 2000
-
-    def run(costs: np.ndarray, allowed: np.ndarray):
-        nonlocal iterations
-        # reduced-cost row c - c_B B^-1 A, then tracked through each pivot
-        obj = costs - costs[basis] @ T[:, :-1]
-        rhs_obj = -(costs[basis] @ T[:, -1])
-        while True:
-            cand = np.where(allowed & (obj < 0))[0]
-            if cand.size == 0:
-                return -rhs_obj
-            col = int(cand[0])
-            colvec = T[:, col]
-            pos = np.where(colvec > 0)[0]
-            if pos.size == 0:
-                raise LpUnbounded("unbounded entering column")
-            ratios = T[pos, -1] / colvec[pos]
-            tie = pos[ratios == ratios.min()]
-            row = int(tie[np.argmin(basis[tie])])
-            factor = obj[col] / T[row, col]
-            obj -= factor * T[row, :-1]
-            rhs_obj -= factor * T[row, -1]
-            obj[col] = 0
-            _pivot(T, basis, row, col)
-            iterations += 1
-            if iterations > max_iter:
-                raise SimplexStall(f"iteration budget {max_iter} exceeded")
-
-    T = np.column_stack([A, b])
-    allowed = np.ones(nc, dtype=bool)
-    if art_cols:
-        c1 = np.zeros(nc, dtype=A.dtype)
-        c1[art_cols] = 1
-        val1 = run(c1, allowed)
-        if val1 > 0:
-            raise LpInfeasible(f"phase-1 optimum {val1} > 0")
-        # drive leftover artificials out of the basis where possible; a row
-        # where none can leave is zero outside the artificials, so its
-        # artificial stays basic at 0 without ever entering a ratio test
-        art_set = set(art_cols)
-        for i in range(nr):
-            if basis[i] in art_set:
-                nonz = [j for j in np.where(T[i, :-1] != 0)[0] if j not in art_set]
-                if nonz:
-                    _pivot(T, basis, i, int(nonz[0]))
-        allowed[art_cols] = False
-    run(c, allowed)
-    values = np.zeros(nc, dtype=A.dtype)
-    values[basis] = T[:, -1]
-    return values, iterations
-
-
-def _standard_form(problem: LpProblem, csr):
-    """Equality standard form: rows flipped to rhs >= 0, one slack per row,
-    then one artificial per '>=' row, which starts in the basis."""
-    nv, nr = problem.num_vars, len(problem.rows)
-    start, index, value, lower, upper = csr
-    b = np.where(np.isfinite(lower), lower, upper)
-    flip = np.where(b < 0, -1.0, 1.0)
-    ge = np.isfinite(lower) != (b < 0)
-    art = np.flatnonzero(ge)
-    art_cols = nv + nr + np.arange(art.size)
-    A = np.zeros((nr, nv + nr + art.size))
-    rows = np.repeat(np.arange(nr), np.diff(start))
-    A[rows, index] = value * flip[rows]
-    A[np.arange(nr), nv + np.arange(nr)] = np.where(ge, -1.0, 1.0)
-    A[art, art_cols] = 1.0
-    basis = nv + np.arange(nr)
-    basis[art] = art_cols
-    return A, b * flip, _cost(problem, A.shape[1]), art_cols.tolist(), basis
-
-
-# float -> nearby rational, elementwise into an object array
-_rational = np.frompyfunc(lambda v: Fraction(v).limit_denominator(10**12), 1, 1)
-
-
-def solve_lp(problem: LpProblem, exact: bool = False) -> LpSolution:
-    """Solve min c.y, y >= 0 over the problem's rows.
-
-    Float solves run HiGHS' simplex; `exact=True` runs the Fraction tableau,
-    which raises LpError at once for problems whose variables plus rows
-    exceed EXACT_SIZE_LIMIT. Valid network-design programs are always
-    feasible and bounded, so LpInfeasible here signals an internal error
-    upstream.
-    """
-    nv = problem.num_vars
-    if nv == 0:
-        return LpSolution(np.zeros(0), 0.0, "optimal", 0, "trivial", 0.0)
-    if not exact:
-        return _solve_highs(problem)
-    size = nv + len(problem.rows)
-    if size > EXACT_SIZE_LIMIT:
-        raise LpError(f"exact solve of {nv} variables + {len(problem.rows)} rows "
-                      f"= {size} exceeds EXACT_SIZE_LIMIT {EXACT_SIZE_LIMIT}")
-    csr = _csr(problem)
-    A, b, c, art, basis = _standard_form(problem, csr)
-    c = _rational(c)
-    vals, iters = _simplex(_rational(A), _rational(b), c, art, basis)
-    x = vals[:nv].astype(float)
-    obj = float(np.dot(c[:nv], vals[:nv]))
-    return LpSolution(x, obj, "optimal", iters, "exact", _residual(csr, x))
+    if problem.num_vars == 0:
+        # HiGHS answers "Empty" on a model without columns
+        res = _residual(_csr(problem), np.zeros(0))
+        if res > 0:
+            raise LpInfeasible(f"row violated by {res} at the empty point")
+        return LpSolution(np.zeros(0), 0.0, 0, 0.0)
+    return _solve_highs(problem)
 
 
 # -- CP -> LP construction ------------------------------------------------
@@ -310,11 +191,9 @@ class CpSolution:
     x: np.ndarray
     flows: dict[int, np.ndarray]
     value: float
-    status: str
     residual: float
     demand_indices: tuple[int, ...] = ()
     lp_iterations: int = 0
-    mode: str = "float"
 
 
 def cluster_demands(instance: CpInstance, cluster: frozenset[int] | set[int]) -> list[int]:
@@ -426,7 +305,7 @@ def solve_cluster_cp(
     problem, scope, dids = build_cluster_cp(instance, cluster, demand_indices)
     if not dids:
         x = np.zeros(instance.graph.m)
-        return CpSolution(x, {}, 0.0, "optimal", 0.0, tuple())
+        return CpSolution(x, {}, 0.0, 0.0, tuple())
     sol = solve_lp(problem)
     return _unpack(instance, problem, scope, dids, sol)
 
@@ -443,9 +322,8 @@ def _unpack(instance, problem, scope, dids, sol: LpSolution) -> CpSolution:
         pos += k
     value = evaluate_objective(instance.objective, x, instance.graph)
     return CpSolution(
-        x=x, flows=flows, value=value, status=sol.status,
-        residual=sol.residual, demand_indices=tuple(dids),
-        lp_iterations=sol.iterations, mode=sol.mode,
+        x=x, flows=flows, value=value, residual=sol.residual,
+        demand_indices=tuple(dids), lp_iterations=sol.iterations,
     )
 
 
@@ -456,7 +334,7 @@ def _solve_pnorm(instance: CpInstance, cluster,
         _with_objective(instance, Objective("linear-sum")), cluster, demand_indices
     )
     if not dids:
-        return CpSolution(np.zeros(instance.graph.m), {}, 0.0, "optimal", 0.0, ())
+        return CpSolution(np.zeros(instance.graph.m), {}, 0.0, 0.0, ())
     p = instance.objective.p
     tcol = len(base.var_names)
     base.var_names.append("t")
@@ -492,8 +370,12 @@ def _with_objective(instance: CpInstance, objective: Objective) -> CpInstance:
 
 
 def solve_global_oracle(instance: CpInstance) -> CpSolution:
-    """Exact optimum of the whole-graph program (the comparison baseline)."""
-    return solve_cluster_cp(instance, range(instance.graph.n))
+    """Optimum of the whole-graph program (the comparison baseline).
+
+    Every node of the whole graph is padded, so every demand is included.
+    """
+    return solve_cluster_cp(instance, range(instance.graph.n),
+                            demand_indices=list(range(len(instance.demands))))
 
 
 # -- feasibility ----------------------------------------------------------

@@ -37,8 +37,10 @@ from padspan.harness import (
     report_files,
     run_experiment,
 )
-from padspan.lp import LpProblem, check_feasibility, solve_lp
+from padspan.lp import check_feasibility, solve_lp
 from padspan.rounding import round_spanner_distributed, verify_stretch
+
+from lp_reference import le_problem, vertex_enum_min
 
 _STASH: dict = {}
 
@@ -343,68 +345,6 @@ def test_criterion_8_objective_algebra():
             f"objective kind at 1e-12")
 
 
-def _vertex_enum_min(c, A, b):
-    """Exhaustive vertex oracle for min c.x over {A x <= b, x >= 0}.
-
-    Enumerates every choice of n active constraints with batched linear
-    algebra, then re-solves the near-optimal bases in exact rational
-    arithmetic so the reference value carries no conditioning error.
-    """
-    from fractions import Fraction
-
-    nr, nv = A.shape
-    ext = np.vstack([A, -np.eye(nv)])
-    rhs = np.concatenate([b, np.zeros(nv)])
-    combos = np.array(list(itertools.combinations(range(nr + nv), nv)))
-    M = ext[combos]
-    good = np.abs(np.linalg.det(M)) > 1e-8
-    if not good.any():
-        return None
-    combos = combos[good]
-    X = np.linalg.solve(ext[combos], rhs[combos][..., None])[..., 0]
-    feas = np.all(X @ ext.T <= rhs[None, :] + 1e-8, axis=1)
-    if not feas.any():
-        return None
-    vals = X[feas] @ c
-    float_best = float(vals.min())
-    near = combos[feas][vals <= float_best + 1e-6]
-
-    ext_q = [[Fraction(float(v)) for v in row] for row in ext]
-    rhs_q = [Fraction(float(v)) for v in rhs]
-    c_q = [Fraction(float(v)) for v in c]
-    best = None
-    for idx in near:
-        rows = [ext_q[i][:] + [rhs_q[i]] for i in idx]
-        x = _exact_solve(rows, nv)
-        if x is None:
-            continue
-        if any(
-            sum(ext_q[i][j] * x[j] for j in range(nv)) > rhs_q[i]
-            for i in range(nr + nv)
-        ):
-            continue
-        val = sum(c_q[j] * x[j] for j in range(nv))
-        if best is None or val < best:
-            best = val
-    return None if best is None else float(best)
-
-
-def _exact_solve(rows, nv):
-    """Gaussian elimination over Fractions; None when singular."""
-    for col in range(nv):
-        piv = next((r for r in range(col, nv) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col]
-        rows[col] = [v / inv for v in rows[col]]
-        for r in range(nv):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * p for a, p in zip(rows[r], rows[col])]
-    return [rows[r][nv] for r in range(nv)]
-
-
 def test_criterion_9_lp_kernel_oracle():
     rng = np.random.default_rng(161803)
     solved = 0
@@ -427,17 +367,10 @@ def test_criterion_9_lp_kernel_oracle():
         A = np.array(A_rows)
         b = np.array(b_vals)
         c = rng.uniform(-1.0, 1.0, size=nv).round(3)
-        ref = _vertex_enum_min(c, A, b)
+        ref = vertex_enum_min(c, A, b)
         if ref is None:
             continue
-        problem = LpProblem(
-            var_names=[f"v{i}" for i in range(nv)],
-            objective={i: float(c[i]) for i in range(nv)},
-        )
-        for i in range(A.shape[0]):
-            problem.add_row({j: float(A[i, j]) for j in range(nv)}, "<=",
-                            float(b[i]))
-        sol = solve_lp(problem)
+        sol = solve_lp(le_problem(c, A, b))
         gap = abs(sol.objective - ref)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-9, f"simplex {sol.objective} vs enumeration {ref}"

@@ -15,7 +15,6 @@ from padspan import lp
 from padspan.graphs import Graph, GraphError, restrict
 from padspan.harness import ExperimentConfig, gen_gnp, generate_instance
 from padspan.lp import (
-    EXACT_SIZE_LIMIT,
     LpError,
     LpInfeasible,
     LpProblem,
@@ -30,27 +29,7 @@ from padspan.lp import (
     solve_lp,
 )
 
-
-def vertex_enum_min(c, A, b):
-    """Independent optimum: enumerate basic points of {Ax <= b, x >= 0}.
-
-    Returns None when no vertex is feasible (or the polytope is empty).
-    """
-    nr, nv = A.shape
-    ext = np.vstack([A, -np.eye(nv)])
-    rhs = np.concatenate([b, np.zeros(nv)])
-    best = None
-    for idx in itertools.combinations(range(nr + nv), nv):
-        M = ext[list(idx)]
-        r = rhs[list(idx)]
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        x = np.linalg.solve(M, r)
-        if np.all(ext @ x <= rhs + 1e-8):
-            val = float(c @ x)
-            if best is None or val < best:
-                best = val
-    return best
+from lp_reference import dense_le, le_problem, vertex_enum_min
 
 
 def random_bounded_lp(rng):
@@ -139,14 +118,7 @@ class TestSimplexKernel:
             ref = vertex_enum_min(c, A, b)
             if ref is None:
                 continue
-            p = LpProblem(
-                var_names=[f"v{i}" for i in range(len(c))],
-                objective={i: float(c[i]) for i in range(len(c))},
-            )
-            for i in range(A.shape[0]):
-                p.add_row({j: float(A[i, j]) for j in range(len(c))}, "<=",
-                          float(b[i]))
-            sol = solve_lp(p)
+            sol = solve_lp(le_problem(c, A, b))
             assert sol.objective == pytest.approx(ref, abs=1e-9)
             checked += 1
 
@@ -157,44 +129,44 @@ class TestSimplexKernel:
         sol = solve_lp(p)
         assert sol.objective == pytest.approx(2 * 0.5 + 3 * 1.5)
 
-    def test_exact_mode_matches_float(self):
+    def test_matches_exact_reference(self):
+        # bounded '<=' LPs, then mixed-sense LPs with negative right-hand sides
         rng = np.random.default_rng(11)
         for _ in range(10):
             c, A, b = random_bounded_lp(rng)
-            p = LpProblem(
-                var_names=[f"v{i}" for i in range(len(c))],
-                objective={i: float(c[i]) for i in range(len(c))},
-            )
-            for i in range(A.shape[0]):
-                p.add_row({j: float(A[i, j]) for j in range(len(c))}, "<=",
-                          float(b[i]))
-            f = solve_lp(p)
-            e = solve_lp(p, exact=True)
-            assert e.objective == pytest.approx(f.objective, abs=1e-9)
+            assert solve_lp(le_problem(c, A, b)).objective == pytest.approx(
+                vertex_enum_min(c, A, b), abs=1e-9)
         for _ in range(10):
             p = random_mixed_lp(rng)
-            f = solve_lp(p)
-            e = solve_lp(p, exact=True)
-            assert (f.mode, e.mode) == ("float", "exact")
-            assert e.objective == pytest.approx(f.objective, abs=1e-9)
-            assert e.residual <= 1e-9
+            sol = solve_lp(p)
+            assert sol.objective == pytest.approx(
+                vertex_enum_min(*dense_le(p)), abs=1e-9)
+            assert sol.residual <= 1e-9
 
     def test_empty_problem(self):
         p = LpProblem(var_names=[], objective={})
         sol = solve_lp(p)
         assert sol.objective == 0.0
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_infeasible_and_unbounded_raise(self, exact):
+    def test_empty_problem_checks_its_rows(self):
+        p = LpProblem(var_names=[], objective={})
+        p.add_row({}, "<=", 0.0)
+        p.add_row({}, ">=", -1.0)
+        assert solve_lp(p).objective == 0.0
+        p.add_row({}, ">=", 1.0)
+        with pytest.raises(LpInfeasible):
+            solve_lp(p)
+
+    def test_infeasible_and_unbounded_raise(self):
         p = LpProblem(var_names=["x"], objective={0: 1.0})
         p.add_row({0: 1.0}, "<=", 1.0)
         p.add_row({0: 1.0}, ">=", 2.0)
         with pytest.raises(LpInfeasible):
-            solve_lp(p, exact=exact)
+            solve_lp(p)
         q = LpProblem(var_names=["x", "y"], objective={0: -1.0, 1: 1.0})
         q.add_row({0: 1.0, 1: -1.0}, ">=", 1.0)
         with pytest.raises(LpUnbounded):
-            solve_lp(q, exact=exact)
+            solve_lp(q)
 
     def test_stopped_solve_raises_stall(self, monkeypatch):
         p = LpProblem(var_names=["x", "y"], objective={0: 2.0, 1: 3.0})
@@ -214,22 +186,6 @@ class TestSimplexKernel:
                 lhs = sum(v * x[j] for j, v in coeffs.items())
                 worst = max(worst, lhs - rhs if sense == "<=" else rhs - lhs)
             assert lp._residual(lp._csr(p), x) == worst
-
-    def test_exact_refuses_large_problems_at_once(self, monkeypatch):
-        def no_fractions(*args):
-            raise AssertionError("built Fractions before refusing")
-
-        big = LpProblem(
-            var_names=[f"v{i}" for i in range(201)],
-            objective={i: 1.0 for i in range(201)},
-        )
-        big.add_row({0: 1.0}, ">=", 1.0)
-        assert big.num_vars + len(big.rows) > EXACT_SIZE_LIMIT
-        monkeypatch.setattr(lp, "_rational", no_fractions)
-        with pytest.raises(LpError, match=rf"202 exceeds EXACT_SIZE_LIMIT "
-                                          rf"{EXACT_SIZE_LIMIT}"):
-            solve_lp(big, exact=True)
-        assert solve_lp(big).objective == pytest.approx(1.0)
 
     def test_highs_binding_loads(self):
         assert lp._highs().HIGHS_VERSION_MAJOR >= 1
@@ -416,9 +372,9 @@ class TestFeasibility:
         inst = build_spanner_instance(g, 2)
         calls = []
 
-        def counted(problem, exact=False):
+        def counted(problem):
             calls.append(problem.num_vars)
-            return solve_lp(problem, exact)
+            return solve_lp(problem)
 
         monkeypatch.setattr(lp, "solve_lp", counted)
         rep = check_feasibility(inst, np.ones(g.m))
