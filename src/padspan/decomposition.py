@@ -4,26 +4,30 @@ least 1 - epsilon.
 
 Every sampler takes its radii from `draw_radii`, one stream per iteration.
 The vectorized centralized sampler is the reference, and the batch sampler
-runs it once per iteration. `carve` is the one message-passing flood on the
-LOCAL engine: it runs t carvings bundled into one message stream, and in each
-one every node joins the smallest id whose flood reached it. The distributed
-sampler is its t=1 case and matches the centralized sampler exactly when the
-permutation is node-ID order and the seed and iteration are the same; the
-distributed solver runs all its iterations as one `carve`. `padded_mask` is
-the one central padding test, is B(u, k) inside u's cluster; the solver's
-nodes decide the same fact locally from what they probed.
+runs it once per iteration. `carve` is the one message-passing flood: it
+runs t carvings bundled into one message stream, and in each one every node
+joins the smallest id whose flood reached it. It simulates each LOCAL round
+as a few array operations over every node and iteration at once, and charges
+the transcript as the engine would charge the per-node protocol that the
+tests hold it to. The distributed sampler is its t=1 case and matches the
+centralized sampler exactly when the permutation is node-ID order and the
+seed and iteration are the same; the distributed solver runs all its
+iterations as one `carve`. `padded_mask` is the one central padding test,
+is B(u, k) inside u's cluster; the solver's nodes decide the same fact
+locally from what they probed.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph
-from .localsim import NodeStep, RoundTranscript, rng_stream, run_protocol
+from .localsim import ProtocolTimeout, RoundTranscript, rng_stream
+# perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 6)
+from .localsim import run_protocol  # noqa: F401
 
 
 class DecompositionError(ValueError):
@@ -158,26 +162,6 @@ def sample_decomposition_centralized(
 # -- the carving flood ------------------------------------------------------
 
 
-def _admit(stair: tuple[list[int], list[int]], origin: int, budget: int) -> bool:
-    """Add (origin, budget) to a domination staircase unless it is dominated.
-
-    An entry is dominated when an accepted smaller-id origin has at least as
-    much budget left. The staircase `(origins, rems)` keeps only the
-    undominated accepted entries: origins ascending with remaining budget
-    strictly increasing, so the best budget among smaller ids is the one just
-    left of `origin`'s insertion point, and the entries the new one dominates
-    are a contiguous run right of it. Returns whether the entry was added.
-    """
-    origins, rems = stair
-    j = bisect_left(origins, origin)
-    if j and rems[j - 1] >= budget:
-        return False
-    end = bisect_right(rems, budget, j)
-    origins[j:end] = (origin,)
-    rems[j:end] = (budget,)
-    return True
-
-
 def decide_round(params: PaddedParams, n: int) -> int:
     """Round at which every flood has certainly arrived.
 
@@ -187,79 +171,188 @@ def decide_round(params: PaddedParams, n: int) -> int:
     return min(math.ceil(params.radius_cap), n - 1)
 
 
+@dataclass(frozen=True)
+class Floods:
+    """Every flood a `carve` accepted, one row per (node, iteration, origin)
+    in that order: the round `hop` it arrived in, the budget `rem` it had
+    left, and the neighbor `via` that delivered it (the node itself for its
+    own flood)."""
+
+    node: np.ndarray
+    iteration: np.ndarray
+    origin: np.ndarray
+    hop: np.ndarray
+    rem: np.ndarray
+    via: np.ndarray
+
+
+def _running_max(group: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per entry, the largest earlier value of its group, or -1 for a group's
+    first entry. `group` must be ascending and `vals` nonnegative."""
+    if not len(vals):
+        return vals
+    # lift each group above every earlier one, so one running maximum
+    # never carries a value across a group boundary
+    base = group * (int(vals.max()) + 2)
+    run = np.maximum.accumulate(base + vals)
+    before = np.empty_like(run)
+    before[0] = -1
+    before[1:] = run[:-1]
+    return np.maximum(before, base - 1) - base
+
+
+def _admit_batch(
+    stair_key: np.ndarray, stair_rem: np.ndarray,
+    key: np.ndarray, rem: np.ndarray, n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Admit one round's arrivals against the domination staircases.
+
+    Keys are group * n + origin, and the arrival keys are ascending and
+    unique. The staircase holds, per group, the accepted entries no smaller
+    origin dominates: ascending keys, remaining budget strictly increasing.
+    An arrival is admitted iff its origin is not accepted yet and its budget
+    exceeds that of every accepted smaller origin of its group and of every
+    smaller one admitted in this batch. A rejected arrival's budget is at
+    most that bound, so the bound is a running maximum over the batch merged
+    with the staircase entry at or left of each arrival. Taking the entry at
+    the arrival's own key rejects an accepted origin, as long as it comes
+    back with less budget than it was accepted with, as every flood does:
+    its staircase entry, or the one that dominated it, has more left.
+
+    Returns the admitted mask and the staircase with the admitted entries
+    added and the ones they dominate dropped.
+    """
+    group = key // n
+    pos = np.searchsorted(stair_key, key, side="right")
+    best = np.full(len(key), -1, dtype=np.int64)
+    has = pos > 0
+    has[has] = stair_key[pos[has] - 1] // n == group[has]
+    best[has] = stair_rem[pos[has] - 1]
+    admitted = rem > np.maximum(best, _running_max(group, rem))
+    stair_key = np.insert(stair_key, pos[admitted], key[admitted])
+    stair_rem = np.insert(stair_rem, pos[admitted], rem[admitted])
+    keep = stair_rem > _running_max(stair_key // n, stair_rem)
+    return admitted, stair_key[keep], stair_rem[keep]
+
+
+def _send(
+    indptr: np.ndarray, indices: np.ndarray, fresh: tuple, t: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand one round's sent entries over the adjacency (CSR `indptr`,
+    `indices`): each entry goes to every neighbor of its sender but the one
+    that delivered it. Returns the entry count of each adjacency slot (u, w)
+    and each arrival's key ((dst * t + iteration) * n + origin) * n + sender.
+    """
+    sender, iteration, origin, deliverer = fresh
+    deg = indptr[sender + 1] - indptr[sender]
+    slot = np.arange(deg.sum()) + np.repeat(
+        indptr[sender] - np.cumsum(deg) + deg, deg)
+    dst = indices[slot]
+    arrived = np.repeat((iteration * n + origin) * n + sender, deg)
+    arrived += dst * (t * n * n)
+    sent = dst != np.repeat(deliverer, deg)
+    return np.bincount(slot[sent], minlength=len(indices)), arrived[sent]
+
+
 def carve(
     g: Graph, params: PaddedParams, radii: np.ndarray, transcript: RoundTranscript
-) -> tuple[list[list[dict[int, tuple[int, int, int]]]], np.ndarray]:
+) -> tuple[Floods, np.ndarray]:
     """Run t carving floods at once, bundled into one message stream.
 
     `radii` is (t, n): node u floods (iteration i, id u, remaining budget)
     with budget floor(radii[i, u]). A node accepts the first arrival of each
     origin unless a smaller-id origin with at least as much budget left was
-    accepted already, and forwards what it accepts while budget remains. It
-    then joins, per iteration, the smallest accepted id.
+    accepted already, and forwards what it accepts while budget remains, to
+    every neighbor but the one that delivered it. It then joins, per
+    iteration, the smallest accepted id.
 
-    Each node keeps, per iteration, a domination staircase next to its
-    accepted floods (see `_admit`), so testing an arrival costs a bisection
-    rather than a scan of everything accepted.
+    Each round is a few array operations over every node and iteration at
+    once. `_send` expands the entries sent in a round over the adjacency
+    into arrivals. One sort by (node, iteration, origin, sender) puts each
+    node's inbox in the order a node stepping alone would read it, so the
+    first copy of each origin is the one from the smallest sender.
+    `_admit_batch` then admits the arrivals against each node-iteration's
+    staircase. The
+    transcript is charged as the engine would charge a per-node protocol:
+    one message of 3 scalars per entry from u to each neighbor w that gets
+    an entry, rounds up to the first round from `decide_round` on in which
+    nothing is sent, and `ProtocolTimeout` past `decide_round` + 2.
+    `tests/carve_reference.py` holds the per-node flood this must equal.
 
-    Returns, per node and iteration, the accepted floods (origin -> (hop
-    distance, remaining budget, delivering neighbor)), and the (n, t) center
-    matrix.
+    Returns the accepted floods and the (n, t) center matrix.
     """
-    t, n = radii.shape
+    n = g.n
+    radii = np.asarray(radii, dtype=float)
+    if params.n != n:
+        raise DecompositionError(
+            f"params are for n={params.n}, the graph has {n} nodes")
+    if radii.ndim != 2 or radii.shape[0] < 1 or radii.shape[1] != n:
+        raise DecompositionError(
+            f"radii have shape {radii.shape}, expected (t >= 1, {n})")
+    if not (np.isfinite(radii) & (radii >= 0)).all():
+        raise DecompositionError("radii must be finite and nonnegative")
+    t = len(radii)
     r_decide = decide_round(params, n)
-    budgets = np.floor(radii).astype(np.int64).tolist()
-    init = [
-        ([{u: (0, budgets[i][u], u)} for i in range(t)],
-         [([u], [budgets[i][u]]) for i in range(t)])
-        for u in range(n)
-    ]
+    budget = np.floor(radii).astype(np.int64).ravel()  # budget[i * n + origin]
     adj = g.shadow_adj
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(a) for a in adj])
+    indices = np.fromiter((w for a in adj for w in a), np.int64, int(indptr[-1]))
 
-    def step(u: int, state, inbox, rnd: int) -> NodeStep:
-        accepted, stairs = state
-        # what this step accepted with budget left, and who delivered it
-        fresh: list[tuple[int, int, int]] = []
-        froms: list[int] = []
-        if rnd == 0:
-            for i, acc in enumerate(accepted):
-                if acc[u][1] >= 1:
-                    fresh.append((i, u, acc[u][1] - 1))
-                    froms.append(u)
-        else:
-            arrivals = [
-                (i, origin, rem, src)
-                for src, entries in inbox for i, origin, rem in entries
-            ]
-            arrivals.sort()
-            for i, origin, rem, src in arrivals:
-                acc = accepted[i]
-                if origin in acc or not _admit(stairs[i], origin, rem):
-                    continue
-                acc[origin] = (rnd, rem, src)
-                if rem >= 1:
-                    fresh.append((i, origin, rem - 1))
-                    froms.append(src)
-        # a neighbor gets every fresh entry it did not deliver itself
-        outbox = []
-        if fresh:
-            for w in adj[u]:
-                e = fresh if w not in froms else [
-                    entry for entry, src in zip(fresh, froms) if src != w
-                ]
-                if e:
-                    outbox.append((w, e, 3 * len(e)))
-        return NodeStep(state, outbox, done=rnd >= r_decide, wake=r_decide)
+    # accepted floods, keyed (node * t + iteration) * n + origin, one chunk
+    # of key, hop, rem and via per round
+    group = np.arange(n * t, dtype=np.int64)
+    node, it = np.divmod(group, t)
+    key = group * n + node
+    rem = budget[it * n + node]
+    chunks = [(key, np.zeros(n * t, dtype=np.int64), rem, node)]
+    stair_key, stair_rem = key, rem
+    # entries with budget left, to forward: sender, iteration, origin and
+    # the neighbor that delivered them, who is not sent them back
+    live = rem >= 1
+    fresh = node[live], it[live], node[live], node[live]
 
-    final, _ = run_protocol(
-        g, step, init, max_rounds=r_decide + 2,
-        transcript=transcript, phase="decomposition",
-    )
-    accepted = [acc for acc, _ in final]
-    centers = np.array(
-        [[min(acc) for acc in node] for node in accepted], dtype=np.int64
-    )
-    return accepted, centers
+    r = 0
+    while True:
+        per_slot, arrived = _send(indptr, indices, fresh, t, n)
+        if not len(arrived):
+            transcript.charge("decomposition", max(r, r_decide))
+            break
+        # one message per adjacency slot (u, w) with an entry for w
+        transcript.total_messages += int(np.count_nonzero(per_slot))
+        transcript.max_payload_scalars = max(
+            transcript.max_payload_scalars, 3 * int(per_slot.max()))
+        r += 1
+        if r > r_decide + 2:
+            raise ProtocolTimeout(
+                f"no global termination within max_rounds={r_decide + 2}")
+        # each node's inbox in reading order; the first copy of each
+        # (node, iteration, origin) is the one from the smallest sender
+        arrived.sort()
+        akey = arrived // n
+        first = np.ones(len(akey), dtype=bool)
+        first[1:] = akey[1:] != akey[:-1]
+        akey, src = akey[first], arrived[first] % n
+        agroup, aorigin = np.divmod(akey, n)
+        # every copy sent in round r - 1 has budget - r left on arrival
+        arem = budget[(agroup % t) * n + aorigin] - r
+        admitted, stair_key, stair_rem = _admit_batch(
+            stair_key, stair_rem, akey, arem, n)
+        akey, src, arem = akey[admitted], src[admitted], arem[admitted]
+        chunks.append((akey, np.full(len(akey), r), arem, src))
+        live = arem >= 1
+        agroup, aorigin = np.divmod(akey[live], n)
+        fresh = agroup // t, agroup % t, aorigin, src[live]
+
+    key, hop, rem, via = map(np.concatenate, zip(*chunks))
+    order = np.argsort(key)
+    key, hop, rem, via = key[order], hop[order], rem[order], via[order]
+    group, origin = np.divmod(key, n)
+    node, it = np.divmod(group, t)
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    centers = origin[first].reshape(n, t)
+    return Floods(node, it, origin, hop, rem, via), centers
 
 
 def sample_decomposition_distributed(

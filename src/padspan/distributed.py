@@ -100,13 +100,16 @@ class _A2State:
     """Mutable per-node state threaded through all solver phases."""
 
     __slots__ = (
-        "accepted", "centers", "known", "padded", "downstream", "solutions",
+        "flood_key", "flood_via", "centers", "known", "padded", "downstream",
+        "solutions",
     )
 
-    def __init__(self, accepted: list[dict[int, tuple[int, int, int]]],
+    def __init__(self, flood_key: np.ndarray, flood_via: np.ndarray,
                  centers: np.ndarray):
-        # per iteration: origin -> (hop distance, remaining budget, via neighbor)
-        self.accepted = accepted
+        # this node's accepted floods, keyed iteration * n + origin and
+        # sorted, with the neighbor that delivered each
+        self.flood_key = flood_key
+        self.flood_via = flood_via
         self.centers = centers
         # probe: node within D hops -> its per-iteration cluster vector
         self.known: dict[int, np.ndarray] = {}
@@ -148,8 +151,13 @@ def solve_distributed(
     t = config.iterations(n)
     params = PaddedParams(k=D, epsilon=config.lam, n=n)
     radii = np.stack([draw_radii(params, config.seed, i, n) for i in range(t)])
-    accepted, centers = carve(g, params, radii, transcript)
-    states = [_A2State(accepted[u], centers[u]) for u in range(n)]
+    floods, centers = carve(g, params, radii, transcript)
+    flood_key = floods.iteration * n + floods.origin
+    rows = np.searchsorted(floods.node, np.arange(n + 1))
+    states = [
+        _A2State(flood_key[a:b], floods.via[a:b], centers[u])
+        for u, (a, b) in enumerate(zip(rows[:-1], rows[1:]))
+    ]
     _phase_probe(g, states, D, t, transcript)
     demands_at: dict[int, list[int]] = {}
     for di, d in enumerate(instance.demands):
@@ -196,7 +204,8 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
     retrace the tree. Returns per (iteration, center) the member set and
     padded demand indices.
     """
-    r_gather = decide_round(params, g.n)
+    n = g.n
+    r_gather = decide_round(params, n)
     gathered: list[dict[int, dict]] = [dict() for _ in range(t)]
 
     def accept(center: int, i: int, report) -> None:
@@ -207,7 +216,7 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
             bucket["demands"].extend(dids)
 
     def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
-        per_nbr: dict[int, list] = {}
+        routed: list[tuple[int, int, tuple]] = []
         if rnd == 0:
             st.padded = (np.stack(list(st.known.values())) == st.centers).all(axis=0)
             for i, (c, padded) in enumerate(
@@ -217,8 +226,7 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
                 if c == u:
                     accept(c, i, report)
                 else:
-                    nxt = st.accepted[i][c][2]
-                    per_nbr.setdefault(nxt, []).append((i, c, report))
+                    routed.append((i, c, report))
         else:
             for src, entries in inbox:
                 for i, c, report in entries:
@@ -229,8 +237,14 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
                     if c == u:
                         accept(c, i, report)
                     else:
-                        nxt = st.accepted[i][c][2]
-                        per_nbr.setdefault(nxt, []).append((i, c, report))
+                        routed.append((i, c, report))
+        # each report goes on to the neighbor that delivered c's flood here
+        per_nbr: dict[int, list] = {}
+        if routed:
+            keys = [i * n + c for i, c, _ in routed]
+            vias = st.flood_via[np.searchsorted(st.flood_key, keys)].tolist()
+            for nxt, item in zip(vias, routed):
+                per_nbr.setdefault(nxt, []).append(item)
         outbox = [
             (w, entries, sum(5 + len(r[2]) for _, _, r in entries))
             for w, entries in per_nbr.items()

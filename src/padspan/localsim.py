@@ -4,6 +4,9 @@ Nodes hold opaque state, exchange unbounded messages with communication-graph
 neighbors at round boundaries, and declare their own termination. The engine
 steps nodes in ascending index order; any parallel scheduling must reproduce
 exactly those results, so index order is also the reference implementation.
+`decomposition.carve` runs its rounds as array operations over all nodes at
+once instead of on this engine; tests hold it to its index-order reference,
+the per-node flood on `run_protocol`.
 
 Message payload sizes are tracked as scalar counts (8 bytes per scalar when
 reported as bytes); they are diagnostics, not a bandwidth limit.

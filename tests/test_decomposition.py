@@ -13,7 +13,7 @@ from padspan.decomposition import (
     Clustering,
     DecompositionError,
     PaddedParams,
-    _admit,
+    _admit_batch,
     carve,
     cluster_diameters,
     clustering_csv,
@@ -28,9 +28,12 @@ from padspan.decomposition import (
     sample_radius,
     validate_clustering,
 )
+from padspan.distributed import SolverConfig
 from padspan.graphs import UNREACHABLE, Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.localsim import RoundTranscript, rng_stream
+
+from carve_reference import _admit, carve_reference
 
 
 class TestParams:
@@ -258,16 +261,28 @@ class TestDistributedSampler:
             assert max(cluster_diameters(g, c).values()) <= cap2
 
 
+def accepted_floods(floods, n, t):
+    """Per node and iteration, origin -> (hop, rem, via), from the flat
+    rows `carve` returns: the shape the reference flood returns."""
+    accepted = [[{} for _ in range(t)] for _ in range(n)]
+    for u, i, o, *entry in zip(
+            floods.node.tolist(), floods.iteration.tolist(),
+            floods.origin.tolist(), floods.hop.tolist(), floods.rem.tolist(),
+            floods.via.tolist()):
+        accepted[u][i][o] = tuple(entry)
+    return accepted
+
+
 def carve_digest(g, params, seed, t):
     """sha256 of canonical JSON of everything `carve` outputs: each node's
     accepted floods per iteration, the centers and the transcript."""
     radii = np.stack([draw_radii(params, seed, i, g.n) for i in range(t)])
     transcript = RoundTranscript()
-    accepted, centers = carve(g, params, radii, transcript)
+    floods, centers = carve(g, params, radii, transcript)
     doc = {
         "accepted": [
             [sorted([o, *entry] for o, entry in acc.items()) for acc in node]
-            for node in accepted
+            for node in accepted_floods(floods, g.n, t)
         ],
         "centers": centers.tolist(),
         "phase_rounds": transcript.phase_rounds,
@@ -276,6 +291,15 @@ def carve_digest(g, params, seed, t):
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def assert_carve_matches_reference(g, params, radii):
+    got_t, want_t = RoundTranscript(), RoundTranscript()
+    floods, centers = carve(g, params, radii, got_t)
+    accepted, want_centers = carve_reference(g, params, radii, want_t)
+    assert accepted_floods(floods, g.n, len(radii)) == accepted
+    assert np.array_equal(centers, want_centers)
+    assert got_t == want_t
 
 
 class TestCarve:
@@ -298,6 +322,79 @@ class TestCarve:
             assert all(a < b for a, b in zip(rems, rems[1:]))
             assert set(origins) <= set(admitted)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.lists(st.integers(0, 12), min_size=64, max_size=64),
+        batches=st.lists(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=30),
+            max_size=6),
+    )
+    def test_admit_batch_matches_definition(self, start, batches):
+        # an arrival is admitted iff its origin is new to its group and no
+        # admitted smaller origin of the group has >= budget left; a batch is
+        # read in (group, origin) order, and as in a flood an origin offered
+        # in batch j has j less budget than it started with
+        n = 16
+        stair_key = np.zeros(0, dtype=np.int64)
+        stair_rem = np.zeros(0, dtype=np.int64)
+        admitted: dict[tuple[int, int], int] = {}
+        for j, batch in enumerate(batches):
+            order = sorted({(grp, o) for grp, o in batch
+                            if start[grp * n + o] >= j})
+            rem = [start[grp * n + o] - j for grp, o in order]
+            expected = []
+            for (grp, origin), budget in zip(order, rem):
+                ok = (grp, origin) not in admitted and not any(
+                    g2 == grp and o < origin and r >= budget
+                    for (g2, o), r in admitted.items())
+                expected.append(ok)
+                if ok:
+                    admitted[grp, origin] = budget
+            key = np.array([grp * n + o for grp, o in order], dtype=np.int64)
+            got, stair_key, stair_rem = _admit_batch(
+                stair_key, stair_rem, key, np.array(rem, dtype=np.int64), n)
+            assert got.tolist() == expected
+            # the staircase: per group, origins ascending, budgets strictly
+            # increasing, exactly the admitted entries no smaller one dominates
+            undominated = sorted(
+                grp * n + o for (grp, o), r in admitted.items()
+                if not any(g2 == grp and o2 < o and r2 >= r
+                           for (g2, o2), r2 in admitted.items()))
+            assert stair_key.tolist() == undominated
+            assert stair_rem.tolist() == [
+                admitted[divmod(k, n)] for k in undominated]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=20),
+        directed=st.booleans(),
+        k=st.sampled_from([0, 1, 2, 3]),
+        epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+        t=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_reference_on_random_graphs(self, data, n, directed, k,
+                                                epsilon, t, seed):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                    max_size=2 * n)) if pairs else []
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)))
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+        g = Graph(n, edges, directed=directed)
+        params = PaddedParams(k=k, epsilon=epsilon, n=n)
+        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        assert_carve_matches_reference(g, params, radii)
+
+    def test_paper_t_gnp_matches_reference(self):
+        # the dsn-gnp shape: n=16 at the paper's t=200, with the solver's
+        # padding parameter for epsilon=0.5 and a length bound of 4
+        g = gen_gnp(16, 0.35, seed=5)
+        params = PaddedParams(k=4, epsilon=SolverConfig(0.5, seed=3).lam, n=16)
+        radii = np.stack([draw_radii(params, 3, i, 16) for i in range(200)])
+        assert_carve_matches_reference(g, params, radii)
+
     def test_grid_output_pinned(self):
         g = gen_grid(32, 32)
         params = PaddedParams(k=2, epsilon=0.5, n=1024)
@@ -311,6 +408,30 @@ class TestCarve:
         params = PaddedParams(k=2, epsilon=0.5, n=18)
         assert carve_digest(g, params, 2, 3) == (
             "dfebda3bdbdb54b3c586aae7aaf7fc496e6e2b808e2eff211de22374e45c49f0")
+
+    def test_radii_of_wrong_shape_rejected(self):
+        # a (1, 2n) radius row used to be read as its first n columns
+        g = gen_grid(4, 4)
+        params = PaddedParams(k=2, epsilon=0.5, n=16)
+        with pytest.raises(DecompositionError, match="shape"):
+            carve(g, params, np.ones((1, 32)), RoundTranscript())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_radii_rejected(self, bad):
+        # NaN radii used to make every node its own cluster
+        g = gen_grid(4, 4)
+        params = PaddedParams(k=2, epsilon=0.5, n=16)
+        radii = np.ones((1, 16))
+        radii[0, 5] = bad
+        with pytest.raises(DecompositionError, match="finite"):
+            carve(g, params, radii, RoundTranscript())
+
+    def test_params_for_other_n_rejected(self):
+        # PaddedParams(n=4) on 16 nodes caps radii at 13.09 and drew 16.4
+        g = gen_grid(4, 4)
+        params = PaddedParams(k=2, epsilon=0.5, n=4)
+        with pytest.raises(DecompositionError, match="n=4"):
+            sample_decomposition_distributed(g, params, 0)
 
 
 class TestPaddingStatistics:
