@@ -24,10 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, run_slots
 from .localsim import ProtocolTimeout, RoundTranscript, rng_stream
 # perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 6)
 from .localsim import run_protocol  # noqa: F401
+
+
+#: Distances one block of a dense-metric computation reads at once: row
+#: blocks keep the temporaries of `_assign`, `padded_mask` and
+#: `cluster_diameters_batch` at a few hundred kilobytes, where whole (n, n)
+#: arrays would be allocated and page-faulted afresh on every call.
+_PAIR_BLOCK = 1 << 15
 
 
 class DecompositionError(ValueError):
@@ -128,10 +135,13 @@ class Clustering:
 def _assign(g: Graph, radii: np.ndarray, pi_order: np.ndarray) -> np.ndarray:
     """Each node joins the permutation-earliest center whose radius reaches it."""
     dist = g.distance_matrix()
-    # eligible[v, u]: node u is within v's carving radius
-    eligible = dist <= radii[:, None]
-    ordered = eligible[pi_order]
-    first_rank = np.argmax(ordered, axis=0)
+    first_rank = np.empty(g.n, dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // g.n)
+    for a in range(0, g.n, step):
+        # reached[u, j]: the j-th node in permutation order reaches node u
+        # (hop distances are symmetric, so row u of the metric serves)
+        reached = (dist[a:a + step] <= radii)[:, pi_order]
+        first_rank[a:a + step] = np.argmax(reached, axis=1)
     return pi_order[first_rank].astype(np.int64)
 
 
@@ -245,8 +255,7 @@ def _send(
     """
     sender, iteration, origin, deliverer = fresh
     deg = indptr[sender + 1] - indptr[sender]
-    slot = np.arange(deg.sum()) + np.repeat(
-        indptr[sender] - np.cumsum(deg) + deg, deg)
+    slot = run_slots(indptr[sender], deg)
     dst = indices[slot]
     arrived = np.repeat((iteration * n + origin) * n + sender, deg)
     arrived += dst * (t * n * n)
@@ -291,13 +300,16 @@ def carve(
             f"radii have shape {radii.shape}, expected (t >= 1, {n})")
     if not (np.isfinite(radii) & (radii >= 0)).all():
         raise DecompositionError("radii must be finite and nonnegative")
+    over = radii > params.radius_cap
+    if over.any():
+        i, u = np.argwhere(over)[0]
+        raise DecompositionError(
+            f"iteration {i}, node {u}: radius {radii[i, u]} exceeds the "
+            f"radius cap {params.radius_cap}")
     t = len(radii)
     r_decide = decide_round(params, n)
     budget = np.floor(radii).astype(np.int64).ravel()  # budget[i * n + origin]
-    adj = g.shadow_adj
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(a) for a in adj])
-    indices = np.fromiter((w for a in adj for w in a), np.int64, int(indptr[-1]))
+    indptr, indices = g.shadow_csr()
 
     # accepted floods, keyed (node * t + iteration) * n + origin, one chunk
     # of key, hop, rem and via per round
@@ -393,17 +405,17 @@ def sample_assignments_batch(
     sampled clustering is checked against the 2x radius-cap diameter bound.
     """
     out = np.empty((count, g.n), dtype=np.int64)
-    cap2 = 2 * params.radius_cap
     for s in range(count):
-        clustering = sample_decomposition_centralized(
+        out[s] = sample_decomposition_centralized(
             g, params, seed, iteration=s, permutation=permutation
-        )
-        diam = max(cluster_diameters(g, clustering).values())
+        ).assignment
+    cap2 = 2 * params.radius_cap
+    for s, diams in enumerate(cluster_diameters_batch(g, out)):
+        diam = max(diams.values())
         if diam > cap2:
             raise DecompositionError(
                 f"sample {s}: cluster diameter {diam} exceeds {cap2}"
             )
-        out[s] = clustering.assignment
     return out
 
 
@@ -411,12 +423,17 @@ def padded_mask(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:
     """(s, n) booleans for an (s, n) assignment array: is B(u, k) contained
     in u's cluster, for every clustering and node u.
 
-    One clustering at a time, so memory stays at one (n, n) comparison.
+    One block of rows of one clustering at a time, so temporaries stay at
+    about `_PAIR_BLOCK` entries.
     """
-    outside = g.distance_matrix() > k
+    dist = g.distance_matrix()
     mask = np.empty(assignments.shape, dtype=bool)
-    for s, assign in enumerate(assignments):
-        mask[s] = np.all((assign[:, None] == assign[None, :]) | outside, axis=1)
+    step = max(1, _PAIR_BLOCK // g.n)
+    for a in range(0, g.n, step):
+        outside = dist[a:a + step] > k
+        for s, assign in enumerate(assignments):
+            mask[s, a:a + step] = np.all(
+                (assign[a:a + step, None] == assign) | outside, axis=1)
     return mask
 
 
@@ -463,13 +480,62 @@ def validate_clustering(
 
 
 def cluster_diameters(g: Graph, clustering: Clustering) -> dict[int, int]:
-    """Hop diameter of each cluster, measured in the communication graph."""
+    """Hop diameter of each cluster, measured in the communication graph,
+    keyed by cluster id in the order of each cluster's smallest member."""
+    return cluster_diameters_batch(g, clustering.assignment[None, :])[0]
+
+
+def cluster_diameters_batch(g: Graph, assignments: np.ndarray) -> list[dict[int, int]]:
+    """`cluster_diameters` of every row of an (s, n) assignment array.
+
+    Each (row, node) pair finds its eccentricity inside its own cluster, and
+    a cluster's diameter is the largest of its members'. On small graphs a
+    block of whole rows compares every pair of their nodes at once. On large
+    ones a stable sort of the pairs by (row, cluster id) makes each cluster
+    one run, smallest node first, and a block of consecutive pairs reads its
+    distances to the span of runs it covers and keeps per pair the largest
+    inside its own run. Either way a block reads at most `_PAIR_BLOCK`
+    distances, unless one run is longer.
+    """
     dist = g.distance_matrix()
-    out = {}
-    for c, members in clustering.clusters().items():
-        idx = np.array(members)
-        out[c] = int(dist[np.ix_(idx, idx)].max())
-    return out
+    s, n = assignments.shape
+    label = (np.arange(s)[:, None] * n + assignments).ravel()
+    order = np.argsort(label, kind="stable")
+    node = order % n
+    keys, start, size = np.unique(
+        label[order], return_index=True, return_counts=True)
+    if n * n <= _PAIR_BLOCK:
+        ecc = np.empty((s, n), dtype=np.int64)
+        step = _PAIR_BLOCK // (n * n)
+        for j in range(0, s, step):
+            a = assignments[j:j + step]
+            same = a[:, :, None] == a[:, None, :]
+            ecc[j:j + step] = np.where(same, dist, -1).max(axis=2)
+        ecc = ecc.ravel()[order]
+    else:
+        which = np.repeat(np.arange(len(keys)), size)  # each pair's run
+        run_start, run_end = start[which], (start + size)[which]
+        ecc = np.empty(s * n, dtype=np.int64)
+        a = 0
+        while a < s * n:
+            # pairs a..b-1 read the columns run_start[a]..run_end[b-1]
+            rows = min(_PAIR_BLOCK // n, s * n - a)
+            reads = np.arange(1, rows + 1) * (run_end[a:a + rows] - run_start[a])
+            b = a + max(1, int(np.searchsorted(reads, _PAIR_BLOCK, "right")))
+            lo = run_start[a]
+            block = dist.take(node[a:b], 0).take(node[lo:run_end[b - 1]], 1)
+            spans = np.maximum.reduceat(
+                block, start[which[a]:which[b - 1] + 1] - lo, axis=1)
+            ecc[a:b] = spans[np.arange(b - a), which[a:b] - which[a]]
+            a = b
+    diam = np.maximum.reduceat(ecc, start)
+    row, ids = np.divmod(keys, n)
+    # per row, clusters in the order of their smallest members
+    by = np.lexsort((node[start], row))
+    bounds = np.searchsorted(row[by], np.arange(s + 1))
+    ids, diam = ids[by].tolist(), diam[by].tolist()
+    return [dict(zip(ids[p:q], diam[p:q]))
+            for p, q in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def padded_nodes(g: Graph, clustering: Clustering, k: float) -> np.ndarray:

@@ -5,6 +5,11 @@ one message stream), has every cluster center solve its restricted program,
 broadcasts the solutions back, and caps a scaled per-edge average at one. The
 averaged vector costs at most (1 + epsilon) times the global optimum, and it
 is feasible whenever every demand source was padded often enough.
+
+Like `carve`, the probe, gather and broadcast simulate each LOCAL round as a
+few array operations over every (iteration, node) at once, and charge the
+transcript as the engine would charge the per-node protocols that
+`tests/solver_reference.py` keeps and the tests hold them to.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from .cp import CpInstance, evaluate_objective
 from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
-from .localsim import NodeStep, RoundTranscript, run_protocol
+from .graphs import run_slots
+from .localsim import ProtocolTimeout, RoundTranscript
+# perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 6)
+from .localsim import run_protocol  # noqa: F401
 from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
 
 
@@ -96,29 +104,27 @@ class DistributedRun:
     config: SolverConfig
 
 
-class _A2State:
-    """Mutable per-node state threaded through all solver phases."""
+@dataclass(frozen=True)
+class Gathered:
+    """What the gather brought to the centers, and the trees it used.
 
-    __slots__ = (
-        "flood_key", "flood_via", "centers", "known", "padded", "downstream",
-        "solutions",
-    )
+    Clusters are keyed i * n + c, for iteration i and center c, ascending.
+    Cluster k's members are members[member_ptr[k]:member_ptr[k + 1]] and its
+    padded members' demand indices demands[demand_ptr[k]:demand_ptr[k + 1]],
+    both ascending. Tree edge j says some report of cluster `cluster[j]` went
+    from `child[j]` to `parent[j]`; `depth[j]` is the child's hop distance
+    from the center along the tree, the round its center's flood reached it.
+    """
 
-    def __init__(self, flood_key: np.ndarray, flood_via: np.ndarray,
-                 centers: np.ndarray):
-        # this node's accepted floods, keyed iteration * n + origin and
-        # sorted, with the neighbor that delivered each
-        self.flood_key = flood_key
-        self.flood_via = flood_via
-        self.centers = centers
-        # probe: node within D hops -> its per-iteration cluster vector
-        self.known: dict[int, np.ndarray] = {}
-        # gather: per iteration, did B(u, D) stay inside u's cluster
-        self.padded: np.ndarray | None = None
-        # gather: (iteration, center) -> neighbors that route through us
-        self.downstream: dict[tuple[int, int], list[int]] = {}
-        # broadcast: iteration -> this node's cluster solution
-        self.solutions: dict[int, CpSolution] = {}
+    key: np.ndarray
+    member_ptr: np.ndarray
+    members: np.ndarray
+    demand_ptr: np.ndarray
+    demands: np.ndarray
+    cluster: np.ndarray
+    child: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
 
 
 def solve_distributed(
@@ -127,7 +133,7 @@ def solve_distributed(
     transcript: RoundTranscript | None = None,
     lp_cache: dict | None = None,
 ) -> DistributedRun:
-    """Run the full distributed solver on the LOCAL engine.
+    """Run the full distributed solver on the LOCAL model.
 
     Returns the capped averaged solution, the round transcript (phases:
     decomposition, gather incl. the padding probe, solve-broadcast), and one
@@ -152,203 +158,252 @@ def solve_distributed(
     params = PaddedParams(k=D, epsilon=config.lam, n=n)
     radii = np.stack([draw_radii(params, config.seed, i, n) for i in range(t)])
     floods, centers = carve(g, params, radii, transcript)
-    flood_key = floods.iteration * n + floods.origin
-    rows = np.searchsorted(floods.node, np.arange(n + 1))
-    states = [
-        _A2State(flood_key[a:b], floods.via[a:b], centers[u])
-        for u, (a, b) in enumerate(zip(rows[:-1], rows[1:]))
-    ]
-    _phase_probe(g, states, D, t, transcript)
-    demands_at: dict[int, list[int]] = {}
-    for di, d in enumerate(instance.demands):
-        demands_at.setdefault(d.u, []).append(di)
-    gathered = _phase_gather(g, params, states, t, demands_at, transcript)
-    solutions, keys = _solve_clusters(instance, gathered, t, lp_cache)
-    _phase_broadcast(g, params, states, t, solutions, transcript)
-    return _assemble(instance, config, states, solutions, keys, radii, transcript)
+    assign = np.ascontiguousarray(centers.T)  # (t, n): node u's center in iteration i
+    padded = _phase_probe(g, assign, D, transcript)
+    sources = np.array([d.u for d in instance.demands], dtype=np.int64)
+    gathered = _phase_gather(g, params, floods, assign, padded, sources,
+                             transcript)
+    solved = _solve_clusters(instance, gathered, t, lp_cache)
+    sols, sol_of = solved[:2]
+    sizes = np.array([_solution_size(sol) for sol in sols], dtype=np.int64)
+    delivered = _phase_broadcast(g, params, assign, gathered, sizes[sol_of],
+                                 transcript)
+    return _assemble(instance, config, assign, padded, delivered, solved,
+                     radii, transcript)
 
 
-def _phase_probe(g, states, D, t, transcript) -> None:
-    """Every node learns the cluster vector of everyone within D hops."""
+def _phase_probe(g, assign, D, transcript) -> np.ndarray:
+    """Every node learns the cluster vector of everyone within D hops, and
+    decides for all iterations at once whether its D-ball stayed inside its
+    cluster: every vector it learned names its own center.
 
-    def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
-        forward: list[tuple[int, np.ndarray, int]] = []
-        if rnd == 0:
-            st.known[u] = st.centers
-            if D >= 1:
-                forward.append((u, st.centers, D - 1))
-        else:
-            for _, entries in inbox:
-                for origin, vec, rem in entries:
-                    if origin not in st.known:
-                        st.known[origin] = vec
-                        if rem >= 1:
-                            forward.append((origin, vec, rem - 1))
-        outbox = []
-        if forward:
-            size = sum(2 + len(v) for _, v, _ in forward)
-            outbox = [(w, forward, size) for w in g.shadow_adj[u]]
-        return NodeStep(st, outbox, done=True)
+    Node u learns the origins at hop distance r in round r and, while r < D,
+    forwards them to every neighbor: one message of 2 + t scalars per
+    origin. A frontier of (node, origin) pairs at distance r, expanded over
+    the shadow CSR, stands for round r. Returns padded, (t, n).
+    """
+    t, n = assign.shape
+    indptr, indices = g.shadow_csr()
+    degree = np.diff(indptr)
+    front = np.arange(n, dtype=np.int64) * (n + 1)  # (u, u), keyed u * n + origin
+    seen = front
+    rounds = 0
+    for r in range(D):
+        node, origin = np.divmod(front, n)
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        talks = degree[node[first]] > 0
+        if not talks.any():
+            break
+        learned = np.diff(first, append=len(node))
+        transcript.total_messages += int(degree[node[first]].sum())
+        transcript.max_payload_scalars = max(
+            transcript.max_payload_scalars,
+            (2 + t) * int(learned[talks].max()))
+        rounds = r + 1
+        count = degree[origin]
+        reached = np.sort(np.repeat(node * n, count)
+                          + indices[run_slots(indptr[origin], count)])
+        # the first copy of each pair not seen before
+        at = np.searchsorted(seen, reached)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != reached
+        fresh[1:] &= reached[1:] != reached[:-1]
+        front = reached[fresh]
+        if not len(front):
+            break
+        seen = np.insert(seen, at[fresh], front)
+    transcript.charge("gather", rounds)
+    # `seen` holds every (u, origin) within D hops, u ascending, each u at
+    # least once, so its runs give each node's verdict in node order
+    node, origin = np.divmod(seen, n)
+    vectors = assign.T  # row v: node v's center in every iteration
+    unpadded = np.logical_or.reduceat(
+        vectors[node] != vectors[origin], np.flatnonzero(np.diff(node, prepend=-1)))
+    return np.ascontiguousarray(~unpadded.T)
 
-    run_protocol(g, step, states, max_rounds=D + 1,
-                 transcript=transcript, phase="gather")
 
-
-def _phase_gather(g, params, states, t, demands_at, transcript):
+def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     """Route per-iteration node reports to cluster centers along flood trees.
 
-    Each node first decides, for all iterations at once, whether its D-ball
-    stayed inside its cluster: every probed cluster vector equals its own.
-    A report names the node and, when padded, its resident demands.
-    Intermediate nodes remember who routed through them so the broadcast can
-    retrace the tree. Returns per (iteration, center) the member set and
-    padded demand indices.
+    Report (i, u) names node u and, when u is padded in iteration i, the
+    demands whose source it is: 5 scalars plus one per demand. In each round
+    every report not yet at its center c moves one hop, to the neighbor that
+    delivered c's flood to the node holding it, read with one searchsorted
+    from that node's rows of `floods`. A node sends each neighbor one
+    message holding every report it forwards there that round. The rounds
+    are the longest path, and ProtocolTimeout comes past decide_round + 2,
+    as on the engine. Returns the `Gathered` clusters and trees.
     """
-    n = g.n
-    r_gather = decide_round(params, n)
-    gathered: list[dict[int, dict]] = [dict() for _ in range(t)]
+    t, n = assign.shape
+    max_rounds = decide_round(params, n) + 2
+    it, node = np.divmod(np.arange(t * n), n)
+    center = assign.ravel()
+    key, cluster = np.unique(it * n + center, return_inverse=True)
+    by_cluster = np.argsort(cluster, kind="stable")
+    member_ptr = np.searchsorted(cluster[by_cluster], np.arange(len(key) + 1))
+    # demand indices by source: resident[res_ptr[u]:res_ptr[u + 1]]
+    resident = np.argsort(sources, kind="stable")
+    res_ptr = np.searchsorted(sources[resident], np.arange(n + 1))
+    held = np.diff(res_ptr)[node] * padded.ravel()
+    dem = resident[run_slots(res_ptr[node], held)]
+    dem_cluster = np.repeat(cluster, held)
+    by_demand = np.lexsort((dem, dem_cluster))
+    demand_ptr = np.searchsorted(dem_cluster[by_demand], np.arange(len(key) + 1))
 
-    def accept(center: int, i: int, report) -> None:
-        node, padded, dids = report
-        bucket = gathered[i].setdefault(center, {"members": set(), "demands": []})
-        bucket["members"].add(node)
-        if padded:
-            bucket["demands"].extend(dids)
+    flood_key = (floods.node * t + floods.iteration) * n + floods.origin
+    size = 5 + held
+    walk = np.flatnonzero(center != node)
+    at = node[walk]
+    none = np.zeros(0, dtype=np.int64)
+    hops = [(none, none, none)]
+    r = 0
+    while len(walk):
+        row = np.searchsorted(flood_key, (at * t + it[walk]) * n + center[walk])
+        nxt = floods.via[row]
+        link, per_link = np.unique(at * n + nxt, return_inverse=True)
+        transcript.total_messages += len(link)
+        transcript.max_payload_scalars = max(
+            transcript.max_payload_scalars,
+            int(np.bincount(per_link, size[walk]).max()))
+        hops.append((cluster[walk] * n + at, nxt, floods.hop[row]))
+        r += 1
+        if r > max_rounds:
+            raise ProtocolTimeout(
+                f"no global termination within max_rounds={max_rounds}")
+        home = nxt == center[walk]
+        walk, at = walk[~home], nxt[~home]
+    transcript.charge("gather", r)
 
-    def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
-        routed: list[tuple[int, int, tuple]] = []
-        if rnd == 0:
-            st.padded = (np.stack(list(st.known.values())) == st.centers).all(axis=0)
-            for i, (c, padded) in enumerate(
-                    zip(st.centers.tolist(), st.padded.tolist())):
-                report = (u, padded,
-                          tuple(demands_at.get(u, ())) if padded else ())
-                if c == u:
-                    accept(c, i, report)
-                else:
-                    routed.append((i, c, report))
-        else:
-            for src, entries in inbox:
-                for i, c, report in entries:
-                    key = (i, c)
-                    children = st.downstream.setdefault(key, [])
-                    if src not in children:
-                        children.append(src)
-                    if c == u:
-                        accept(c, i, report)
-                    else:
-                        routed.append((i, c, report))
-        # each report goes on to the neighbor that delivered c's flood here
-        per_nbr: dict[int, list] = {}
-        if routed:
-            keys = [i * n + c for i, c, _ in routed]
-            vias = st.flood_via[np.searchsorted(st.flood_key, keys)].tolist()
-            for nxt, item in zip(vias, routed):
-                per_nbr.setdefault(nxt, []).append(item)
-        outbox = [
-            (w, entries, sum(5 + len(r[2]) for _, _, r in entries))
-            for w, entries in per_nbr.items()
-        ]
-        return NodeStep(st, outbox, done=True)
-
-    run_protocol(g, step, states, max_rounds=r_gather + 2,
-                 transcript=transcript, phase="gather")
-    return gathered
+    edge, parent, depth = map(np.concatenate, zip(*hops))
+    edge, first = np.unique(edge, return_index=True)
+    tree_cluster, child = np.divmod(edge, n)
+    return Gathered(key, member_ptr, node[by_cluster], demand_ptr,
+                    dem[by_demand], tree_cluster, child, parent[first],
+                    depth[first])
 
 
 def _solve_clusters(instance, gathered, t, lp_cache=None):
-    """Centers solve their cluster programs; identical member sets share one solve."""
+    """Centers solve their cluster programs; clusters with the same members
+    and demands share one solve.
+
+    Returns the distinct solutions, each gathered cluster's index into them,
+    and per iteration the dicts center -> solution and center -> member set.
+    """
     cache: dict[tuple, CpSolution] = {} if lp_cache is None else lp_cache
+    n = instance.graph.n
     solutions: list[dict[int, CpSolution]] = [dict() for _ in range(t)]
     keys: list[dict[int, frozenset[int]]] = [dict() for _ in range(t)]
-    for i in range(t):
-        for center, bucket in gathered[i].items():
-            members = frozenset(bucket["members"])
-            dids = tuple(sorted(set(bucket["demands"])))
-            key = (members, dids)
-            sol = cache.get(key)
+    members, mptr = gathered.members.tolist(), gathered.member_ptr.tolist()
+    demands, dptr = gathered.demands.tolist(), gathered.demand_ptr.tolist()
+    distinct: list[tuple[CpSolution, frozenset[int]]] = []
+    index: dict[tuple, int] = {}
+    of = np.empty(len(gathered.key), dtype=np.int64)
+    for k, ic in enumerate(gathered.key.tolist()):
+        sig = (tuple(members[mptr[k]:mptr[k + 1]]),
+               tuple(demands[dptr[k]:dptr[k + 1]]))
+        j = index.get(sig)
+        if j is None:
+            cluster = frozenset(sig[0])
+            sol = cache.get((cluster, sig[1]))
             if sol is None:
-                sol = solve_cluster_cp(instance, members, demand_indices=list(dids))
-                cache[key] = sol
-            solutions[i][center] = sol
-            keys[i][center] = members
-    return solutions, keys
+                sol = solve_cluster_cp(instance, cluster,
+                                       demand_indices=list(sig[1]))
+                cache[cluster, sig[1]] = sol
+            j = index[sig] = len(distinct)
+            distinct.append((sol, cluster))
+        of[k] = j
+        i, c = divmod(ic, n)
+        solutions[i][c], keys[i][c] = distinct[j]
+    return [sol for sol, _ in distinct], of, solutions, keys
 
 
-def _phase_broadcast(g, params, states, t, solutions, transcript) -> None:
-    """Send each cluster solution back down the recorded gather tree."""
-    r_bcast = decide_round(params, g.n)
-    size_cache: dict[int, int] = {}
-
-    def sol_size(sol: CpSolution) -> int:
-        key = id(sol)
-        if key not in size_cache:
-            size_cache[key] = (
-                int(np.count_nonzero(sol.x))
-                + sum(len(f) for f in sol.flows.values()) + 2
-            )
-        return size_cache[key]
-
-    def step(u: int, st: _A2State, inbox, rnd: int) -> NodeStep:
-        per_nbr: dict[int, list] = {}
-        if rnd == 0:
-            # a center may itself belong to a smaller-id cluster, so it
-            # broadcasts whatever it solved regardless of its own membership
-            for i in range(t):
-                if u in solutions[i]:
-                    sol = solutions[i][u]
-                    if int(st.centers[i]) == u:
-                        st.solutions[i] = sol
-                    for child in st.downstream.get((i, u), ()):
-                        per_nbr.setdefault(child, []).append((i, u, sol))
-        else:
-            for _, entries in inbox:
-                for i, c, sol in entries:
-                    if int(st.centers[i]) == c:
-                        st.solutions[i] = sol
-                    for child in st.downstream.get((i, c), ()):
-                        per_nbr.setdefault(child, []).append((i, c, sol))
-        outbox = [
-            (w, entries, sum(3 + sol_size(s) for _, _, s in entries))
-            for w, entries in per_nbr.items()
-        ]
-        return NodeStep(st, outbox, done=True)
-
-    run_protocol(g, step, states, max_rounds=r_bcast + 2,
-                 transcript=transcript, phase="solve-broadcast")
+def _solution_size(sol: CpSolution) -> int:
+    """Scalars a solution takes in a message: its nonzero x, its flows and
+    two more."""
+    return int(np.count_nonzero(sol.x)) + sum(len(f) for f in sol.flows.values()) + 2
 
 
-def _assemble(instance, config, states, solutions, keys, radii,
+def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.ndarray:
+    """Send each cluster solution back down the tree its gather used.
+
+    A center holds its solution from round 0 and a tree node at depth h gets
+    it in round h, from its parent, and passes it on to its own children.
+    A node sends each child one message holding every solution it passes
+    there that round, 3 scalars plus the solution's size each. The rounds
+    are the deepest tree node, and ProtocolTimeout comes past decide_round +
+    2, as on the engine. `payload[k]` is the size of cluster k's solution.
+
+    Returns delivered, (t, n): the cluster whose solution reached node u for
+    its own cluster in iteration i, or -1.
+    """
+    t, n = assign.shape
+    max_rounds = decide_round(params, n) + 2
+    k, child, parent, depth = (gathered.cluster, gathered.child,
+                               gathered.parent, gathered.depth)
+    it, center = np.divmod(gathered.key, n)
+    # each edge's parent edge, the one into `parent`, unless it is the center
+    node_key, want = k * n + child, k * n + parent
+    up = np.searchsorted(node_key, want)
+    has_up = up < len(k)
+    has_up[has_up] = node_key[up[has_up]] == want[has_up]
+    up[~has_up] = 0
+    got = parent == center[k]
+    for h in np.unique(depth[~got]).tolist():
+        at = np.flatnonzero((depth == h) & ~got)
+        got[at] = has_up[at] & got[up[at]]
+    sent = np.flatnonzero(got)
+    rnd = depth[sent] - 1  # a parent at depth h sends in round h
+    size = 3 + payload
+    on_time = rnd <= max_rounds
+    link, per_link = np.unique(
+        ((rnd * n + parent[sent]) * n + child[sent])[on_time], return_inverse=True)
+    transcript.total_messages += len(link)
+    if len(link):
+        transcript.max_payload_scalars = max(
+            transcript.max_payload_scalars,
+            int(np.bincount(per_link, size[k[sent][on_time]]).max()))
+    if (rnd >= max_rounds).any():
+        raise ProtocolTimeout(
+            f"no global termination within max_rounds={max_rounds}")
+    transcript.charge("solve-broadcast", int(depth[sent].max(initial=0)))
+
+    delivered = np.full((t, n), -1, dtype=np.int64)
+    own = np.flatnonzero(assign[it, center] == center)
+    delivered[it[own], center[own]] = own
+    mine = sent[assign[it[k[sent]], child[sent]] == center[k[sent]]]
+    delivered[it[k[mine]], child[mine]] = k[mine]
+    return delivered
+
+
+def _assemble(instance, config, assign, padded, delivered, solved, radii,
               transcript) -> DistributedRun:
     """Cap-averaged edge vector, endpoint consistency check, and records."""
     g = instance.graph
     t = len(radii)
     eps = config.epsilon
+    sols, sol_of, solutions, keys = solved
     us = np.array([u for u, _ in g.edges], dtype=np.int64)
     vs = np.array([v for _, v in g.edges], dtype=np.int64)
-    centers = np.stack([st.centers for st in states], axis=1)  # (t, n)
-    padded = np.stack([st.padded for st in states], axis=1)  # (t, n)
-    same = centers[:, us] == centers[:, vs]  # (t, m)
+    same = assign[:, us] == assign[:, vs]  # (t, m)
 
-    received = np.array([[i in st.solutions for st in states] for i in range(t)])
-    missing = same & ~(received[:, us] & received[:, vs])
+    missing = same & ((delivered[:, us] < 0) | (delivered[:, vs] < 0))
     if missing.any():
         e = int(np.nonzero(missing.any(axis=0))[0][0])
         raise RuntimeError(f"missing broadcast solution at edge {e}")
-    # each endpoint sums, in iteration order, the x_e of its own received
-    # solutions over the iterations it shares a cluster with the other end
-    zero = np.zeros(g.m)
-    total_u = np.zeros(g.m)
-    total_v = np.zeros(g.m)
+    # the x vectors of the distinct solutions, then a zero row that a
+    # delivery of -1 picks
+    xs = np.stack([sol.x for sol in sols] + [np.zeros(g.m)])
+    held = np.append(sol_of, len(sols))[delivered]  # (t, n): row of xs
     edge_ids = np.arange(g.m)
-    for i in range(t):
-        x_i = np.stack([
-            st.solutions[i].x if i in st.solutions else zero for st in states
-        ])  # (n, m): each node's received solution
-        total_u += np.where(same[i], x_i[us, edge_ids], 0.0)
-        total_v += np.where(same[i], x_i[vs, edge_ids], 0.0)
-    val_u = np.minimum(1.0, (1 + eps) / t * total_u)
-    val_v = np.minimum(1.0, (1 + eps) / t * total_v)
+
+    def average(ends):
+        # each endpoint sums, in iteration order, the x_e of its own
+        # delivered solutions over the iterations it shares a cluster with
+        # the other end; the sums start from +0.0, as a running total does
+        x = np.where(same, xs[held[:, ends], edge_ids], 0.0)
+        total = np.add.accumulate(x, axis=0)[-1] + 0.0
+        return np.minimum(1.0, (1 + eps) / t * total)
+
+    val_u, val_v = average(us), average(vs)
     off = np.abs(val_u - val_v) > 1e-12
     if off.any():
         e = int(np.nonzero(off)[0][0])
@@ -362,7 +417,7 @@ def _assemble(instance, config, states, solutions, keys, radii,
     records = [
         IterationRecord(
             index=i,
-            clustering=Clustering(assignment=centers[i], radii=radii[i]),
+            clustering=Clustering(assignment=assign[i], radii=radii[i]),
             solutions=solutions[i], cluster_keys=keys[i],
             padded=padded[i], edge_same=same[i],
         )

@@ -75,6 +75,7 @@ class Graph:
             tuple(sorted(a)) for a in shadow
         )
         self._dist: np.ndarray | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- communication-shadow metric ------------------------------------
 
@@ -132,8 +133,28 @@ class Graph:
             self._dist = d
         return self._dist
 
+    def shadow_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shadow adjacency as read-only CSR arrays (indptr, indices):
+        node u's neighbors, ascending, are indices[indptr[u]:indptr[u + 1]].
+        Computed once and cached."""
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(a) for a in self.shadow_adj])
+            indices = np.fromiter(
+                (w for a in self.shadow_adj for w in a), np.int64, int(indptr[-1]))
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr = indptr, indices
+        return self._csr
+
     def degree(self, u: int) -> int:
         return len(self.shadow_adj[self.check_node(u)])
+
+
+def run_slots(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Positions start[j], ..., start[j] + count[j] - 1 for every j, one run
+    after another: the CSR slots of rows `r` are run_slots(indptr[r],
+    indptr[r + 1] - indptr[r])."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def ball(g: Graph, u: int, radius: float) -> frozenset[int]:

@@ -24,7 +24,7 @@ from .cp import (
     max_degree,
     objective_from_label,
 )
-from .decomposition import cluster_diameters
+from .decomposition import cluster_diameters_batch
 from .distributed import (
     DistributedRun,
     SolverConfig,
@@ -285,12 +285,13 @@ def run_manifest(run: DistributedRun, instance: CpInstance, cp_star: float) -> d
     """Per-run manifest: config echo, per-iteration shape, and headline numbers."""
     g = instance.graph
     per_iter = []
-    for rec in run.records:
-        diams = cluster_diameters(g, rec.clustering)
-        per_iter.append({
-            "clusters": len(rec.clustering.centers),
-            "max_diameter": max(diams.values()) if diams else 0,
-        })
+    if run.records:
+        assignments = np.stack([rec.clustering.assignment for rec in run.records])
+        for diams in cluster_diameters_batch(g, assignments):
+            per_iter.append({
+                "clusters": len(diams),
+                "max_diameter": max(diams.values()),
+            })
     rep = concentration_report(run, instance)
     ratio = run.solution.value / cp_star if cp_star > 0 else 1.0
     return {

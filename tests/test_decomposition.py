@@ -16,6 +16,7 @@ from padspan.decomposition import (
     _admit_batch,
     carve,
     cluster_diameters,
+    cluster_diameters_batch,
     clustering_csv,
     decide_round,
     draw_radii,
@@ -133,6 +134,18 @@ class TestCentralizedSampler:
             cid = c.cluster_of(u)
             assert d[cid, u] <= c.radii[cid]
 
+    def test_assign_matches_dense_formula(self):
+        # reference: one (n, n) eligibility matrix, rows in permutation
+        # order, first eligible row per column; n * n is above the block size
+        for g in (gen_grid(16, 16), gen_gnp(200, 0.02, seed=5, directed=False)):
+            rng = rng_stream(8, "assign-test", g.n)
+            for _ in range(3):
+                radii = rng.random(g.n) * 6
+                pi = rng.permutation(g.n)
+                eligible = g.distance_matrix() <= radii[:, None]
+                expect = pi[np.argmax(eligible[pi], axis=0)]
+                assert np.array_equal(decomposition._assign(g, radii, pi), expect)
+
     def test_permutation_changes_assignment_distribution(self):
         g = gen_cycle(16, directed=False)
         params = PaddedParams(k=1, epsilon=0.5, n=16)
@@ -196,6 +209,7 @@ class TestDistributedSampler:
             gen_grid(4, 4),
             gen_gnp(18, 0.25, seed=2, directed=True),
             Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)], directed=False),
+            gen_grid(16, 16),  # n * n above the block size: two row blocks
         ]
         for g in cases:
             params = PaddedParams(k=1, epsilon=0.5, n=g.n)
@@ -426,6 +440,27 @@ class TestCarve:
         with pytest.raises(DecompositionError, match="finite"):
             carve(g, params, radii, RoundTranscript())
 
+    def test_radius_above_cap_rejected(self):
+        # path of 30 nodes, k=1, eps=1: the cap is 2 ln 30 + 1 = 7.8 and
+        # decide_round is 8; a radius of 11 used to run the flood into
+        # ProtocolTimeout instead of naming the radius
+        g = Graph(30, [(u, u + 1) for u in range(29)], directed=False)
+        params = PaddedParams(k=1, epsilon=1.0, n=30)
+        radii = np.zeros((2, 30))
+        radii[1, 4] = 11.0
+        with pytest.raises(DecompositionError,
+                           match="iteration 1, node 4: radius 11.0 exceeds"):
+            carve(g, params, radii, RoundTranscript())
+
+    def test_radius_past_int64_rejected(self):
+        # a radius of 2**63 or more used to overflow the int64 budget cast
+        g = Graph(30, [(u, u + 1) for u in range(29)], directed=False)
+        params = PaddedParams(k=1, epsilon=1.0, n=30)
+        radii = np.zeros((1, 30))
+        radii[0, 7] = 2.0**63
+        with pytest.raises(DecompositionError, match="iteration 0, node 7"):
+            carve(g, params, radii, RoundTranscript())
+
     def test_params_for_other_n_rejected(self):
         # PaddedParams(n=4) on 16 nodes caps radii at 13.09 and drew 16.4
         g = gen_grid(4, 4)
@@ -462,6 +497,7 @@ class TestPaddingStatistics:
             gen_grid(4, 4),
             gen_gnp(12, 0.3, seed=1, directed=True),
             Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)], directed=False),
+            gen_grid(16, 16),  # n * n above the block size: two row blocks
         ]
         for g in graphs:
             outside_of = {k: g.distance_matrix() > k for k in (0, 1, 2)}
@@ -519,6 +555,57 @@ class TestPaddingStatistics:
         params = PaddedParams(k=1, epsilon=0.5, n=64)
         out = sample_assignments_batch(g, params, seed=9, count=500)
         assert out.shape == (500, 64)
+
+
+def diameters_brute_force(g, assignment):
+    """Per cluster, in the order of first appearance, the largest distance
+    over every pair of its members."""
+    dist = g.distance_matrix()
+    out = {}
+    for u, c in enumerate(assignment.tolist()):
+        out[c] = max([out.get(c, 0)] + [
+            int(dist[u, v]) for v in range(g.n) if assignment[v] == c])
+    return out
+
+
+class TestClusterDiameters:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=40),
+        p=st.sampled_from([0.05, 0.15, 0.4]),
+        labels=st.integers(min_value=1, max_value=8),
+        s=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_brute_force(self, data, n, p, labels, s, seed):
+        # labels need not be nodes of their cluster, and clusters may span
+        # components (UNREACHABLE pairs)
+        g = gen_gnp(n, p, seed=seed, directed=False)
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, min(labels, n) - 1), min_size=n, max_size=n),
+            min_size=s, max_size=s))
+        assignments = np.array(rows, dtype=np.int64)
+        got = cluster_diameters_batch(g, assignments)
+        for row, diams in zip(assignments, got):
+            want = diameters_brute_force(g, row)
+            assert list(diams.items()) == list(want.items())
+            assert list(cluster_diameters(
+                g, Clustering(row, np.zeros(n))).items()) == list(want.items())
+
+    @pytest.mark.parametrize("labels", [1, 3, 40, 1024])
+    def test_large_graph_blocks_match_brute_force(self, labels):
+        # n * n above the block size takes the sorted-run path; one cluster
+        # of 1024 nodes spans many blocks
+        g = gen_grid(32, 32)
+        assign = rng_stream(4, "diam-test", labels).integers(0, labels, 1024)
+        dist = g.distance_matrix()
+        want = {}
+        for c in dict.fromkeys(assign.tolist()):
+            idx = np.flatnonzero(assign == c)
+            want[c] = int(dist[np.ix_(idx, idx)].max())
+        got = cluster_diameters(g, Clustering(assign, np.zeros(1024)))
+        assert list(got.items()) == list(want.items())
 
 
 class TestSerialization:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padspan import distributed
 from padspan.cp import build_spanner_instance, evaluate_objective
 from padspan.decomposition import (
-    PaddedParams, padded_mask, sample_decomposition_centralized,
+    PaddedParams, carve, draw_radii, padded_mask,
+    sample_decomposition_centralized,
 )
 from padspan.distributed import (
     ConfigError,
@@ -21,7 +25,10 @@ from padspan.distributed import (
 )
 from padspan.graphs import Graph, restrict
 from padspan.harness import gen_gnp, gen_grid
-from padspan.lp import check_feasibility, solve_global_oracle
+from padspan.localsim import ProtocolTimeout, RoundTranscript
+from padspan.lp import CpSolution, check_feasibility, solve_global_oracle
+
+import solver_reference
 
 
 class TestConfig:
@@ -302,3 +309,177 @@ class TestRecords:
     def test_records_pinned(self, case):
         name, _, _, run = case
         assert records_digest(run) == RECORD_PINS[name]
+
+
+def run_both(array_call, reference_call):
+    """Run an array phase and its reference. Both must return, or both time
+    out with the same message; returns the two results, or None."""
+    out = []
+    for call in (array_call, reference_call):
+        try:
+            out.append(call())
+        except ProtocolTimeout as exc:
+            out.append(exc)
+    got, want = out
+    if isinstance(got, ProtocolTimeout) or isinstance(want, ProtocolTimeout):
+        assert type(got) is type(want) and str(got) == str(want)
+        return None
+    return got, want
+
+
+def stand_in_solutions(gathered, n, t):
+    """One solution per gathered cluster, of sizes that vary with the
+    cluster, keyed the way `_solve_clusters` keys them."""
+    sols, per_iteration = [], [dict() for _ in range(t)]
+    for k, key in enumerate(gathered.key.tolist()):
+        x = np.zeros(4)
+        x[:k % 4] = 1.0
+        flows = {d: np.ones(k % 3 + 1) for d in range(k % 2 + 1)}
+        sols.append(CpSolution(x, flows, 0.0, 0.0, ()))
+        i, c = divmod(key, n)
+        per_iteration[i][c] = sols[-1]
+    return sols, per_iteration
+
+
+def assert_phases_match_reference(g, params, radii, sources, phase_params=None):
+    """Probe, gather and broadcast against the per-node reference on the
+    engine, each phase from a fresh transcript: rounds, messages, payload,
+    padding, gathered members and demands, deliveries and timeouts.
+    `phase_params` (default `params`) sets gather's and broadcast's
+    decide_round, so a smaller one forces their timeouts. Returns the phase
+    that timed out, or None."""
+    phase_params = phase_params or params
+    t, n = radii.shape
+    D = params.k
+    floods, centers = carve(g, params, radii, RoundTranscript())
+    assign = np.ascontiguousarray(centers.T)
+    states = solver_reference.node_states(floods, centers)
+    demands_at = {}
+    for di, u in enumerate(sources.tolist()):
+        demands_at.setdefault(u, []).append(di)
+
+    got_t, want_t = RoundTranscript(), RoundTranscript()
+    padded = distributed._phase_probe(g, assign, D, got_t)
+    solver_reference._phase_probe(g, states, D, t, want_t)
+    assert got_t == want_t
+
+    got_t, want_t = RoundTranscript(), RoundTranscript()
+    both = run_both(
+        lambda: distributed._phase_gather(
+            g, phase_params, floods, assign, padded, sources, got_t),
+        lambda: solver_reference._phase_gather(
+            g, phase_params, states, t, demands_at, want_t))
+    assert got_t == want_t
+    assert np.array_equal(padded, np.stack([st.padded for st in states], axis=1))
+    if both is None:
+        return "gather"
+    gathered, want = both
+    got = [dict() for _ in range(t)]
+    for k, key in enumerate(gathered.key.tolist()):
+        i, c = divmod(key, n)
+        members = gathered.members[gathered.member_ptr[k]:gathered.member_ptr[k + 1]]
+        dids = gathered.demands[gathered.demand_ptr[k]:gathered.demand_ptr[k + 1]]
+        got[i][c] = (members.tolist(), dids.tolist())
+    assert got == [
+        {c: (sorted(b["members"]), sorted(b["demands"])) for c, b in it.items()}
+        for it in want]
+
+    sols, per_iteration = stand_in_solutions(gathered, n, t)
+    payload = np.array([distributed._solution_size(sol) for sol in sols])
+    got_t, want_t = RoundTranscript(), RoundTranscript()
+    both = run_both(
+        lambda: distributed._phase_broadcast(
+            g, phase_params, assign, gathered, payload, got_t),
+        lambda: solver_reference._phase_broadcast(
+            g, phase_params, states, t, per_iteration, want_t))
+    assert got_t == want_t
+    if both is None:
+        return "solve-broadcast"
+    delivered = both[0]
+    for u, st_u in enumerate(states):
+        for i in range(t):
+            k = int(delivered[i, u])
+            assert (sols[k] if k >= 0 else None) is st_u.solutions.get(i)
+    return None
+
+
+class TestArrayPhases:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        grid=st.booleans(),
+        directed=st.booleans(),
+        k=st.sampled_from([0, 1, 2, 3]),
+        epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+        t=st.integers(min_value=1, max_value=5),
+        phase_k=st.sampled_from([None, 0, 1]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_match_reference(self, data, grid, directed, k, epsilon, t,
+                             phase_k, seed):
+        if grid:
+            g = gen_grid(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        else:
+            g = gen_gnp(data.draw(st.integers(1, 16)),
+                        data.draw(st.sampled_from([0.1, 0.25, 0.5])),
+                        seed=seed, directed=directed)
+        n = g.n
+        params = PaddedParams(k=k, epsilon=epsilon, n=n)
+        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        sources = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+        phase_params = None if phase_k is None else PaddedParams(
+            k=phase_k, epsilon=1.0, n=n)
+        assert_phases_match_reference(g, params, radii, sources, phase_params)
+
+    def test_dsn_shape_matches_reference(self):
+        # the dsn-gnp shape: n=16 at the paper's t=200, the solver's padding
+        # parameter for epsilon=0.5, a length bound of 4 and n/2 demands
+        g = gen_gnp(16, 0.35, seed=5)
+        params = PaddedParams(k=4, epsilon=SolverConfig(0.5, seed=3).lam, n=16)
+        radii = np.stack([draw_radii(params, 3, i, 16) for i in range(200)])
+        sources = np.array([0, 2, 3, 5, 8, 8, 11, 14], dtype=np.int64)
+        assert_phases_match_reference(g, params, radii, sources)
+
+    def test_gather_timeout_matches_reference(self):
+        # a path flooded from node 0 with a cap of 0 at gather: the report
+        # of node 5 needs 5 rounds, past max_rounds = 2
+        g = Graph(6, [(u, u + 1) for u in range(5)], directed=False)
+        params = PaddedParams(k=3, epsilon=1.0, n=6)
+        radii = np.zeros((1, 6))
+        radii[0, 0] = 5.0
+        assert assert_phases_match_reference(
+            g, params, radii, np.array([5]),
+            PaddedParams(k=0, epsilon=1.0, n=6)) == "gather"
+
+    def test_assemble_reads_the_delivery(self, monkeypatch):
+        # drop one tree edge into a node that shares a cluster with a
+        # neighbor: that node never gets its solution, and _assemble must
+        # notice instead of reading the solution off the centers
+        g, inst, cfg, _ = small_run(seed=6, t=6)
+        broadcast = distributed._phase_broadcast
+
+        def drop_one_edge(g, params, assign, gathered, payload, transcript):
+            n = g.n
+            us = np.array([u for u, _ in g.edges])
+            vs = np.array([v for _, v in g.edges])
+            for j, (k, w) in enumerate(zip(gathered.cluster.tolist(),
+                                           gathered.child.tolist())):
+                i, c = divmod(int(gathered.key[k]), n)
+                if assign[i, w] == c and (
+                        (assign[i, vs[us == w]] == c).any()
+                        or (assign[i, us[vs == w]] == c).any()):
+                    break
+            else:
+                pytest.fail("no tree edge into a node with a cluster neighbor")
+            keep = np.arange(len(gathered.child)) != j
+            pruned = distributed.Gathered(
+                gathered.key, gathered.member_ptr, gathered.members,
+                gathered.demand_ptr, gathered.demands, gathered.cluster[keep],
+                gathered.child[keep], gathered.parent[keep],
+                gathered.depth[keep])
+            return broadcast(g, params, assign, pruned, payload, transcript)
+
+        monkeypatch.setattr(distributed, "_phase_broadcast", drop_one_edge)
+        with pytest.raises(RuntimeError, match="missing broadcast solution"):
+            solve_distributed(inst, cfg)
