@@ -51,6 +51,7 @@ from .localsim import (
     RoundTranscript,
     broadcast_in_cluster,
     rng_stream,
+    rng_uniforms,
     run_protocol,
 )
 from .lp import (
@@ -83,7 +84,7 @@ __all__ = [
     "classify_edges", "combiner_value", "concentration_report", "dump_lp",
     "enumerate_paths", "evaluate_objective", "generate_instance",
     "implied_flow", "linear_sum", "max_degree", "p_norm", "read_graph",
-    "read_instance", "restrict", "rng_stream", "round_bound",
+    "read_instance", "restrict", "rng_stream", "rng_uniforms", "round_bound",
     "round_low_degree", "round_spanner", "round_spanner_distributed",
     "run_experiment", "run_protocol", "sample_decomposition_centralized",
     "sample_decomposition_distributed", "sample_radius", "solve_cluster_cp",

@@ -2,9 +2,11 @@
 bounded diameter and which keep each radius-k ball intact with probability at
 least 1 - epsilon.
 
-Every sampler takes its radii from `draw_radii`, one stream per iteration.
-The vectorized centralized sampler is the reference, and the batch sampler
-runs it once per iteration. `carve` is the one message-passing flood: it
+Every sampler takes its radii from `draw_radii`: one counter-based stream
+per iteration, keyed by (seed, iteration), which the solver and the batch
+sampler draw for all their iterations in one array pass. The vectorized
+centralized sampler is the reference, and the batch sampler runs its
+assignment once per iteration. `carve` is the one message-passing flood: it
 runs t carvings bundled into one message stream, and in each one every node
 joins the smallest id whose flood reached it. It simulates each LOCAL round
 as a few array operations over every node and iteration at once, and charges
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, run_slots
-from .localsim import ProtocolTimeout, RoundTranscript, rng_stream
+from .localsim import ProtocolTimeout, RoundTranscript, rng_stream, rng_uniforms
 # perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 6)
 from .localsim import run_protocol  # noqa: F401
 
@@ -90,19 +92,26 @@ def sample_radius(
     return (-params.r * np.log1p(-u * (n - 1) / n))[()]
 
 
-def draw_radii(params: PaddedParams, seed: int, iteration: int, n: int) -> np.ndarray:
-    """The n carving radii of one iteration, from the iteration's one stream
-    keyed by (seed, iteration): node v's radius comes from the stream's v-th
-    uniform, so every sampler draws the same radii.
+def draw_radii(params: PaddedParams, seed: int, iteration, n: int) -> np.ndarray:
+    """The n carving radii of one iteration, or the (len(iteration), n)
+    radii of a 1-D array of iterations. Node v's radius in iteration i comes
+    from the v-th uniform of the stream keyed by (seed, i), so every sampler
+    draws the same radii.
 
-    The draw stays node-local: Philox is counter-based, so node v computes its
-    own uniform alone, from a fresh stream with the same key advanced to block
-    v // 4. A single node has nothing to carve: its radius is 0.
+    One iteration reads its stream through `rng_stream`; an array of them
+    draws every stream in one `rng_uniforms` pass, equal row by row and much
+    faster from a few iterations on (numpy is faster for one). The draw stays
+    node-local: Philox is counter-based, so node v computes its own uniform
+    alone, from a fresh stream with the same key advanced to block v // 4. A
+    single node has nothing to carve: its radius is 0.
     """
     if n == 1:
-        return np.zeros(1)
-    return sample_radius(
-        params, rng_stream(seed, "decomp-radius", iteration).random(n), n)
+        return np.zeros(np.shape(iteration) + (1,))
+    if np.ndim(iteration) == 0:
+        u = rng_stream(seed, "decomp-radius", iteration).random(n)
+    else:
+        u = rng_uniforms(seed, "decomp-radius", iteration, n)
+    return sample_radius(params, u, n)
 
 
 @dataclass
@@ -158,15 +167,19 @@ def sample_decomposition_centralized(
     (ascending node index, matching the distributed protocol). Radii come
     from `draw_radii`, identical to the draws the distributed protocol makes.
     """
-    n = g.n
-    radii = draw_radii(params, seed, iteration, n)
-    if permutation == "random":
-        pi_order = rng_stream(seed, "decomp-perm", iteration).permutation(n)
-    elif permutation == "ids":
-        pi_order = np.arange(n)
-    else:
-        raise DecompositionError(f"unknown permutation source {permutation!r}")
+    radii = draw_radii(params, seed, iteration, g.n)
+    pi_order = _carving_order(seed, iteration, g.n, permutation)
     return Clustering(assignment=_assign(g, radii, pi_order), radii=radii)
+
+
+def _carving_order(seed: int, iteration: int, n: int,
+                   permutation: str) -> np.ndarray:
+    """The centralized sampler's center order: seeded or node-ID order."""
+    if permutation == "random":
+        return rng_stream(seed, "decomp-perm", iteration).permutation(n)
+    if permutation == "ids":
+        return np.arange(n)
+    raise DecompositionError(f"unknown permutation source {permutation!r}")
 
 
 # -- the carving flood ------------------------------------------------------
@@ -401,14 +414,14 @@ def sample_assignments_batch(
     """Sample `count` clusterings; returns a (count, n) assignment array.
 
     Row s is `sample_decomposition_centralized` at iteration s, so with
-    permutation="ids" it is also the distributed sampler's clustering. Every
-    sampled clustering is checked against the 2x radius-cap diameter bound.
+    permutation="ids" it is also the distributed sampler's clustering. The
+    radii of every row come from one `draw_radii` call. Every sampled
+    clustering is checked against the 2x radius-cap diameter bound.
     """
+    radii = draw_radii(params, seed, np.arange(count), g.n)
     out = np.empty((count, g.n), dtype=np.int64)
     for s in range(count):
-        out[s] = sample_decomposition_centralized(
-            g, params, seed, iteration=s, permutation=permutation
-        ).assignment
+        out[s] = _assign(g, radii[s], _carving_order(seed, s, g.n, permutation))
     cap2 = 2 * params.radius_cap
     for s, diams in enumerate(cluster_diameters_batch(g, out)):
         diam = max(diams.values())

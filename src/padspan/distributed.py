@@ -156,7 +156,7 @@ def solve_distributed(
     D = instance.D
     t = config.iterations(n)
     params = PaddedParams(k=D, epsilon=config.lam, n=n)
-    radii = np.stack([draw_radii(params, config.seed, i, n) for i in range(t)])
+    radii = draw_radii(params, config.seed, np.arange(t), n)
     floods, centers = carve(g, params, radii, transcript)
     assign = np.ascontiguousarray(centers.T)  # (t, n): node u's center in iteration i
     padded = _phase_probe(g, assign, D, transcript)
@@ -498,6 +498,9 @@ def concentration_report(run: DistributedRun,
     t = len(run.records)
     threshold = t / (1 + run.config.epsilon)
     sources = sorted({d.u for d in instance.demands})
-    counts = {u: int(sum(rec.padded[u] for rec in run.records)) for u in sources}
+    counts = {}
+    if sources:  # a run with demands has t >= 1 records
+        padded_count = np.stack([rec.padded for rec in run.records]).sum(axis=0)
+        counts = {u: int(padded_count[u]) for u in sources}
     passed = {u: counts[u] > threshold for u in sources}
     return ConcentrationReport(counts=counts, threshold=threshold, passed=passed)

@@ -26,6 +26,7 @@ from .cp import (
 )
 from .decomposition import cluster_diameters_batch
 from .distributed import (
+    ConcentrationReport,
     DistributedRun,
     SolverConfig,
     cached_global_oracle,
@@ -281,8 +282,10 @@ class RunReport:
         }
 
 
-def run_manifest(run: DistributedRun, instance: CpInstance, cp_star: float) -> dict:
-    """Per-run manifest: config echo, per-iteration shape, and headline numbers."""
+def run_manifest(run: DistributedRun, instance: CpInstance, cp_star: float,
+                 rep: ConcentrationReport) -> dict:
+    """Per-run manifest: config echo, per-iteration shape, and headline
+    numbers; `rep` is the run's `concentration_report`."""
     g = instance.graph
     per_iter = []
     if run.records:
@@ -292,7 +295,6 @@ def run_manifest(run: DistributedRun, instance: CpInstance, cp_star: float) -> d
                 "clusters": len(diams),
                 "max_diameter": max(diams.values()),
             })
-    rep = concentration_report(run, instance)
     ratio = run.solution.value / cp_star if cp_star > 0 else 1.0
     return {
         "epsilon": run.config.epsilon,
@@ -372,7 +374,7 @@ def run_trial(
         row.e_out = len(chosen)
         row.stretch_ok = ok
         row.max_out_degree = float(degs.max()) if g.n else 0.0
-    manifest = run_manifest(run, instance, cp_star)
+    manifest = run_manifest(run, instance, cp_star, rep)
     tr_row = transcript_csv_row(
         run.transcript, seed=seed, n=g.n, m=g.m, epsilon=config.epsilon,
         D=instance.D,

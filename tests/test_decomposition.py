@@ -540,10 +540,8 @@ class TestPaddingStatistics:
         # a cluster spanning two components has an unbounded diameter
         g = Graph(4, [(0, 1), (2, 3)], directed=False)
         params = PaddedParams(k=1, epsilon=0.5, n=4)
-        joined = Clustering(assignment=np.zeros(4, dtype=np.int64),
-                            radii=np.zeros(4))
-        monkeypatch.setattr(decomposition, "sample_decomposition_centralized",
-                            lambda *args, **kwargs: joined)
+        monkeypatch.setattr(decomposition, "_assign",
+                            lambda *args: np.zeros(4, dtype=np.int64))
         with pytest.raises(DecompositionError,
                            match=f"sample 0: cluster diameter {UNREACHABLE} exceeds"):
             sample_assignments_batch(g, params, seed=0, count=3)

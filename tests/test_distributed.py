@@ -232,6 +232,23 @@ class TestCertificates:
             sum(rep.passed.values()) / len(rep.passed)
         )
 
+    def test_concentration_counts_are_padded_iterations(self):
+        g, inst, cfg, run = small_run(seed=16, t=20)
+        rep = concentration_report(run, inst)
+        assert rep.counts == {
+            u: sum(int(rec.padded[u]) for rec in run.records)
+            for u in sorted({d.u for d in inst.demands})}
+
+    def test_radii_equal_per_iteration_draws(self):
+        # the solver draws all t iterations' radii in one array pass; they
+        # must equal one `draw_radii` call per iteration, stacked
+        g, inst, cfg, run = small_run(seed=5, t=30)
+        params = PaddedParams(k=inst.D, epsilon=cfg.lam, n=g.n)
+        per_iteration = np.stack(
+            [draw_radii(params, cfg.seed, i, g.n) for i in range(30)])
+        got = np.stack([rec.clustering.radii for rec in run.records])
+        assert np.array_equal(got, per_iteration)
+
     def test_all_pass_when_single_cluster(self):
         g = gen_gnp(8, 0.5, seed=17)
         inst = build_spanner_instance(g, 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padspan.rounding as rounding
 from padspan.decomposition import PaddedParams, draw_radii, sample_radius
@@ -14,6 +16,7 @@ from padspan.localsim import (
     broadcast_in_cluster,
     payload_scalars,
     rng_stream,
+    rng_uniforms,
     run_protocol,
     transcript_csv_row,
 )
@@ -216,6 +219,69 @@ class TestRngStream:
 
     def test_seed_changes_stream(self):
         assert rng_stream(1, "x").random() != rng_stream(2, "x").random()
+
+    def test_numpy_stream_pinned(self):
+        # `rng_uniforms` reimplements numpy's SeedSequence and Philox, and
+        # every report pin rests on these streams: a numpy release that
+        # changes either must fail here, not drift the reports silently
+        got = [float.hex(float(x))
+               for x in rng_stream(1, "decomp-radius", 0).random(4)]
+        assert got == ["0x1.1aaf153b188fbp-1", "0x1.fdf477ea46330p-5",
+                       "0x1.4a21c0bea39ecp-2", "0x1.2fad2470ae588p-2"]
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("slot", ["seed", "iteration", "node"])
+    def test_float_key_raises(self, slot, bad):
+        key = {"seed": 1, "iteration": 2, "node": 3, slot: bad}
+        with pytest.raises(TypeError):
+            rng_stream(key["seed"], "x", key["iteration"], key["node"])
+        with pytest.raises(TypeError):
+            rng_uniforms(key["seed"], "x", [key["iteration"]], 4, key["node"])
+
+    @pytest.mark.parametrize("slot", ["seed", "iteration", "node"])
+    def test_negative_key_raises_numpy_error(self, slot):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(-1)
+        message = str(numpy_error.value)
+        key = {"seed": 1, "iteration": 2, "node": 3, slot: -1}
+        with pytest.raises(ValueError, match=message):
+            rng_stream(key["seed"], "x", key["iteration"], key["node"])
+        with pytest.raises(ValueError, match=message):
+            rng_uniforms(key["seed"], "x", [0, key["iteration"]], 4,
+                         key["node"])
+
+
+class TestRngUniforms:
+    """The array kernel equals numpy's per-key streams, row by row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1), phase=st.text(max_size=8),
+           iterations=st.lists(st.integers(0, 2**34 - 1), max_size=5),
+           node=st.integers(0, 2**40), count=st.integers(0, 70))
+    def test_rows_equal_numpy_streams(self, seed, phase, iterations, node,
+                                      count):
+        got = rng_uniforms(seed, phase, iterations, count, node)
+        assert got.shape == (len(iterations), count)
+        for row, i in zip(got, iterations):
+            assert np.array_equal(row, rng_stream(seed, phase, i, node).random(count))
+
+    @pytest.mark.parametrize("iterations", [[], np.array([], dtype=np.int64)])
+    def test_empty_iterations(self, iterations):
+        assert rng_uniforms(1, "x", iterations, 5).shape == (0, 5)
+
+    def test_one_and_two_word_iterations_mixed(self):
+        its = np.array([2**32 + 1, 0, 2**32 - 1, 2**63 + 3, 7],
+                       dtype=np.uint64)
+        got = rng_uniforms(9, "decomp-radius", its, 13, 2)
+        for row, i in zip(got, its):
+            assert np.array_equal(
+                row, rng_stream(9, "decomp-radius", int(i), 2).random(13))
+
+    def test_radii_of_an_iteration_array(self):
+        params = PaddedParams(k=2, epsilon=0.5, n=10)
+        stacked = np.stack([draw_radii(params, 4, i, 10) for i in range(6)])
+        assert np.array_equal(draw_radii(params, 4, np.arange(6), 10), stacked)
+        assert draw_radii(params, 4, np.arange(6), 1).shape == (6, 1)
 
 
 def local_uniform(seed, phase, iteration, index):
