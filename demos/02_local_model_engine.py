@@ -7,7 +7,7 @@ engine counts rounds, messages, and payload sizes, and a run ends when every
 node has declared itself done with nothing in flight.
 """
 
-from padspan import NodeStep, broadcast_in_cluster, rng_stream, run_protocol
+from padspan import NodeStep, rng_stream, run_protocol
 from padspan.harness import gen_cycle
 
 g = gen_cycle(10, directed=False)
@@ -38,8 +38,3 @@ b = rng_stream(42, "coin", 0, 3).random(3)
 c = rng_stream(42, "coin", 0, 4).random(3)
 print("\nsame key replays:  ", (a == b).all())
 print("other node differs:", (a != c).any())
-
-# -- cluster broadcast helper --------------------------------------------------
-got, t2 = broadcast_in_cluster(g, range(g.n), center=0, payload={"x": 1.0})
-print(f"\nbroadcast to all {len(got)} nodes in {t2.rounds_elapsed} rounds "
-      f"(= center eccentricity inside the cluster)")

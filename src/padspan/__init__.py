@@ -35,12 +35,11 @@ from .distributed import (
     solve_distributed,
 )
 from .graphs import (
-    Arborescence,
     Graph,
+    arborescences,
     ball,
     read_graph,
     restrict,
-    truncated_arborescence,
     write_graph,
 )
 from .harness import ExperimentConfig, RunReport, generate_instance, run_experiment
@@ -49,7 +48,6 @@ from .localsim import (
     ProtocolError,
     ProtocolTimeout,
     RoundTranscript,
-    broadcast_in_cluster,
     rng_stream,
     rng_uniforms,
     run_protocol,
@@ -75,11 +73,10 @@ from .rounding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arborescence", "Clustering", "ConcentrationReport", "CpInstance",
-    "CpSolution", "Demand", "DistributedRun", "ExperimentConfig", "Graph",
+    "Clustering", "ConcentrationReport", "CpInstance", "CpSolution", "Demand", "DistributedRun", "ExperimentConfig", "Graph",
     "IterationRecord", "LpProblem", "NodeStep", "Objective", "PaddedParams",
     "ProtocolError", "ProtocolTimeout", "RoundTranscript", "RunReport",
-    "SolverConfig", "SpannerOutput", "ball", "broadcast_in_cluster",
+    "SolverConfig", "SpannerOutput", "arborescences", "ball",
     "build_dsn_instance", "build_spanner_instance", "check_feasibility",
     "classify_edges", "combiner_value", "concentration_report", "dump_lp",
     "enumerate_paths", "evaluate_objective", "generate_instance",
@@ -89,6 +86,5 @@ __all__ = [
     "run_experiment", "run_protocol", "sample_decomposition_centralized",
     "sample_decomposition_distributed", "sample_radius", "solve_cluster_cp",
     "solve_distributed", "solve_global_oracle", "solve_lp",
-    "truncated_arborescence", "validate_clustering",
-    "verify_stretch", "write_graph", "write_instance",
+    "validate_clustering", "verify_stretch", "write_graph", "write_instance",
 ]

@@ -8,8 +8,7 @@ adjacency is kept separately for path enumeration and stretch checks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -76,6 +75,7 @@ class Graph:
         )
         self._dist: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._arcs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- communication-shadow metric ------------------------------------
 
@@ -146,6 +146,29 @@ class Graph:
             self._csr = indptr, indices
         return self._csr
 
+    def arc_csr(self, orientation: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The directed adjacency as read-only CSR arrays (indptr, indices,
+        edge ids): row u lists, ascending, each w with an edge u -> w
+        ("out") or w -> u ("in"), next to that edge's index in `edges`. An
+        undirected edge is an arc both ways under its one index. Computed
+        once per orientation and cached."""
+        if orientation not in ("in", "out"):
+            raise GraphError(f"orientation must be 'in' or 'out', got {orientation!r}")
+        if orientation not in self._arcs:
+            tail, head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+            ids = np.arange(self.m)
+            if not self.directed:
+                tail, head, ids = np.r_[tail, head], np.r_[head, tail], np.r_[ids, ids]
+            row, col = (tail, head) if orientation == "out" else (head, tail)
+            order = np.lexsort((col, row))
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum(np.bincount(row, minlength=self.n))
+            arcs = indptr, col[order], ids[order]
+            for a in arcs:
+                a.flags.writeable = False
+            self._arcs[orientation] = arcs
+        return self._arcs[orientation]
+
     def degree(self, u: int) -> int:
         return len(self.shadow_adj[self.check_node(u)])
 
@@ -166,30 +189,19 @@ def ball(g: Graph, u: int, radius: float) -> frozenset[int]:
     return frozenset(int(w) for w in np.nonzero(row <= radius)[0])
 
 
-def directed_distances_from(
-    g: Graph, source: int, allowed_edges: Sequence[tuple[int, int]] | None = None
-) -> np.ndarray:
-    """Directed hop distances from `source`, optionally inside an edge subset.
+def directed_distances_from(g: Graph, source: int) -> np.ndarray:
+    """Directed hop distances from `source`.
 
     Used for demand reachability and stretch verification in rounded
     subgraphs. Returns an int64 vector with UNREACHABLE entries.
     """
     g.check_node(source)
-    if allowed_edges is None:
-        adj = g.out_adj
-    else:
-        lists: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in allowed_edges:
-            lists[u].append(v)
-            if not g.directed:
-                lists[v].append(u)
-        adj = tuple(tuple(sorted(a)) for a in lists)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     q = deque([source])
     while q:
         u = q.popleft()
-        for w in adj[u]:
+        for w in g.out_adj[u]:
             if dist[w] == UNREACHABLE:
                 dist[w] = dist[u] + 1
                 q.append(w)
@@ -228,70 +240,51 @@ def restrict(x, cluster: Iterable[int], g: Graph) -> np.ndarray:
 # -- truncated shortest-path arborescences ------------------------------
 
 
-@dataclass(frozen=True)
-class Arborescence:
-    """Shortest-path tree rooted at `root`, cut at `depth_bound` hops.
+def arborescences(
+    g: Graph, roots, depth: int, orientation: str = "out"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every root's shortest-path arborescence, cut at `depth` hops.
 
-    Orientation "out" follows edge directions away from the root; "in"
-    collects edges pointing toward the root. `edges` are pairs as oriented
-    in the underlying graph; `depths` maps each tree node to its hop level.
+    "out" trees follow edge directions away from their root, "in" trees
+    collect the edges pointing toward it. One level-synchronous BFS grows
+    all trees at once over `arc_csr`: each level expands the frontier's
+    (tree, node) pairs, drops the pairs their tree has reached, and gives
+    each newly reached node its lowest-index parent on the previous level.
+
+    Returns (tree, node, parent, edge, level) arrays, one entry per tree
+    node other than the root, by level, then tree, then node: `tree`
+    indexes `roots`, `edge` is the index of the edge between node and
+    parent, and `level` is node's hop distance from the root.
     """
-
-    root: int
-    depth_bound: int
-    orientation: str
-    edges: tuple[tuple[int, int], ...]
-    depths: dict[int, int]
-    parents: dict[int, int]
-
-
-def truncated_arborescence(
-    g: Graph, root: int, depth: int, orientation: str = "out"
-) -> Arborescence:
-    """BFS shortest-path tree from `root` respecting edge directions.
-
-    Parent choice is the lowest-index neighbor at the previous level, so the
-    tree is deterministic. Depth 0 yields the bare root.
-    """
-    g.check_node(root)
+    indptr, heads, ids = g.arc_csr(orientation)
     if depth < 0:
         raise GraphError(f"depth must be nonnegative, got {depth}")
-    if orientation not in ("in", "out"):
-        raise GraphError(f"orientation must be 'in' or 'out', got {orientation!r}")
-    step_adj = g.out_adj if orientation == "out" else g.in_adj
-    depths = {root: 0}
-    parents: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    frontier = [root]
-    level = 0
-    while frontier and level < depth:
-        level += 1
-        nxt: list[int] = []
-        for u in sorted(frontier):
-            for w in step_adj[u]:
-                if w not in depths:
-                    depths[w] = level
-                    parents[w] = u
-                    nxt.append(w)
-        # Lowest-index parent: a node discovered this level re-checks all
-        # previous-level neighbors that reach it.
-        for w in nxt:
-            back = g.in_adj[w] if orientation == "out" else g.out_adj[w]
-            best = min(p for p in back if depths.get(p) == level - 1)
-            parents[w] = best
-            if orientation == "out":
-                edges.append((best, w))
-            else:
-                edges.append((w, best))
-        frontier = nxt
-    return Arborescence(
-        root=root,
-        depth_bound=int(depth),
-        orientation=orientation,
-        edges=tuple(edges),
-        depths=depths,
-        parents=parents,
-    )
+    node = np.array([g.check_node(r) for r in roots], dtype=np.int64)
+    tree = np.arange(len(node))
+    seen = np.zeros((len(node), g.n), dtype=bool)
+    seen[tree, node] = True
+    empty = np.zeros(0, dtype=np.int64)
+    found = [(empty,) * 5]
+    for level in range(1, depth + 1):
+        start = indptr[node]
+        count = indptr[node + 1] - start
+        slots = run_slots(start, count)
+        tree, parent = np.repeat(tree, count), np.repeat(node, count)
+        node, edge = heads[slots], ids[slots]
+        new = ~seen[tree, node]
+        tree, node, parent, edge = tree[new], node[new], parent[new], edge[new]
+        # the first of each (tree, node) run, sorted by parent, is the lowest
+        order = np.lexsort((parent, node, tree))
+        key = (tree * g.n + node)[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        pick = order[first]
+        if not len(pick):
+            break
+        tree, node, parent, edge = tree[pick], node[pick], parent[pick], edge[pick]
+        seen[tree, node] = True
+        found.append((tree, node, parent, edge, np.full(len(pick), level)))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 # -- file format ---------------------------------------------------------

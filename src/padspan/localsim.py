@@ -4,10 +4,12 @@ Nodes hold opaque state, exchange unbounded messages with communication-graph
 neighbors at round boundaries, and declare their own termination. The engine
 steps nodes in ascending index order; any parallel scheduling must reproduce
 exactly those results, so index order is also the reference implementation.
-Of the solver pipeline, only the spanner rounding still runs on this engine. `decomposition.carve`
-and the solver's probe, gather and broadcast in `distributed` run their
-rounds as array operations over all nodes at once; tests hold each to its
-index-order reference, the per-node protocol on `run_protocol`.
+No phase of the solver pipeline runs on this engine any more.
+`decomposition.carve`, the solver's probe, gather and broadcast in
+`distributed` and the spanner rounding in `rounding` run their rounds as
+array operations over all nodes at once; tests hold each to its index-order
+reference, the per-node protocol on `run_protocol` (`tests/carve_reference.py`,
+`tests/solver_reference.py`, `tests/rounding_reference.py`).
 
 Message payload sizes are tracked as scalar counts (8 bytes per scalar when
 reported as bytes); they are diagnostics, not a bandwidth limit.
@@ -380,44 +382,3 @@ def run_protocol(
             )
         inboxes, pending = pending, inboxes
         r = nxt
-
-
-def broadcast_in_cluster(
-    g: Graph,
-    cluster: Iterable[int],
-    center: int,
-    payload,
-    transcript: RoundTranscript | None = None,
-    phase: str = "solve-broadcast",
-) -> tuple[dict[int, object], RoundTranscript]:
-    """Deliver `payload` from `center` to every cluster node along a BFS tree.
-
-    The cluster must be connected in the communication subgraph it induces;
-    rounds charged equal the center's eccentricity inside that subgraph and
-    messages equal the tree edges.
-    """
-    members = set(int(u) for u in cluster)
-    if center not in members:
-        raise ProtocolError(f"center {center} not in cluster")
-    if transcript is None:
-        transcript = RoundTranscript()
-    size = payload_scalars(payload)
-    received = {center: payload}
-    frontier = [center]
-    depth = 0
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for w in g.shadow_adj[u]:
-                if w in members and w not in received:
-                    received[w] = payload
-                    transcript.record_message(size)
-                    nxt.append(w)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    if set(received) != members:
-        missing = sorted(members - set(received))
-        raise ProtocolError(f"cluster disconnected: {missing} unreachable from center")
-    transcript.charge(phase, depth)
-    return received, transcript

@@ -7,7 +7,10 @@ power rounding (x ** (1/k)) targets the lowest-degree variant. Edge e's
 coin and node v's root coin are positions e and v of two counter-based
 streams per iteration, which the edge's smaller-ID endpoint and v compute
 alone, so the distributed protocol and the centralized sampler draw
-identical outputs from one seed.
+identical outputs from one seed. Both grow their trees with
+`graphs.arborescences`; the distributed one also charges the transcript,
+in arrays, as its per-node protocol on the engine would, which
+`tests/rounding_reference.py` keeps and the tests hold it to.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import CpInstance
-from .graphs import Graph, UNREACHABLE, as_edge_vector, directed_distances_from, truncated_arborescence
-from .localsim import NodeStep, RoundTranscript, rng_stream, run_protocol
+from .graphs import Graph, UNREACHABLE, arborescences, as_edge_vector, directed_distances_from
+from .localsim import RoundTranscript, rng_stream
+# perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 6)
+from .localsim import run_protocol  # noqa: F401
 
 
 class RoundingError(ValueError):
@@ -73,6 +78,26 @@ def _edge_coins(g: Graph, seed: int, iteration: int) -> np.ndarray:
     return rng_stream(seed, "round-edge", iteration).random(g.m)
 
 
+def _draw(
+    g: Graph, x, depth: int, seed: int, iteration: int
+) -> tuple[SpannerOutput, np.ndarray, np.ndarray]:
+    """One rounding draw, and the node and level of every non-root node of
+    its in- and out-arborescences, as `arborescences` returns them."""
+    x = as_edge_vector(g, x)
+    n = g.n
+    scale = math.sqrt(n) * math.log(n)  # edge_probability's, bit for bit
+    sampled = _edge_coins(g, seed, iteration) < np.minimum(scale * x, 1.0)
+    root_coins = rng_stream(seed, "round-root", iteration).random(n)
+    roots = np.flatnonzero(root_coins < root_probability(n))
+    _, node, _, edge, level = map(np.concatenate, zip(
+        *(arborescences(g, roots, depth, o) for o in ("out", "in"))))
+    out = SpannerOutput(
+        sampled=frozenset(np.flatnonzero(sampled).tolist()),
+        tree_edges=frozenset(edge.tolist()), roots=tuple(roots.tolist()),
+    )
+    return out, node, level
+
+
 def round_spanner(
     g: Graph, x, depth: int, seed: int, iteration: int = 0
 ) -> SpannerOutput:
@@ -82,23 +107,7 @@ def round_spanner(
     each node becomes a root with probability 3*ln(n)/sqrt(n) and contributes
     its in- and out-arborescences truncated at `depth`.
     """
-    x = as_edge_vector(g, x)
-    n = g.n
-    coins = _edge_coins(g, seed, iteration)
-    sampled = frozenset(
-        e for e in range(g.m) if coins[e] < edge_probability(n, x[e])
-    )
-    root_coins = rng_stream(seed, "round-root", iteration).random(n)
-    p_root = root_probability(n)
-    roots = [v for v in range(n) if root_coins[v] < p_root]
-    tree_edges: set[int] = set()
-    for v in roots:
-        for orientation in ("in", "out"):
-            arb = truncated_arborescence(g, v, depth, orientation)
-            tree_edges.update(g.edge_index[e] for e in arb.edges)
-    return SpannerOutput(
-        sampled=sampled, tree_edges=frozenset(tree_edges), roots=tuple(roots)
-    )
+    return _draw(g, x, depth, seed, iteration)[0]
 
 
 def round_spanner_distributed(
@@ -107,102 +116,41 @@ def round_spanner_distributed(
 ) -> tuple[SpannerOutput, RoundTranscript]:
     """LOCAL protocol for the same rounding distribution.
 
-    Round 0 exchanges owned-edge coin outcomes; level announcements then grow
-    every sampled root's in- and out-arborescence one hop per round, so the
-    whole rounding costs depth + O(1) rounds. Output equals round_spanner for
-    the same seed.
+    Round 0 sends each edge's coin from its owner, the smaller endpoint, to
+    the other one; level announcements then grow every sampled root's in-
+    and out-arborescence one hop per round, so the whole rounding costs
+    depth + O(1) rounds. The output is `round_spanner`'s for the same seed;
+    the transcript is charged as the per-node protocol in
+    `tests/rounding_reference.py` charges it on the engine.
     """
-    x = as_edge_vector(g, x)
-    n = g.n
-    coins = _edge_coins(g, seed, iteration)
-    root_coins = rng_stream(seed, "round-root", iteration).random(n)
-    p_root = root_probability(n)
-
-    class _RState:
-        __slots__ = ("sampled", "is_root", "levels", "parents")
-
-        def __init__(self):
-            self.sampled: set[int] = set()
-            self.is_root = False
-            # (root, kind) -> level joined / parent node
-            self.levels: dict[tuple[int, str], int] = {}
-            self.parents: dict[tuple[int, str], int] = {}
-
-    states = [_RState() for _ in range(n)]
-
-    def step(u: int, st: _RState, inbox, rnd: int) -> NodeStep:
-        per_nbr: dict[int, list] = {}
-        announce: list[tuple[int, str, int]] = []
-        if rnd == 0:
-            for e, (a, b) in enumerate(g.edges):
-                if min(a, b) != u:
-                    continue
-                hit = bool(coins[e] < edge_probability(n, x[e]))
-                if hit:
-                    st.sampled.add(e)
-                other = b if a == u else a
-                per_nbr.setdefault(other, []).append(("coin", e, hit))
-            if root_coins[u] < p_root:
-                st.is_root = True
-                st.levels[(u, "out")] = 0
-                st.levels[(u, "in")] = 0
-                announce = [(u, "out", 0), (u, "in", 0)]
-        else:
-            joins: dict[tuple[int, str], list[int]] = {}
-            for src, entries in inbox:
-                for item in entries:
-                    if item[0] == "coin":
-                        _, e, hit = item
-                        if hit:
-                            st.sampled.add(e)
-                        continue
-                    _, root, kind, level = item
-                    key = (root, kind)
-                    if key in st.levels:
-                        continue
-                    # out-trees grow along edge direction, in-trees against it
-                    fwd = (src, u) if kind == "out" else (u, src)
-                    if fwd in g.edge_index or (not g.directed and (fwd[1], fwd[0]) in g.edge_index):
-                        joins.setdefault(key, []).append(src)
-            for key, candidates in joins.items():
-                root, kind = key
-                level = rnd
-                if level > depth:
-                    continue
-                st.levels[key] = level
-                st.parents[key] = min(candidates)
-                announce.append((root, kind, level))
-        if announce and rnd < depth:
-            for w in g.shadow_adj[u]:
-                per_nbr.setdefault(w, []).extend(
-                    ("tree", root, kind, level) for root, kind, level in announce
-                )
-        outbox = [(w, entries, 3 * len(entries)) for w, entries in per_nbr.items()]
-        return NodeStep(st, outbox, done=True)
-
+    out, node, level = _draw(g, x, depth, seed, iteration)
     if transcript is None:
         transcript = RoundTranscript()
-    final, transcript = run_protocol(
-        g, step, states, max_rounds=depth + 2,
-        transcript=transcript, phase="rounding",
-    )
-    sampled: set[int] = set()
-    tree_edges: set[int] = set()
-    roots = []
-    for u, st in enumerate(final):
-        sampled |= st.sampled
-        if st.is_root:
-            roots.append(u)
-        for (root, kind), parent in st.parents.items():
-            e = (parent, u) if kind == "out" else (u, parent)
-            idx = g.edge_index.get(e)
-            if idx is None and not g.directed:
-                idx = g.edge_index[(e[1], e[0])]
-            tree_edges.add(idx)
-    out = SpannerOutput(
-        sampled=frozenset(sampled), tree_edges=frozenset(tree_edges),
-        roots=tuple(roots),
-    )
+    n = g.n
+    # round 0: one message per (owner, other endpoint) pair, 3 scalars per
+    # coin, plus a root's two level-0 announcements when trees grow at all;
+    # a root's smaller neighbours get the announcements alone
+    lo, hi = np.sort(np.array(g.edges, dtype=np.int64).reshape(-1, 2), axis=1).T
+    pair, coins = np.unique(lo * n + hi, return_counts=True)
+    owner, other = np.divmod(pair, n)
+    announces = np.zeros(n, dtype=bool)
+    announces[list(out.roots)] = depth > 0
+    below = int(np.bincount(other, minlength=n)[announces].sum())
+    sizes = [3 * (coins + 2 * announces[owner])]
+    if below:
+        sizes.append([6])
+    # round r, 0 < r < depth: a node that joined j trees at level r sends
+    # each neighbour one message holding the j announcements
+    sends = level < depth
+    at, joins = np.unique(level[sends] * n + node[sends], return_counts=True)
+    degree = np.diff(g.shadow_csr()[0])
+    transcript.total_messages += len(pair) + below + int(degree[at % n].sum())
+    transcript.max_payload_scalars = max(
+        transcript.max_payload_scalars,
+        int(np.concatenate([*sizes, 3 * joins]).max(initial=0)))
+    # the engine stops after the first round that sends nothing
+    last = int(level[sends].max(initial=0))
+    transcript.charge("rounding", last + 1 if g.m else 0)
     return out, transcript
 
 
@@ -226,13 +174,13 @@ def verify_stretch(
     Returns (all satisfied, indices of violated demands); distances are
     directed BFS hops restricted to the output edges.
     """
-    edge_pairs = [g.edges[e] for e in sorted(out_edges)]
+    sub = Graph(g.n, [g.edges[e] for e in sorted(set(out_edges))], g.directed)
     violations = []
     by_source: dict[int, list[int]] = {}
     for i, d in enumerate(instance.demands):
         by_source.setdefault(d.u, []).append(i)
     for u, dids in sorted(by_source.items()):
-        dist = directed_distances_from(g, u, allowed_edges=edge_pairs)
+        dist = directed_distances_from(sub, u)
         for i in dids:
             d = instance.demands[i]
             if dist[d.v] == UNREACHABLE or dist[d.v] > d.bound:

@@ -11,12 +11,12 @@ from padspan.graphs import (
     Graph,
     GraphError,
     UNREACHABLE,
+    arborescences,
     as_edge_vector,
     ball,
     directed_distances_from,
     read_graph,
     restrict,
-    truncated_arborescence,
     write_graph,
 )
 from padspan.harness import gen_gnp, gen_grid
@@ -235,57 +235,64 @@ class TestRestrict:
 class TestArborescence:
     def test_depth_zero(self):
         g = path_graph(4)
-        arb = truncated_arborescence(g, 1, 0, "out")
-        assert arb.edges == ()
-        assert arb.depths == {1: 0}
+        rows = arborescences(g, [1], 0, "out")
+        assert all(len(a) == 0 for a in rows)
 
     def test_directed_path_depth_two(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        arb = truncated_arborescence(g, 0, 2, "out")
-        assert set(arb.edges) == {(0, 1), (1, 2)}
+        tree, node, parent, edge, level = arborescences(g, [0], 2, "out")
+        assert node.tolist() == [1, 2] and parent.tolist() == [0, 1]
+        assert edge.tolist() == [0, 1] and level.tolist() == [1, 2]
 
     def test_truncation(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        arb = truncated_arborescence(g, 0, 1, "out")
-        assert set(arb.edges) == {(0, 1)}
+        _, node, _, edge, _ = arborescences(g, [0], 1, "out")
+        assert node.tolist() == [1] and edge.tolist() == [0]
 
     def test_in_orientation(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        arb = truncated_arborescence(g, 2, 2, "in")
-        assert set(arb.edges) == {(0, 1), (1, 2)}
-        assert arb.depths[0] == 2
+        _, node, parent, edge, level = arborescences(g, [2], 2, "in")
+        assert set(edge.tolist()) == {0, 1}
+        assert dict(zip(node.tolist(), level.tolist()))[0] == 2
+        assert dict(zip(node.tolist(), parent.tolist())) == {1: 2, 0: 1}
 
     def test_lowest_index_parent(self):
         # both 0 and 1 reach 2 at level 1; parent must be 0
         g = Graph(4, [(3, 0), (3, 1), (0, 2), (1, 2)])
-        arb = truncated_arborescence(g, 3, 2, "out")
-        assert arb.parents[2] == 0
+        _, node, parent, edge, _ = arborescences(g, [3], 2, "out")
+        at = node.tolist().index(2)
+        assert parent[at] == 0 and g.edges[edge[at]] == (0, 2)
+
+    def test_undirected_edges_either_way(self):
+        # stored orientations point toward the root; both trees use them
+        g = Graph(4, [(1, 0), (2, 1), (3, 0)], directed=False)
+        for orientation in ("in", "out"):
+            _, node, parent, edge, _ = arborescences(g, [0], 2, orientation)
+            assert node.tolist() == [1, 3, 2] and parent.tolist() == [0, 0, 1]
+            assert edge.tolist() == [0, 2, 1]
 
     def test_depths_match_directed_bfs(self):
         rng = np.random.default_rng(4)
         for _ in range(8):
             g = random_graph(10, 0.3, rng)
-            root = int(rng.integers(10))
+            roots = rng.choice(10, size=3, replace=False).tolist()
             depth = int(rng.integers(1, 5))
-            arb = truncated_arborescence(g, root, depth, "out")
-            dist = directed_distances_from(g, root)
-            for w, d in arb.depths.items():
-                assert dist[w] == d
-            assert len(arb.edges) <= g.n - 1
-            # every non-root node's tree path has exactly depth hops
-            for w in arb.depths:
-                if w == root:
-                    continue
-                hops = 0
-                cur = w
-                while cur != root:
-                    cur = arb.parents[cur]
-                    hops += 1
-                assert hops == arb.depths[w] <= depth
+            tree, node, parent, edge, level = arborescences(g, roots, depth, "out")
+            for i, root in enumerate(roots):
+                mine = tree == i
+                depths = dict(zip(node[mine].tolist(), level[mine].tolist()))
+                parents = dict(zip(node[mine].tolist(), parent[mine].tolist()))
+                dist = directed_distances_from(g, root)
+                # every node within depth hops, at its hop distance
+                assert depths == {w: int(d) for w, d in enumerate(dist)
+                                  if 0 < d <= depth}
+                for w, e in zip(node[mine].tolist(), edge[mine].tolist()):
+                    assert g.edges[e] == (parents[w], w)
+                    assert {root: 0, **depths}[parents[w]] == depths[w] - 1
 
     def test_bad_orientation(self):
         with pytest.raises(GraphError):
-            truncated_arborescence(cycle(4), 0, 1, "sideways")
+            arborescences(cycle(4), [0], 1, "sideways")
 
 
 class TestGraphFile:

@@ -13,7 +13,6 @@ from padspan.localsim import (
     ProtocolTimeout,
     RoundTranscript,
     TRANSCRIPT_CSV_HEADER,
-    broadcast_in_cluster,
     payload_scalars,
     rng_stream,
     rng_uniforms,
@@ -171,35 +170,6 @@ class TestInboxOrder:
             for got in seen[1:]:
                 assert got == [(w, seq) for w in sorted(g.shadow_adj[u])
                                for seq in (0, 1)]
-
-
-class TestBroadcastInCluster:
-    def test_singleton_zero_rounds(self):
-        g = cycle(4)
-        got, t = broadcast_in_cluster(g, [2], 2, "payload")
-        assert t.rounds_elapsed == 0
-        assert got == {2: "payload"}
-
-    def test_path_cluster_center_at_end(self):
-        g = path_graph(4)
-        got, t = broadcast_in_cluster(g, range(4), 0, 7)
-        assert t.rounds_elapsed == 3
-        assert set(got) == {0, 1, 2, 3}
-
-    def test_star_center_hub_one_round(self):
-        g = Graph(5, [(0, i) for i in range(1, 5)], directed=False)
-        _, t = broadcast_in_cluster(g, range(5), 0, "x")
-        assert t.rounds_elapsed == 1
-
-    def test_disconnected_cluster_raises(self):
-        g = path_graph(5)
-        with pytest.raises(ProtocolError):
-            broadcast_in_cluster(g, [0, 1, 4], 0, "x")
-
-    def test_center_outside_cluster_raises(self):
-        g = path_graph(3)
-        with pytest.raises(ProtocolError):
-            broadcast_in_cluster(g, [0, 1], 2, "x")
 
 
 class TestRngStream:

@@ -1,12 +1,16 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padspan.rounding as rounding
 from padspan.cp import build_dsn_instance, build_spanner_instance
 from padspan.graphs import Graph, GraphError
-from padspan.harness import gen_gnp
+from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.lp import solve_global_oracle
 from padspan.rounding import (
     OUTPUT_CSV_HEADER,
@@ -21,10 +25,27 @@ from padspan.rounding import (
     root_probability,
     verify_stretch,
 )
+from rounding_reference import round_spanner_reference
 
 
 def complete_digraph(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+
+
+@st.composite
+def rounding_cases(draw):
+    """A small directed or undirected graph, plus up to two nodes that no
+    edge can touch, and an edge vector for it."""
+    n = draw(st.integers(1, 8))
+    directed = draw(st.booleans())
+    edges = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=3 * n)):
+        if u != v and (u, v) not in edges and (directed or (v, u) not in edges):
+            edges.append((u, v))
+    g = Graph(n + draw(st.integers(0, 2)), edges, directed)
+    x = draw(st.lists(st.floats(0, 0.4), min_size=g.m, max_size=g.m))
+    return g, np.array(x)
 
 
 class TestRoundSpanner:
@@ -98,6 +119,44 @@ class TestDistributedRounding:
             assert cen.sampled == dist.sampled
             assert cen.tree_edges == dist.tree_edges
             assert cen.roots == dist.roots
+
+    @pytest.mark.parametrize("g", [gen_grid(3, 3), gen_cycle(5, directed=False)],
+                             ids=["grid", "cycle"])
+    def test_matches_centralized_undirected(self, g):
+        x = np.full(g.m, 0.1)
+        for depth in range(4):
+            cen = round_spanner(g, x, depth, seed=depth)
+            dist, _ = round_spanner_distributed(g, x, depth, seed=depth)
+            assert cen.sampled == dist.sampled
+            assert cen.tree_edges == dist.tree_edges
+            assert cen.roots == dist.roots
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=rounding_cases(), depth=st.integers(0, 4),
+           seed=st.integers(0, 2**32), iteration=st.integers(0, 3),
+           p_root=st.one_of(st.none(), st.floats(0, 1)))
+    def test_matches_reference(self, case, depth, seed, iteration, p_root):
+        # below n = 289 every node is a root, so some draws lower the odds
+        g, x = case
+        with (contextlib.nullcontext() if p_root is None else mock.patch.object(
+                rounding, "root_probability", lambda n: p_root)):
+            want, want_t = round_spanner_reference(g, x, depth, seed, iteration)
+            got, got_t = round_spanner_distributed(g, x, depth, seed, iteration)
+            assert round_spanner(g, x, depth, seed, iteration) == want
+        assert got == want
+        assert got_t == want_t
+
+    def test_announcements_alone(self, monkeypatch):
+        # root 1 owns no edge, so its one round-0 message holds just its two
+        # level-0 announcements: 6 scalars, more than node 0's one coin
+        monkeypatch.setattr(rounding, "root_probability", lambda n: 0.5)
+        g = Graph(2, [(0, 1)])
+        seed = next(s for s in range(100)
+                    if round_spanner(g, [0.0], 1, s).roots == (1,))
+        _, got_t = round_spanner_distributed(g, [0.0], 1, seed)
+        _, want_t = round_spanner_reference(g, [0.0], 1, seed)
+        assert got_t == want_t
+        assert got_t.max_payload_scalars == 6
 
     def test_locality_round_budget(self):
         for k in (1, 2, 3):
