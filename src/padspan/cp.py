@@ -89,12 +89,10 @@ def path_edge_indices(g: Graph, path: tuple[int, ...]) -> tuple[int, ...]:
 def fractional_degrees(g: Graph, x: np.ndarray, mode: str = "inout") -> np.ndarray:
     """Per-node fractional degree under an edge vector."""
     deg = np.zeros(g.n)
-    us = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.m)
-    vs = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.m)
     if mode in ("out", "inout"):
-        np.add.at(deg, us, x)
+        np.add.at(deg, g.tail, x)
     if mode in ("in", "inout"):
-        np.add.at(deg, vs, x)
+        np.add.at(deg, g.head, x)
     return deg
 
 

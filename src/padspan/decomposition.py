@@ -10,13 +10,13 @@ assignment once per iteration. `carve` is the one message-passing flood: it
 runs t carvings bundled into one message stream, and in each one every node
 joins the smallest id whose flood reached it. It simulates each LOCAL round
 as a few array operations over every node and iteration at once, and charges
-the transcript as the engine would charge the per-node protocol that the
-tests hold it to. The distributed sampler is its t=1 case and matches the
-centralized sampler exactly when the permutation is node-ID order and the
-seed and iteration are the same; the distributed solver runs all its
-iterations as one `carve`. `padded_mask` is the one central padding test,
-is B(u, k) inside u's cluster; the solver's nodes decide the same fact
-locally from what they probed.
+the transcript's ledger (`send`, `check_rounds`) as the engine would charge
+the per-node protocol that the tests hold it to. The distributed sampler is
+its t=1 case and matches the centralized sampler exactly when the
+permutation is node-ID order and the seed and iteration are the same; the
+distributed solver runs all its iterations as one `carve`. `padded_mask` is
+the one central padding test, is B(u, k) inside u's cluster; the solver's
+nodes decide the same fact locally from what they probed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, run_slots
-from .localsim import ProtocolTimeout, RoundTranscript, rng_stream, rng_uniforms
+from .graphs import Graph, run_slots, run_starts
+from .localsim import RoundTranscript, check_rounds, rng_stream, rng_uniforms
 # perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 6)
 from .localsim import run_protocol  # noqa: F401
 
@@ -294,11 +294,11 @@ def carve(
     node's inbox in the order a node stepping alone would read it, so the
     first copy of each origin is the one from the smallest sender.
     `_admit_batch` then admits the arrivals against each node-iteration's
-    staircase. The
-    transcript is charged as the engine would charge a per-node protocol:
-    one message of 3 scalars per entry from u to each neighbor w that gets
-    an entry, rounds up to the first round from `decide_round` on in which
-    nothing is sent, and `ProtocolTimeout` past `decide_round` + 2.
+    staircase. The transcript is charged as the engine would charge a
+    per-node protocol: `send` gets one message of 3 scalars per entry from u
+    to each neighbor w that gets an entry, rounds run up to the first round
+    from `decide_round` on in which nothing is sent, and `check_rounds`
+    raises `ProtocolTimeout` past `decide_round` + 2.
     `tests/carve_reference.py` holds the per-node flood this must equal.
 
     Returns the accepted floods and the (n, t) center matrix.
@@ -344,19 +344,14 @@ def carve(
             transcript.charge("decomposition", max(r, r_decide))
             break
         # one message per adjacency slot (u, w) with an entry for w
-        transcript.total_messages += int(np.count_nonzero(per_slot))
-        transcript.max_payload_scalars = max(
-            transcript.max_payload_scalars, 3 * int(per_slot.max()))
+        transcript.send(3 * per_slot[per_slot > 0])
         r += 1
-        if r > r_decide + 2:
-            raise ProtocolTimeout(
-                f"no global termination within max_rounds={r_decide + 2}")
+        check_rounds(r, r_decide + 2)
         # each node's inbox in reading order; the first copy of each
         # (node, iteration, origin) is the one from the smallest sender
         arrived.sort()
         akey = arrived // n
-        first = np.ones(len(akey), dtype=bool)
-        first[1:] = akey[1:] != akey[:-1]
+        first = run_starts(akey)
         akey, src = akey[first], arrived[first] % n
         agroup, aorigin = np.divmod(akey, n)
         # every copy sent in round r - 1 has budget - r left on arrival
@@ -374,9 +369,7 @@ def carve(
     key, hop, rem, via = key[order], hop[order], rem[order], via[order]
     group, origin = np.divmod(key, n)
     node, it = np.divmod(group, t)
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = group[1:] != group[:-1]
-    centers = origin[first].reshape(n, t)
+    centers = origin[run_starts(group)].reshape(n, t)
     return Floods(node, it, origin, hop, rem, via), centers
 
 

@@ -8,8 +8,9 @@ is feasible whenever every demand source was padded often enough.
 
 Like `carve`, the probe, gather and broadcast simulate each LOCAL round as a
 few array operations over every (iteration, node) at once, and charge the
-transcript as the engine would charge the per-node protocols that
-`tests/solver_reference.py` keeps and the tests hold them to.
+transcript's ledger (`send`, `check_rounds`) as the engine would charge the
+per-node protocols that `tests/solver_reference.py` keeps and the tests hold
+them to.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .cp import CpInstance, evaluate_objective
 from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
-from .graphs import run_slots
-from .localsim import ProtocolTimeout, RoundTranscript
+from .graphs import run_slots, run_starts
+from .localsim import RoundTranscript, check_rounds
 # perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 6)
 from .localsim import run_protocol  # noqa: F401
 from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
@@ -91,7 +92,6 @@ class IterationRecord:
     index: int
     clustering: Clustering
     solutions: dict[int, CpSolution]
-    cluster_keys: dict[int, frozenset[int]]
     padded: np.ndarray
     edge_same: np.ndarray
 
@@ -190,15 +190,12 @@ def _phase_probe(g, assign, D, transcript) -> np.ndarray:
     rounds = 0
     for r in range(D):
         node, origin = np.divmod(front, n)
-        first = np.flatnonzero(np.diff(node, prepend=-1))
-        talks = degree[node[first]] > 0
-        if not talks.any():
+        first = np.flatnonzero(run_starts(node))
+        fanout = degree[node[first]]
+        if not fanout.any():
             break
         learned = np.diff(first, append=len(node))
-        transcript.total_messages += int(degree[node[first]].sum())
-        transcript.max_payload_scalars = max(
-            transcript.max_payload_scalars,
-            (2 + t) * int(learned[talks].max()))
+        transcript.send(np.repeat((2 + t) * learned, fanout))
         rounds = r + 1
         count = degree[origin]
         reached = np.sort(np.repeat(node * n, count)
@@ -217,7 +214,7 @@ def _phase_probe(g, assign, D, transcript) -> np.ndarray:
     node, origin = np.divmod(seen, n)
     vectors = assign.T  # row v: node v's center in every iteration
     unpadded = np.logical_or.reduceat(
-        vectors[node] != vectors[origin], np.flatnonzero(np.diff(node, prepend=-1)))
+        vectors[node] != vectors[origin], np.flatnonzero(run_starts(node)))
     return np.ascontiguousarray(~unpadded.T)
 
 
@@ -230,8 +227,8 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     delivered c's flood to the node holding it, read with one searchsorted
     from that node's rows of `floods`. A node sends each neighbor one
     message holding every report it forwards there that round. The rounds
-    are the longest path, and ProtocolTimeout comes past decide_round + 2,
-    as on the engine. Returns the `Gathered` clusters and trees.
+    are the longest path, and `check_rounds` times out past decide_round +
+    2, as on the engine. Returns the `Gathered` clusters and trees.
     """
     t, n = assign.shape
     max_rounds = decide_round(params, n) + 2
@@ -259,16 +256,11 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     while len(walk):
         row = np.searchsorted(flood_key, (at * t + it[walk]) * n + center[walk])
         nxt = floods.via[row]
-        link, per_link = np.unique(at * n + nxt, return_inverse=True)
-        transcript.total_messages += len(link)
-        transcript.max_payload_scalars = max(
-            transcript.max_payload_scalars,
-            int(np.bincount(per_link, size[walk]).max()))
+        per_link = np.unique(at * n + nxt, return_inverse=True)[1]
+        transcript.send(np.bincount(per_link, size[walk]))
         hops.append((cluster[walk] * n + at, nxt, floods.hop[row]))
         r += 1
-        if r > max_rounds:
-            raise ProtocolTimeout(
-                f"no global termination within max_rounds={max_rounds}")
+        check_rounds(r, max_rounds)
         home = nxt == center[walk]
         walk, at = walk[~home], nxt[~home]
     transcript.charge("gather", r)
@@ -286,15 +278,14 @@ def _solve_clusters(instance, gathered, t, lp_cache=None):
     and demands share one solve.
 
     Returns the distinct solutions, each gathered cluster's index into them,
-    and per iteration the dicts center -> solution and center -> member set.
+    and per iteration the dict center -> solution.
     """
     cache: dict[tuple, CpSolution] = {} if lp_cache is None else lp_cache
     n = instance.graph.n
     solutions: list[dict[int, CpSolution]] = [dict() for _ in range(t)]
-    keys: list[dict[int, frozenset[int]]] = [dict() for _ in range(t)]
     members, mptr = gathered.members.tolist(), gathered.member_ptr.tolist()
     demands, dptr = gathered.demands.tolist(), gathered.demand_ptr.tolist()
-    distinct: list[tuple[CpSolution, frozenset[int]]] = []
+    distinct: list[CpSolution] = []
     index: dict[tuple, int] = {}
     of = np.empty(len(gathered.key), dtype=np.int64)
     for k, ic in enumerate(gathered.key.tolist()):
@@ -309,11 +300,11 @@ def _solve_clusters(instance, gathered, t, lp_cache=None):
                                        demand_indices=list(sig[1]))
                 cache[cluster, sig[1]] = sol
             j = index[sig] = len(distinct)
-            distinct.append((sol, cluster))
+            distinct.append(sol)
         of[k] = j
         i, c = divmod(ic, n)
-        solutions[i][c], keys[i][c] = distinct[j]
-    return [sol for sol, _ in distinct], of, solutions, keys
+        solutions[i][c] = distinct[j]
+    return distinct, of, solutions
 
 
 def _solution_size(sol: CpSolution) -> int:
@@ -329,8 +320,9 @@ def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.nda
     it in round h, from its parent, and passes it on to its own children.
     A node sends each child one message holding every solution it passes
     there that round, 3 scalars plus the solution's size each. The rounds
-    are the deepest tree node, and ProtocolTimeout comes past decide_round +
-    2, as on the engine. `payload[k]` is the size of cluster k's solution.
+    are the deepest tree node, and `check_rounds` times out past
+    decide_round + 2, as on the engine. `payload[k]` is the size of cluster
+    k's solution.
 
     Returns delivered, (t, n): the cluster whose solution reached node u for
     its own cluster in iteration i, or -1.
@@ -354,17 +346,12 @@ def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.nda
     rnd = depth[sent] - 1  # a parent at depth h sends in round h
     size = 3 + payload
     on_time = rnd <= max_rounds
-    link, per_link = np.unique(
-        ((rnd * n + parent[sent]) * n + child[sent])[on_time], return_inverse=True)
-    transcript.total_messages += len(link)
-    if len(link):
-        transcript.max_payload_scalars = max(
-            transcript.max_payload_scalars,
-            int(np.bincount(per_link, size[k[sent][on_time]]).max()))
-    if (rnd >= max_rounds).any():
-        raise ProtocolTimeout(
-            f"no global termination within max_rounds={max_rounds}")
-    transcript.charge("solve-broadcast", int(depth[sent].max(initial=0)))
+    per_link = np.unique(
+        ((rnd * n + parent[sent]) * n + child[sent])[on_time], return_inverse=True)[1]
+    transcript.send(np.bincount(per_link, size[k[sent][on_time]]))
+    rounds = int(depth[sent].max(initial=0))
+    check_rounds(rounds, max_rounds)
+    transcript.charge("solve-broadcast", rounds)
 
     delivered = np.full((t, n), -1, dtype=np.int64)
     own = np.flatnonzero(assign[it, center] == center)
@@ -380,9 +367,8 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
     g = instance.graph
     t = len(radii)
     eps = config.epsilon
-    sols, sol_of, solutions, keys = solved
-    us = np.array([u for u, _ in g.edges], dtype=np.int64)
-    vs = np.array([v for _, v in g.edges], dtype=np.int64)
+    sols, sol_of, solutions = solved
+    us, vs = g.tail, g.head
     same = assign[:, us] == assign[:, vs]  # (t, m)
 
     missing = same & ((delivered[:, us] < 0) | (delivered[:, vs] < 0))
@@ -418,8 +404,7 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
         IterationRecord(
             index=i,
             clustering=Clustering(assignment=assign[i], radii=radii[i]),
-            solutions=solutions[i], cluster_keys=keys[i],
-            padded=padded[i], edge_same=same[i],
+            solutions=solutions[i], padded=padded[i], edge_same=same[i],
         )
         for i in range(t)
     ]

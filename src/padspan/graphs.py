@@ -51,24 +51,22 @@ class Graph:
             e: i for i, e in enumerate(self.edges)
         }
 
+        # each edge's endpoints as read-only arrays: edge i is tail[i] -> head[i]
+        self.tail, self.head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        self.tail.flags.writeable = self.head.flags.writeable = False
+
         out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
         shadow: list[set[int]] = [set() for _ in range(n)]
         for u, v in self.edges:
             out_adj[u].append(v)
-            in_adj[v].append(u)
             shadow[u].add(v)
             shadow[v].add(u)
         if not directed:
             for u, v in self.edges:
                 out_adj[v].append(u)
-                in_adj[u].append(v)
         # Sorted adjacency gives deterministic iteration everywhere.
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in out_adj
-        )
-        self.in_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in in_adj
         )
         self.shadow_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in shadow
@@ -155,8 +153,7 @@ class Graph:
         if orientation not in ("in", "out"):
             raise GraphError(f"orientation must be 'in' or 'out', got {orientation!r}")
         if orientation not in self._arcs:
-            tail, head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-            ids = np.arange(self.m)
+            tail, head, ids = self.tail, self.head, np.arange(self.m)
             if not self.directed:
                 tail, head, ids = np.r_[tail, head], np.r_[head, tail], np.r_[ids, ids]
             row, col = (tail, head) if orientation == "out" else (head, tail)
@@ -178,6 +175,13 @@ def run_slots(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     after another: the CSR slots of rows `r` are run_slots(indptr[r],
     indptr[r + 1] - indptr[r])."""
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal `keys`."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
 def ball(g: Graph, u: int, radius: float) -> frozenset[int]:
@@ -223,18 +227,20 @@ def as_edge_vector(g: Graph, values) -> np.ndarray:
     return x
 
 
+def induced_edges(g: Graph, cluster: Iterable[int]) -> np.ndarray:
+    """Mask of the edges with both endpoints in `cluster`."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[[g.check_node(u) for u in cluster]] = True
+    return inside[g.tail] & inside[g.head]
+
+
 def restrict(x, cluster: Iterable[int], g: Graph) -> np.ndarray:
     """Zero the vector outside the subgraph induced by `cluster`.
 
     Keeps x_e exactly on edges with both endpoints in the cluster.
     """
     x = as_edge_vector(g, x)
-    members = set(cluster)
-    out = np.zeros_like(x)
-    for i, (u, v) in enumerate(g.edges):
-        if u in members and v in members:
-            out[i] = x[i]
-    return out
+    return np.where(induced_edges(g, cluster), x, 0.0)
 
 
 # -- truncated shortest-path arborescences ------------------------------
@@ -275,10 +281,7 @@ def arborescences(
         tree, node, parent, edge = tree[new], node[new], parent[new], edge[new]
         # the first of each (tree, node) run, sorted by parent, is the lowest
         order = np.lexsort((parent, node, tree))
-        key = (tree * g.n + node)[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        pick = order[first]
+        pick = order[run_starts((tree * g.n + node)[order])]
         if not len(pick):
             break
         tree, node, parent, edge = tree[pick], node[pick], parent[pick], edge[pick]

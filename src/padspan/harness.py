@@ -20,6 +20,7 @@ from .cp import (
     CpInstance,
     build_dsn_instance,
     build_spanner_instance,
+    fractional_degrees,
     linear_sum,
     max_degree,
     objective_from_label,
@@ -366,11 +367,9 @@ def run_trial(
         capped = np.minimum(run.solution.x, 1.0)
         chosen = round_low_degree(g, capped, config.k, seed)
         ok, _ = verify_stretch(g, chosen, instance)
-        degs = np.zeros(g.n)
-        for e in chosen:
-            u, v = g.edges[e]
-            degs[u] += 1
-            degs[v] += 1
+        picked = np.zeros(g.m)
+        picked[list(chosen)] = 1.0
+        degs = fractional_degrees(g, picked)
         row.e_out = len(chosen)
         row.stretch_ok = ok
         row.max_out_degree = float(degs.max()) if g.n else 0.0

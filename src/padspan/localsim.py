@@ -11,8 +11,11 @@ array operations over all nodes at once; tests hold each to its index-order
 reference, the per-node protocol on `run_protocol` (`tests/carve_reference.py`,
 `tests/solver_reference.py`, `tests/rounding_reference.py`).
 
-Message payload sizes are tracked as scalar counts (8 bytes per scalar when
-reported as bytes); they are diagnostics, not a bandwidth limit.
+`RoundTranscript` is the one round ledger: the engine and every array phase
+charge rounds with `charge` and messages with `send`, and time out through
+`check_rounds`, so their timeouts read the same. Message payload sizes are
+tracked as scalar counts (8 bytes per scalar when reported as bytes); they
+are diagnostics, not a bandwidth limit.
 
 Every random draw comes from a counter-based stream keyed by (seed, phase,
 iteration, node). `rng_stream` is the node-local reference: one numpy
@@ -256,10 +259,22 @@ class RoundTranscript:
     def charge(self, phase: str, rounds: int) -> None:
         self.phase_rounds[phase] = self.phase_rounds.get(phase, 0) + int(rounds)
 
-    def record_message(self, scalars: int) -> None:
-        self.total_messages += 1
-        if scalars > self.max_payload_scalars:
-            self.max_payload_scalars = int(scalars)
+    def send(self, sizes) -> None:
+        """Charge one message per entry of `sizes`, a sequence of payload
+        sizes in scalars. Every phase charges its messages here."""
+        sizes = np.asarray(sizes)
+        if sizes.size:
+            self.total_messages += sizes.size
+            self.max_payload_scalars = max(self.max_payload_scalars,
+                                           int(sizes.max()))
+
+
+def check_rounds(rounds: int, max_rounds: int) -> None:
+    """Raise ProtocolTimeout when a run needs round `rounds` past its
+    `max_rounds`; every phase times out here."""
+    if rounds > max_rounds:
+        raise ProtocolTimeout(
+            f"no global termination within max_rounds={max_rounds}")
 
 
 TRANSCRIPT_CSV_HEADER = (
@@ -350,6 +365,7 @@ def run_protocol(
             done[u] = res.done
             wake[u] = res.wake
             neighbors = neighbor_sets[u]
+            sizes = []
             for item in res.outbox:
                 if len(item) == 3:
                     dst, payload, size = item
@@ -360,8 +376,9 @@ def run_protocol(
                     raise ProtocolError(
                         f"node {u} sent to non-neighbor {dst} in round {r}"
                     )
-                transcript.record_message(size)
+                sizes.append(size)
                 pending[dst].append((u, payload))
+            transcript.send(sizes)
         in_flight = any(pending)
         if not in_flight and all(done):
             transcript.charge(phase, r)
@@ -376,9 +393,6 @@ def run_protocol(
                 nxt = max(r + 1, min(pending_wakes))  # type: ignore[type-var]
             if not stepped_any and nxt <= r:
                 raise ProtocolError("engine stalled without progress")
-        if nxt > max_rounds:
-            raise ProtocolTimeout(
-                f"no global termination within max_rounds={max_rounds}"
-            )
+        check_rounds(nxt, max_rounds)
         inboxes, pending = pending, inboxes
         r = nxt

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cp import CpInstance, Objective, evaluate_objective
 from .decomposition import padded_mask
-from .graphs import as_edge_vector
+from .graphs import as_edge_vector, induced_edges
 
 
 class LpError(RuntimeError):
@@ -233,7 +233,7 @@ def build_cluster_cp(
     members = set(int(u) for u in cluster)
     if demand_indices is None:
         demand_indices = cluster_demands(instance, members)
-    scope = [i for i, (u, v) in enumerate(g.edges) if u in members and v in members]
+    scope = np.flatnonzero(induced_edges(g, members)).tolist()
     x_col = {e: j for j, e in enumerate(scope)}
     names = [f"x_{e}" for e in scope]
     problem = LpProblem(var_names=names, objective={})

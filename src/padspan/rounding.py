@@ -8,9 +8,10 @@ coin and node v's root coin are positions e and v of two counter-based
 streams per iteration, which the edge's smaller-ID endpoint and v compute
 alone, so the distributed protocol and the centralized sampler draw
 identical outputs from one seed. Both grow their trees with
-`graphs.arborescences`; the distributed one also charges the transcript,
-in arrays, as its per-node protocol on the engine would, which
-`tests/rounding_reference.py` keeps and the tests hold it to.
+`graphs.arborescences`; the distributed one also charges the transcript's
+ledger, one `send` of every message's size, as its per-node protocol on the
+engine would, which `tests/rounding_reference.py` keeps and the tests hold
+it to.
 """
 
 from __future__ import annotations
@@ -130,24 +131,20 @@ def round_spanner_distributed(
     # round 0: one message per (owner, other endpoint) pair, 3 scalars per
     # coin, plus a root's two level-0 announcements when trees grow at all;
     # a root's smaller neighbours get the announcements alone
-    lo, hi = np.sort(np.array(g.edges, dtype=np.int64).reshape(-1, 2), axis=1).T
+    lo, hi = np.minimum(g.tail, g.head), np.maximum(g.tail, g.head)
     pair, coins = np.unique(lo * n + hi, return_counts=True)
     owner, other = np.divmod(pair, n)
     announces = np.zeros(n, dtype=bool)
     announces[list(out.roots)] = depth > 0
     below = int(np.bincount(other, minlength=n)[announces].sum())
-    sizes = [3 * (coins + 2 * announces[owner])]
-    if below:
-        sizes.append([6])
     # round r, 0 < r < depth: a node that joined j trees at level r sends
     # each neighbour one message holding the j announcements
     sends = level < depth
     at, joins = np.unique(level[sends] * n + node[sends], return_counts=True)
     degree = np.diff(g.shadow_csr()[0])
-    transcript.total_messages += len(pair) + below + int(degree[at % n].sum())
-    transcript.max_payload_scalars = max(
-        transcript.max_payload_scalars,
-        int(np.concatenate([*sizes, 3 * joins]).max(initial=0)))
+    transcript.send(np.concatenate([
+        3 * (coins + 2 * announces[owner]), np.full(below, 6),
+        np.repeat(3 * joins, degree[at % n])]))
     # the engine stops after the first round that sends nothing
     last = int(level[sends].max(initial=0))
     transcript.charge("rounding", last + 1 if g.m else 0)

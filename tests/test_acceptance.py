@@ -387,7 +387,8 @@ def test_criterion_9_lp_kernel_oracle():
         g = instance.graph
         seen = set()
         for rec in r["run"].records:
-            for center, members in rec.cluster_keys.items():
+            for center, members in rec.clustering.clusters().items():
+                members = frozenset(members)
                 if members in seen:
                     continue
                 seen.add(members)

@@ -134,7 +134,7 @@ class TestSolveDistributed:
         g, inst, cfg, run = small_run(seed=8, t=10)
         opt = solve_global_oracle(inst)
         for rec in run.records:
-            for center, members in rec.cluster_keys.items():
+            for center, members in rec.clustering.clusters().items():
                 clu_val = rec.solutions[center].value
                 bound = evaluate_objective(
                     inst.objective, restrict(opt.x, members, g), g
@@ -157,7 +157,7 @@ class TestSolveDistributed:
         g, inst, cfg, run = small_run(seed=19, t=8)
         from padspan.lp import cluster_demands
         for rec in run.records:
-            for center, members in rec.cluster_keys.items():
+            for center, members in rec.clustering.clusters().items():
                 sol = rec.solutions[center]
                 assert list(sol.demand_indices) == cluster_demands(inst, members)
 

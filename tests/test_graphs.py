@@ -17,6 +17,7 @@ from padspan.graphs import (
     directed_distances_from,
     read_graph,
     restrict,
+    run_starts,
     write_graph,
 )
 from padspan.harness import gen_gnp, gen_grid
@@ -84,6 +85,33 @@ class TestGraphConstruction:
     def test_edge_count_consistent(self):
         g = cycle(5)
         assert g.m == len(g.edges) == 5
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_endpoint_arrays(self, directed):
+        g = Graph(4, [(2, 0), (0, 1), (3, 2)], directed=directed)
+        assert g.tail.tolist() == [2, 0, 3] and g.head.tolist() == [0, 1, 2]
+        assert g.tail.dtype == g.head.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.tail[0] = 1
+        with pytest.raises(ValueError):
+            g.head[0] = 1
+
+    def test_endpoint_arrays_without_edges(self):
+        g = Graph(3, [])
+        assert g.tail.shape == g.head.shape == (0,)
+
+
+class TestRunStarts:
+    def test_empty(self):
+        assert run_starts(np.zeros(0, dtype=np.int64)).tolist() == []
+
+    def test_one_run(self):
+        assert run_starts(np.array([4, 4, 4])).tolist() == [True, False, False]
+
+    def test_several_runs(self):
+        keys = np.array([0, 0, 3, 5, 5, 5, 3, 9])
+        assert run_starts(keys).tolist() == [
+            True, False, True, True, False, False, True, True]
 
 
 class TestDistances:
@@ -214,6 +242,11 @@ class TestRestrict:
         cluster = {0, 2, 3, 7}
         once = restrict(x, cluster, g)
         assert np.array_equal(once, restrict(once, cluster, g))
+
+    def test_foreign_member_rejected(self):
+        g = cycle(4)
+        with pytest.raises(GraphError, match="out of range"):
+            restrict(np.ones(4), {0, 4}, g)
 
     def test_size_mismatch(self):
         g = cycle(4)

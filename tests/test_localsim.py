@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padspan
 import padspan.rounding as rounding
 from padspan.decomposition import PaddedParams, draw_radii, sample_radius
 from padspan.graphs import Graph
@@ -13,6 +17,7 @@ from padspan.localsim import (
     ProtocolTimeout,
     RoundTranscript,
     TRANSCRIPT_CSV_HEADER,
+    check_rounds,
     payload_scalars,
     rng_stream,
     rng_uniforms,
@@ -301,10 +306,33 @@ class TestTranscript:
         assert t.rounds_elapsed == 10
         assert t.phase_rounds["gather"] == 5
 
+    def test_send_counts_messages_and_keeps_running_max(self):
+        t = RoundTranscript()
+        t.send([3, 9, 4])
+        assert (t.total_messages, t.max_payload_scalars) == (3, 9)
+        t.send(np.array([5, 2]))
+        assert (t.total_messages, t.max_payload_scalars) == (5, 9)
+        t.send(np.array([12.0]))
+        assert (t.total_messages, t.max_payload_scalars) == (6, 12)
+        assert type(t.max_payload_scalars) is int
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0, dtype=np.int64)])
+    def test_send_nothing_changes_nothing(self, empty):
+        t = RoundTranscript()
+        t.send([7])
+        t.send(empty)
+        assert (t.total_messages, t.max_payload_scalars) == (1, 7)
+
+    def test_check_rounds(self):
+        check_rounds(5, 5)
+        with pytest.raises(ProtocolTimeout,
+                           match=r"^no global termination within max_rounds=5$"):
+            check_rounds(6, 5)
+
     def test_csv_row_shape(self):
         t = RoundTranscript()
         t.charge("decomposition", 4)
-        t.record_message(10)
+        t.send([10])
         row = transcript_csv_row(t, seed=1, n=8, m=12, epsilon=0.5, D=2)
         assert len(row.split(",")) == len(TRANSCRIPT_CSV_HEADER.split(","))
         assert row.startswith("1,8,12,0.5,2,4,0,0,0,4,1,80")
@@ -313,3 +341,35 @@ class TestTranscript:
         assert payload_scalars(3) == 1
         assert payload_scalars({"a": [1, 2, 3]}) == 5
         assert payload_scalars(np.zeros((2, 3))) == 6
+
+
+def _ledger_breaches(tree: ast.AST) -> list[str]:
+    """Writes of the transcript's message counters, and ProtocolTimeout
+    raises, in one module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr in (
+                            "total_messages", "max_payload_scalars"):
+                        found.append(f"line {node.lineno}: writes {sub.attr}")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if name == "ProtocolTimeout":
+                found.append(f"line {node.lineno}: raises ProtocolTimeout")
+    return found
+
+
+def test_one_round_ledger():
+    """Only localsim writes the message counters or raises ProtocolTimeout,
+    and it raises it in one place: every phase charges through
+    `RoundTranscript.send` and times out through `check_rounds`."""
+    package = Path(padspan.__file__).parent
+    breaches = {path.name: _ledger_breaches(ast.parse(path.read_text()))
+                for path in sorted(package.glob("*.py"))}
+    own = breaches.pop("localsim.py")
+    assert {name: found for name, found in breaches.items() if found} == {}
+    assert sum("ProtocolTimeout" in f for f in own) == 1
