@@ -9,14 +9,17 @@ centralized sampler is the reference, and the batch sampler runs its
 assignment once per iteration. `carve` is the one message-passing flood: it
 runs t carvings bundled into one message stream, and in each one every node
 joins the smallest id whose flood reached it. It simulates each LOCAL round
-as a few array operations over every node and iteration at once, and charges
-the transcript's ledger (`send`, `check_rounds`) as the engine would charge
-the per-node protocol that the tests hold it to. The distributed sampler is
-its t=1 case and matches the centralized sampler exactly when the
-permutation is node-ID order and the seed and iteration are the same; the
-distributed solver runs all its iterations as one `carve`. `padded_mask` is
-the one central padding test, is B(u, k) inside u's cluster; the solver's
-nodes decide the same fact locally from what they probed.
+as a few linear passes over every node and iteration at once: the round's
+arrivals are sorted into inboxes and admitted in one merge with every
+node-iteration's domination staircase, over 32-bit keys whenever n³·t <
+2³¹. It charges the transcript's ledger (`send`, `check_rounds`) as the
+engine would charge the per-node protocol that the tests hold it to. The
+distributed sampler is its t=1 case and matches the centralized sampler
+exactly when the permutation is node-ID order and the seed and iteration
+are the same; the distributed solver runs all its iterations as one
+`carve`. `padded_mask` is the one central padding test, is B(u, k) inside
+u's cluster; the solver's nodes decide the same fact locally from what they
+probed.
 """
 
 from __future__ import annotations
@@ -209,19 +212,25 @@ class Floods:
     via: np.ndarray
 
 
-def _running_max(group: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Per entry, the largest earlier value of its group, or -1 for a group's
-    first entry. `group` must be ascending and `vals` nonnegative."""
-    if not len(vals):
-        return vals
-    # lift each group above every earlier one, so one running maximum
-    # never carries a value across a group boundary
-    base = group * (int(vals.max()) + 2)
-    run = np.maximum.accumulate(base + vals)
-    before = np.empty_like(run)
-    before[0] = -1
-    before[1:] = run[:-1]
-    return np.maximum(before, base - 1) - base
+def _flood_dtype(n: int, t: int, bmax: int) -> type:
+    """The integer type of a carve's keys, budgets and CSR copies: int32
+    when every value its rounds compute fits, else int64. Arrival keys and
+    copy counts are below n³·t, and `_undominated` lifts budgets of at most
+    `bmax` to below n·t·(bmax + 1), which n³·t covers whenever bmax < n²."""
+    return np.int32 if n * t * max(n * n, bmax + 1) < 2**31 else np.int64
+
+
+def _undominated(group: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose value exceeds every earlier value of their
+    group. `group` must be ascending and `vals` nonnegative."""
+    keep = np.ones(len(vals), dtype=bool)
+    if len(vals):
+        # lift each group above every earlier one, so one running maximum
+        # never carries a value across a group boundary
+        lifted = group * (int(vals.max()) + 1) + vals
+        run = np.maximum.accumulate(lifted)
+        np.greater(lifted[1:], run[:-1], out=keep[1:])
+    return keep
 
 
 def _admit_batch(
@@ -235,45 +244,61 @@ def _admit_batch(
     origin dominates: ascending keys, remaining budget strictly increasing.
     An arrival is admitted iff its origin is not accepted yet and its budget
     exceeds that of every accepted smaller origin of its group and of every
-    smaller one admitted in this batch. A rejected arrival's budget is at
-    most that bound, so the bound is a running maximum over the batch merged
-    with the staircase entry at or left of each arrival. Taking the entry at
-    the arrival's own key rejects an accepted origin, as long as it comes
-    back with less budget than it was accepted with, as every flood does:
-    its staircase entry, or the one that dominated it, has more left.
+    smaller one admitted in this batch.
+
+    One stable sort merges the staircase and the arrivals (two ascending
+    runs, so the sort is a linear merge), a staircase entry ahead of an
+    arrival with its key, and one running maximum per group over the merged
+    sequence decides everything: an entry is admitted, or stays on the
+    staircase, iff its budget exceeds every one before it. A rejected
+    arrival's budget is at most that maximum, so counting it changes no
+    later decision. An accepted origin is rejected, as long as it comes back
+    with less budget than it was accepted with, as every flood does: its
+    staircase entry, or the one that dominated it, has more left.
 
     Returns the admitted mask and the staircase with the admitted entries
     added and the ones they dominate dropped.
     """
-    group = key // n
-    pos = np.searchsorted(stair_key, key, side="right")
-    best = np.full(len(key), -1, dtype=np.int64)
-    has = pos > 0
-    has[has] = stair_key[pos[has] - 1] // n == group[has]
-    best[has] = stair_rem[pos[has] - 1]
-    admitted = rem > np.maximum(best, _running_max(group, rem))
-    stair_key = np.insert(stair_key, pos[admitted], key[admitted])
-    stair_rem = np.insert(stair_rem, pos[admitted], rem[admitted])
-    keep = stair_rem > _running_max(stair_key // n, stair_rem)
-    return admitted, stair_key[keep], stair_rem[keep]
+    merged = np.concatenate((stair_key, key))
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    mrem = np.concatenate((stair_rem, rem))[order]
+    keep = _undominated(merged // n, mrem)
+    # the arrivals stay in key order within the merge
+    admitted = keep[order >= len(stair_key)]
+    kept = np.flatnonzero(keep)
+    return admitted, merged[kept], mrem[kept]
 
 
 def _send(
-    indptr: np.ndarray, indices: np.ndarray, fresh: tuple, t: int, n: int
+    indptr: np.ndarray, indices: np.ndarray, key: np.ndarray, via: np.ndarray,
+    t: int, n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand one round's sent entries over the adjacency (CSR `indptr`,
-    `indices`): each entry goes to every neighbor of its sender but the one
-    that delivered it. Returns the entry count of each adjacency slot (u, w)
-    and each arrival's key ((dst * t + iteration) * n + origin) * n + sender.
+    `indices`). The entries are accepted floods with budget left, keyed
+    (u * t + iteration) * n + origin in ascending order, next to the
+    neighbor `via` that delivered each; an entry goes to every neighbor of
+    its node u but that one. Returns, for each adjacency slot (u, w) of the
+    round's senders, the count of entries u sends w, and each arrival's key
+    ((w * t + iteration) * n + origin) * n + u.
     """
-    sender, iteration, origin, deliverer = fresh
-    deg = indptr[sender + 1] - indptr[sender]
-    slot = run_slots(indptr[sender], deg)
-    dst = indices[slot]
-    arrived = np.repeat((iteration * n + origin) * n + sender, deg)
-    arrived += dst * (t * n * n)
-    sent = dst != np.repeat(deliverer, deg)
-    return np.bincount(slot[sent], minlength=len(indices)), arrived[sent]
+    tn = t * n
+    sender = key // tn
+    first = np.flatnonzero(run_starts(sender))
+    own = sender[first]
+    size = np.diff(first, append=len(key))  # entries per sender
+    deg = indptr[own + 1] - indptr[own]
+    # the senders' slots, numbered from 0 in sender order
+    nbr = indices[run_slots(indptr[own], deg)]
+    edeg = np.repeat(deg, size)
+    slot = run_slots(np.repeat(np.cumsum(deg) - deg, size), edeg)
+    dst = nbr[slot]
+    arrived = np.repeat((key - sender * tn) * n + sender, edeg)
+    arrived += dst * (tn * n)
+    # no copy goes back to the neighbor that delivered the entry
+    back = dst == np.repeat(via, edeg)
+    per_slot = np.repeat(size, deg) - np.bincount(slot[back], minlength=len(nbr))
+    return per_slot, arrived[~back]
 
 
 def carve(
@@ -288,20 +313,25 @@ def carve(
     every neighbor but the one that delivered it. It then joins, per
     iteration, the smallest accepted id.
 
-    Each round is a few array operations over every node and iteration at
-    once. `_send` expands the entries sent in a round over the adjacency
-    into arrivals. One sort by (node, iteration, origin, sender) puts each
-    node's inbox in the order a node stepping alone would read it, so the
-    first copy of each origin is the one from the smallest sender.
-    `_admit_batch` then admits the arrivals against each node-iteration's
-    staircase. The transcript is charged as the engine would charge a
-    per-node protocol: `send` gets one message of 3 scalars per entry from u
-    to each neighbor w that gets an entry, rounds run up to the first round
-    from `decide_round` on in which nothing is sent, and `check_rounds`
-    raises `ProtocolTimeout` past `decide_round` + 2.
+    Each round is a few linear passes over every node and iteration at once.
+    An accepted flood is keyed (node * t + iteration) * n + origin, whose
+    last part, iteration * n + origin, indexes its budget, so a copy
+    arriving in round r has budget[...] - r left. `_send` expands the
+    entries sent in a round over the adjacency into arrivals. One sort by
+    (node, iteration, origin, sender) puts each node's inbox in the order a
+    node stepping alone would read it, so the first copy of each origin is
+    the one from the smallest sender. `_admit_batch` then admits the
+    arrivals against each node-iteration's staircase in one merge. Keys,
+    budgets and the CSR copies take the narrowest type that holds them
+    (`_flood_dtype`: int32 while n³·t < 2³¹ and budgets stay below n², as in
+    every bench workload). The transcript is charged as the engine would
+    charge a per-node protocol: `send` gets one message of 3 scalars per
+    entry from u to each neighbor w that gets an entry, rounds run up to the
+    first round from `decide_round` on in which nothing is sent, and
+    `check_rounds` raises `ProtocolTimeout` past `decide_round` + 2.
     `tests/carve_reference.py` holds the per-node flood this must equal.
 
-    Returns the accepted floods and the (n, t) center matrix.
+    Returns the accepted floods (int64 fields) and the (n, t) center matrix.
     """
     n = g.n
     radii = np.asarray(radii, dtype=float)
@@ -320,26 +350,27 @@ def carve(
             f"iteration {i}, node {u}: radius {radii[i, u]} exceeds the "
             f"radius cap {params.radius_cap}")
     t = len(radii)
+    tn = t * n
     r_decide = decide_round(params, n)
-    budget = np.floor(radii).astype(np.int64).ravel()  # budget[i * n + origin]
-    indptr, indices = g.shadow_csr()
+    budget = np.floor(radii).ravel()  # budget[i * n + origin]
+    dtype = _flood_dtype(n, t, int(budget.max()))
+    budget = budget.astype(dtype)
+    indptr, indices = (a.astype(dtype) for a in g.shadow_csr())
 
-    # accepted floods, keyed (node * t + iteration) * n + origin, one chunk
-    # of key, hop, rem and via per round
-    group = np.arange(n * t, dtype=np.int64)
-    node, it = np.divmod(group, t)
-    key = group * n + node
-    rem = budget[it * n + node]
-    chunks = [(key, np.zeros(n * t, dtype=np.int64), rem, node)]
+    # accepted floods, one chunk of key, rem and via per round; each node's
+    # own flood first, node-major
+    via = np.repeat(np.arange(n, dtype=dtype), t)
+    key = via * tn + np.tile(np.arange(0, tn, n, dtype=dtype), n) + via
+    rem = budget[key % tn]
+    chunks = [(key, rem, via)]
     stair_key, stair_rem = key, rem
-    # entries with budget left, to forward: sender, iteration, origin and
-    # the neighbor that delivered them, who is not sent them back
-    live = rem >= 1
-    fresh = node[live], it[live], node[live], node[live]
 
+    # masks select through index lists: on masks as scattered as these,
+    # numpy's boolean indexing is several times slower
     r = 0
     while True:
-        per_slot, arrived = _send(indptr, indices, fresh, t, n)
+        live = np.flatnonzero(rem >= 1)
+        per_slot, arrived = _send(indptr, indices, key[live], via[live], t, n)
         if not len(arrived):
             transcript.charge("decomposition", max(r, r_decide))
             break
@@ -350,27 +381,27 @@ def carve(
         # each node's inbox in reading order; the first copy of each
         # (node, iteration, origin) is the one from the smallest sender
         arrived.sort()
-        akey = arrived // n
-        first = run_starts(akey)
-        akey, src = akey[first], arrived[first] % n
-        agroup, aorigin = np.divmod(akey, n)
-        # every copy sent in round r - 1 has budget - r left on arrival
-        arem = budget[(agroup % t) * n + aorigin] - r
+        arrived = arrived[np.flatnonzero(run_starts(arrived // n))]
+        key, via = np.divmod(arrived, n)
+        del arrived
+        rem = budget[key % tn] - r
         admitted, stair_key, stair_rem = _admit_batch(
-            stair_key, stair_rem, akey, arem, n)
-        akey, src, arem = akey[admitted], src[admitted], arem[admitted]
-        chunks.append((akey, np.full(len(akey), r), arem, src))
-        live = arem >= 1
-        agroup, aorigin = np.divmod(akey[live], n)
-        fresh = agroup // t, agroup % t, aorigin, src[live]
+            stair_key, stair_rem, key, rem, n)
+        admitted = np.flatnonzero(admitted)
+        key, rem, via = key[admitted], rem[admitted], via[admitted]
+        chunks.append((key, rem, via))
 
-    key, hop, rem, via = map(np.concatenate, zip(*chunks))
-    order = np.argsort(key)
-    key, hop, rem, via = key[order], hop[order], rem[order], via[order]
-    group, origin = np.divmod(key, n)
-    node, it = np.divmod(group, t)
-    centers = origin[run_starts(group)].reshape(n, t)
-    return Floods(node, it, origin, hop, rem, via), centers
+    # the chunks are each ascending, so one stable sort merges them
+    key, rem, via = map(np.concatenate, zip(*chunks))
+    del chunks, stair_key, stair_rem
+    order = np.argsort(key, kind="stable")
+    key, rem, via = key[order], rem[order], via[order]
+    node, base = np.divmod(key, tn)
+    iteration, origin = np.divmod(base, n)
+    hop = budget[base] - rem
+    centers = origin[run_starts(key // n)].reshape(n, t)
+    return Floods(*(a.astype(np.int64) for a in (
+        node, iteration, origin, hop, rem, via))), centers.astype(np.int64)
 
 
 def sample_decomposition_distributed(

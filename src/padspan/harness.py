@@ -225,13 +225,13 @@ class TrialRow:
     e_out: int | None = None
     stretch_ok: bool | None = None
     rounding_rounds: int | None = None
-    max_out_degree: float | None = None
+    max_degree: float | None = None
 
 
 REPORT_CSV_HEADER = (
     "trial,retry,seed,n,m,D,epsilon,cp_star,g_tilde,ratio,rounds,round_bound,"
     "concentration_rate,concentration_all,feasible,e_out,stretch_ok,"
-    "rounding_rounds,max_out_degree"
+    "rounding_rounds,max_degree"
 )
 
 
@@ -266,10 +266,15 @@ class RunReport:
         return [best[t] for t in sorted(best)]
 
     def aggregates(self) -> dict:
+        """Statistics of each trial's last attempt, then of every attempt: a
+        retry replaces a trial whose concentration failed, so the last
+        attempts alone hide how often concentration fails and how the first
+        attempts did."""
         rows = self.final_rows()
         if not rows:
             return {"trials": 0}
         ratios = [r.ratio for r in rows]
+        first = [r.ratio for r in self.rows if r.retry == 0]
         return {
             "trials": len(rows),
             "mean_ratio": sum(ratios) / len(ratios),
@@ -280,6 +285,11 @@ class RunReport:
                 sum(bool(r.stretch_ok) for r in rows) / len(rows)
                 if rows[0].stretch_ok is not None else None
             ),
+            "attempts": len(self.rows),
+            "attempt_concentration_all_fraction": (
+                sum(r.concentration_all for r in self.rows) / len(self.rows)),
+            "first_attempt_mean_ratio": sum(first) / len(first),
+            "first_attempt_max_ratio": max(first),
         }
 
 
@@ -372,7 +382,7 @@ def run_trial(
         degs = fractional_degrees(g, picked)
         row.e_out = len(chosen)
         row.stretch_ok = ok
-        row.max_out_degree = float(degs.max()) if g.n else 0.0
+        row.max_degree = float(degs.max()) if g.n else 0.0
     manifest = run_manifest(run, instance, cp_star, rep)
     tr_row = transcript_csv_row(
         run.transcript, seed=seed, n=g.n, m=g.m, epsilon=config.epsilon,

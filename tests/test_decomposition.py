@@ -14,6 +14,7 @@ from padspan.decomposition import (
     DecompositionError,
     PaddedParams,
     _admit_batch,
+    _flood_dtype,
     carve,
     cluster_diameters,
     cluster_diameters_batch,
@@ -407,6 +408,79 @@ class TestCarve:
         g = gen_gnp(16, 0.35, seed=5)
         params = PaddedParams(k=4, epsilon=SolverConfig(0.5, seed=3).lam, n=16)
         radii = np.stack([draw_radii(params, 3, i, 16) for i in range(200)])
+        assert_carve_matches_reference(g, params, radii)
+
+    @pytest.mark.parametrize("width, case", [
+        # n³·t = 2**16: the int32 keys every bench workload uses
+        (np.int32, "grid-2x20"),
+        # n = 1300, so n³ = 2.2e9 > 2**31 and the keys need int64
+        (np.int64, "grid-2x650"),
+        # n³·t is tiny, but budgets near 2.5e8 lift past 2**31
+        (np.int64, "path-4-large-budgets"),
+    ])
+    def test_matches_reference_at_both_key_widths(self, width, case):
+        if case == "path-4-large-budgets":
+            g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed=False)
+            params = PaddedParams(k=1, epsilon=1e-8, n=4)
+            # equal and adjacent budgets, so admission compares large values
+            # that differ by one
+            radii = np.array([[2.5e8 + 1, 2.5e8 + 2, 2.5e8, 7.5],
+                              [2.5e8, 2.5e8, 2.5e8 + 1, 2.5e8 + 3],
+                              [3.0, 2.5e8 + 2, 2.5e8 + 4, 2.5e8]])
+        else:
+            g = gen_grid(2, int(case.split("x")[1]))
+            params = PaddedParams(k=1, epsilon=0.5, n=g.n)
+            t = 4 if width is np.int32 else 1
+            radii = np.stack([draw_radii(params, 5, i, g.n) for i in range(t)])
+        bmax = int(np.floor(radii).max())
+        assert _flood_dtype(g.n, len(radii), bmax) is width
+        assert_carve_matches_reference(g, params, radii)
+
+    def test_flood_dtype_boundary(self):
+        # int32 exactly while n³·t < 2**31 (2**31 - 1 is prime, so n = 1)
+        assert _flood_dtype(1, 2**31 - 1, 0) is np.int32
+        assert _flood_dtype(1, 2**31, 0) is np.int64
+        assert _flood_dtype(2, 2**28 - 1, 0) is np.int32
+        assert _flood_dtype(2, 2**28, 0) is np.int64
+        assert _flood_dtype(1290, 1, 0) is np.int32  # 1290³ < 2**31
+        assert _flood_dtype(1291, 1, 0) is np.int64  # 1291³ > 2**31
+        # budgets of n² or more widen it once n·t·(bmax + 1) reaches 2**31
+        assert _flood_dtype(4, 2**20, 2**9 - 2) is np.int32
+        assert _flood_dtype(4, 2**20, 2**9 - 1) is np.int64
+
+    def test_several_senders_and_a_budget_tie_pinned(self):
+        # 0 - 4 - {2, 3} - 1, and 5 next to 2 and 3. Origin 1 (budget 3)
+        # reaches 2 and 3 in round 1; in round 2 both deliver it to 4 and
+        # to 5. Node 5 takes the copy from the smaller sender, 2. Node 4
+        # accepted origin 0 with 1 left in round 1, and origin 1 arrives
+        # with 1 left too: the tie rejects it. Origin 0 reaches 2 and 3
+        # with 0 left and is accepted, as no smaller origin dominates it;
+        # 5 forwards origin 1 to 3, which already holds it.
+        g = Graph(6, [(0, 4), (1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (3, 5)],
+                  directed=False)
+        params = PaddedParams(k=2, epsilon=0.5, n=6)
+        radii = np.array([[2.5, 3.0, 0.0, 0.9, 0.0, 0.5]])
+        transcript = RoundTranscript()
+        floods, centers = carve(g, params, radii, transcript)
+        rows = list(zip(floods.node.tolist(), floods.origin.tolist(),
+                        floods.hop.tolist(), floods.rem.tolist(),
+                        floods.via.tolist()))
+        # (node, origin, hop, rem, via)
+        assert rows == [
+            (0, 0, 0, 2, 0),
+            (1, 1, 0, 3, 1),
+            (2, 0, 2, 0, 4), (2, 1, 1, 2, 1), (2, 2, 0, 0, 2),
+            (3, 0, 2, 0, 4), (3, 1, 1, 2, 1), (3, 3, 0, 0, 3),
+            (4, 0, 1, 1, 0), (4, 4, 0, 0, 4),
+            (5, 1, 2, 1, 2), (5, 5, 0, 0, 5),
+        ]
+        assert floods.iteration.tolist() == [0] * 12
+        assert centers[:, 0].tolist() == [0, 1, 0, 0, 0, 1]
+        # messages: round 1 0->4, 1->2, 1->3; round 2 4->2, 4->3, 2->4,
+        # 2->5, 3->4, 3->5; round 3 5->3. decide_round is min(17, 5)
+        assert transcript.phase_rounds == {"decomposition": 5}
+        assert transcript.total_messages == 10
+        assert transcript.max_payload_scalars == 3
         assert_carve_matches_reference(g, params, radii)
 
     def test_grid_output_pinned(self):

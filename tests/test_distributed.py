@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from padspan import distributed
@@ -24,7 +24,9 @@ from padspan.distributed import (
     solve_distributed,
 )
 from padspan.graphs import Graph, restrict
-from padspan.harness import gen_gnp, gen_grid
+from padspan.harness import (
+    ExperimentConfig, HarnessError, gen_gnp, gen_grid, generate_instance,
+)
 from padspan.localsim import ProtocolTimeout, RoundTranscript
 from padspan.lp import CpSolution, check_feasibility, solve_global_oracle
 
@@ -170,6 +172,67 @@ class TestSolveDistributed:
         cached = cached_global_oracle(inst, cache)
         fresh = solve_global_oracle(inst)
         assert cached.value == pytest.approx(fresh.value, abs=1e-9)
+
+
+def random_run(problem, n, p, seed, t):
+    """A small seeded instance as the harness builds it, solved with t
+    iterations. A graph on which some node reaches nothing has no spanning
+    DSN demands, and is drawn again."""
+    config = ExperimentConfig(problem=problem, gen="gnp", n=n, p=p, k=2,
+                              epsilon=0.5, seed=seed)
+    try:
+        g, inst = generate_instance(config, seed)
+    except HarnessError:
+        reject()
+    run = solve_distributed(
+        inst, SolverConfig(epsilon=0.5, seed=seed, t_override=t))
+    return g, inst, run
+
+
+RANDOM_RUNS = dict(
+    problem=st.sampled_from(["directed-spanner", "low-degree-spanner", "dsn"]),
+    n=st.integers(4, 10),
+    p=st.sampled_from([0.25, 0.4, 0.6]),
+    seed=st.integers(0, 2**16),
+    t=st.integers(1, 12),
+)
+
+
+class TestProperties:
+    """The solver's guarantees on small random instances, where the
+    acceptance tests and `TestCertificates` check one fixed run each."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(**RANDOM_RUNS)
+    def test_cluster_optimum_at_most_restricted_global(self, problem, n, p,
+                                                       seed, t):
+        g, inst, run = random_run(problem, n, p, seed, t)
+        opt = solve_global_oracle(inst)
+        for rec in run.records:
+            for center, members in rec.clustering.clusters().items():
+                sol = rec.solutions.get(center)
+                if sol is None:
+                    continue
+                bound = evaluate_objective(
+                    inst.objective, restrict(opt.x, members, g), g)
+                assert sol.value <= bound + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(**RANDOM_RUNS)
+    def test_implied_flow_within_capped_average(self, problem, n, p, seed,
+                                                t):
+        g, inst, run = random_run(problem, n, p, seed, t)
+        rep = concentration_report(run, inst)
+        for di, d in enumerate(inst.demands):
+            if not rep.passed[d.u]:
+                continue
+            flow = implied_flow(run, inst, di)
+            assert flow.sum() >= 1 - 1e-9
+            load = np.zeros(g.m)
+            for j, edges in enumerate(inst.family_edges[di]):
+                for e in edges:
+                    load[e] += flow[j]
+            assert np.all(load <= run.solution.x + 1e-9)
 
 
 class TestCertificates:

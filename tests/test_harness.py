@@ -132,6 +132,29 @@ class TestRunExperiment:
             assert row.rounds <= row.round_bound
             assert row.stretch_ok is not None
 
+    def test_aggregates_cover_every_attempt(self, tmp_path):
+        # with t=3, trial 1's first attempt misses concentration and is
+        # retried: the last-attempt statistics hide it, the attempt
+        # statistics do not
+        out = str(tmp_path / "r")
+        cfg = ExperimentConfig(
+            problem="directed-spanner", gen="gnp", n=8, p=0.4, k=2,
+            epsilon=0.5, trials=2, seed=1, t_override=3, out=out,
+        )
+        report = run_experiment(cfg)
+        rows = report.rows
+        assert [(r.trial, r.retry, r.concentration_all) for r in rows] == [
+            (0, 0, True), (1, 0, False), (1, 1, True)]
+        agg = report.aggregates()
+        assert agg["concentration_all_fraction"] == 1.0
+        assert agg["mean_ratio"] == (rows[0].ratio + rows[2].ratio) / 2
+        assert agg["attempts"] == 3
+        assert agg["attempt_concentration_all_fraction"] == 2 / 3
+        assert agg["first_attempt_mean_ratio"] == (rows[0].ratio + rows[1].ratio) / 2
+        assert agg["first_attempt_max_ratio"] == max(rows[0].ratio, rows[1].ratio)
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["aggregates"] == agg
+
     def test_ratio_consistency(self):
         report = run_experiment(self.small_config())
         for row in report.rows:
@@ -174,7 +197,7 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         row = report.final_rows()[0]
-        assert row.max_out_degree is not None
+        assert row.max_degree is not None
         assert row.e_out is not None
 
     def test_dsn_problem(self):
