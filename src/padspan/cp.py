@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph, as_edge_vector, directed_distances_from, read_graph, write_graph
+from .graphs import UNREACHABLE, Graph, _pair_hops, as_edge_vector, read_graph, write_graph
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -274,23 +274,26 @@ def build_dsn_instance(
 ) -> CpInstance:
     """Steiner-network instance with per-demand distance bounds.
 
-    Each demand (u, v, L) requires a directed u->v path of at most L edges;
-    a bound below the directed distance raises InfeasibleDemandError.
+    Each demand (u, v, L) requires a directed u->v path of at most L edges.
+    Once every demand's nodes pass, a bound below the directed distance
+    raises InfeasibleDemandError.
     """
     if objective is None:
         objective = linear_sum()
-    dms = []
-    fams = []
-    for u, v, bound in demands:
+    for u, v, _ in demands:
         g.check_node(u)
         g.check_node(v)
         if u == v:
             raise InstanceError(f"degenerate demand ({u},{v})")
-        dist = directed_distances_from(g, u)
-        if dist[v] > bound:
+    indptr, heads, _ = g.arc_csr("out")
+    dist = _pair_hops(indptr, heads, [d[0] for d in demands], [d[1] for d in demands], g.n)
+    dms = []
+    fams = []
+    for (u, v, bound), hops in zip(demands, dist.tolist()):
+        if hops > bound:
             raise InfeasibleDemandError(
                 f"demand ({u},{v}) unreachable within bound {bound} "
-                f"(directed distance {'inf' if dist[v] >= UNREACHABLE else int(dist[v])})"
+                f"(directed distance {'inf' if hops >= UNREACHABLE else hops})"
             )
         dms.append(Demand(u, v, int(bound)))
         fams.append(tuple(enumerate_paths(g, u, v, int(bound))))

@@ -24,9 +24,9 @@ from .cp import CpInstance, evaluate_objective
 from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
-from .graphs import run_slots, run_starts
+from .graphs import _frontier_bfs, run_slots
 from .localsim import RoundTranscript, check_rounds
-# perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 6)
+# perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
 from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
 
@@ -179,42 +179,23 @@ def _phase_probe(g, assign, D, transcript) -> np.ndarray:
 
     Node u learns the origins at hop distance r in round r and, while r < D,
     forwards them to every neighbor: one message of 2 + t scalars per
-    origin. A frontier of (node, origin) pairs at distance r, expanded over
-    the shadow CSR, stands for round r. Returns padded, (t, n).
+    origin. One `_frontier_bfs` from every node over the shadow CSR, cut at
+    D, gives each (origin, node) pair's round. Returns padded, (t, n).
     """
     t, n = assign.shape
     indptr, indices = g.shadow_csr()
-    degree = np.diff(indptr)
-    front = np.arange(n, dtype=np.int64) * (n + 1)  # (u, u), keyed u * n + origin
-    seen = front
-    rounds = 0
-    for r in range(D):
-        node, origin = np.divmod(front, n)
-        first = np.flatnonzero(run_starts(node))
-        fanout = degree[node[first]]
-        if not fanout.any():
-            break
-        learned = np.diff(first, append=len(node))
-        transcript.send(np.repeat((2 + t) * learned, fanout))
-        rounds = r + 1
-        count = degree[origin]
-        reached = np.sort(np.repeat(node * n, count)
-                          + indices[run_slots(indptr[origin], count)])
-        # the first copy of each pair not seen before
-        at = np.searchsorted(seen, reached)
-        fresh = seen[np.minimum(at, len(seen) - 1)] != reached
-        fresh[1:] &= reached[1:] != reached[:-1]
-        front = reached[fresh]
-        if not len(front):
-            break
-        seen = np.insert(seen, at[fresh], front)
+    origin, node, _, _, level = _frontier_bfs(indptr, indices, np.arange(n), D)
+    # round r < D runs if some node learned an origin at hop r and has a neighbour
+    rounds = min(D, int(level.max()) + 1) if len(indices) else 0
+    sends = level < rounds
+    at, learned = np.unique(level[sends] * n + node[sends], return_counts=True)
+    transcript.send(np.repeat((2 + t) * learned, np.diff(indptr)[at % n]))
     transcript.charge("gather", rounds)
-    # `seen` holds every (u, origin) within D hops, u ascending, each u at
-    # least once, so its runs give each node's verdict in node order
-    node, origin = np.divmod(seen, n)
     vectors = assign.T  # row v: node v's center in every iteration
+    order = np.argsort(node, kind="stable")
     unpadded = np.logical_or.reduceat(
-        vectors[node] != vectors[origin], np.flatnonzero(run_starts(node)))
+        (vectors[node] != vectors[origin])[order],
+        np.searchsorted(node[order], np.arange(n)))
     return np.ascontiguousarray(~unpadded.T)
 
 

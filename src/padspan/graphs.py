@@ -2,12 +2,12 @@
 
 Nodes are dense integer indices 0..n-1. Every distance used for clustering and
 communication is a hop count in the undirected shadow of the graph; directed
-adjacency is kept separately for path enumeration and stretch checks.
+adjacency is kept separately for path enumeration and stretch checks. Every
+truncated search, shadow or directed, is one `_frontier_bfs` over CSR arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -193,25 +193,6 @@ def ball(g: Graph, u: int, radius: float) -> frozenset[int]:
     return frozenset(int(w) for w in np.nonzero(row <= radius)[0])
 
 
-def directed_distances_from(g: Graph, source: int) -> np.ndarray:
-    """Directed hop distances from `source`.
-
-    Used for demand reachability and stretch verification in rounded
-    subgraphs. Returns an int64 vector with UNREACHABLE entries.
-    """
-    g.check_node(source)
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in g.out_adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 # -- edge vectors -------------------------------------------------------
 
 
@@ -243,7 +224,62 @@ def restrict(x, cluster: Iterable[int], g: Graph) -> np.ndarray:
     return np.where(induced_edges(g, cluster), x, 0.0)
 
 
-# -- truncated shortest-path arborescences ------------------------------
+# -- truncated breadth-first search -------------------------------------
+
+
+def _frontier_bfs(
+    indptr: np.ndarray, heads: np.ndarray, roots, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every root's breadth-first tree over the CSR arcs u -> heads[slot],
+    slot in indptr[u]:indptr[u + 1], cut at `depth` hops: one level-synchronous
+    search over sorted tree * n + node keys of the visited pairs, which gives
+    each newly reached pair its lowest-index parent on the previous level.
+
+    Returns (tree, node, parent, slot, level) arrays, one entry per reached
+    pair, by level, then tree, then node: `tree` indexes `roots`, `slot` is
+    the CSR slot of the arc parent -> node, and `level` is node's hop
+    distance from the root. The roots come first, as their own parents at
+    level 0 with slot -1.
+    """
+    n = len(indptr) - 1
+    node = np.asarray(roots, dtype=np.int64)
+    tree = np.arange(len(node))
+    seen = tree * n + node  # ascending, since node < n
+    found = [(tree, node, node, np.full(len(node), -1), np.zeros(len(node), dtype=np.int64))]
+    for level in range(1, depth + 1):
+        start = indptr[node]
+        count = indptr[node + 1] - start
+        slot = run_slots(start, count)
+        tree, parent, node = np.repeat(tree, count), np.repeat(node, count), heads[slot]
+        key = tree * n + node
+        # the frontier is in key order, so a stable sort leaves each key's
+        # copies by parent, and the first copy holds the lowest
+        order = np.argsort(key, kind="stable")
+        first = order[run_starts(key[order])]
+        at = np.searchsorted(seen, key[first])
+        new = seen[np.minimum(at, len(seen) - 1)] != key[first]
+        pick = first[new]
+        if not len(pick):
+            break
+        tree, node, parent, slot = tree[pick], node[pick], parent[pick], slot[pick]
+        # timsort merges the two ascending runs in one linear pass
+        seen = np.sort(np.concatenate((seen, key[pick])), kind="stable")
+        found.append((tree, node, parent, slot, np.full(len(pick), level)))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _pair_hops(indptr: np.ndarray, heads: np.ndarray, u, v, depth: int) -> np.ndarray:
+    """Hop distance from u[i] to v[i] along the CSR arcs, for every i, or
+    UNREACHABLE past `depth` hops: one `_frontier_bfs` from the distinct
+    sources."""
+    n = len(indptr) - 1
+    sources, source_of = np.unique(np.asarray(u, dtype=np.int64), return_inverse=True)
+    tree, node, _, _, level = _frontier_bfs(indptr, heads, sources, depth)
+    key = tree * n + node
+    order = np.argsort(key)
+    want = source_of * n + np.asarray(v, dtype=np.int64)
+    at = order[np.minimum(np.searchsorted(key, want, sorter=order), len(key) - 1)]
+    return np.where(key[at] == want, level[at], UNREACHABLE)
 
 
 def arborescences(
@@ -252,10 +288,9 @@ def arborescences(
     """Every root's shortest-path arborescence, cut at `depth` hops.
 
     "out" trees follow edge directions away from their root, "in" trees
-    collect the edges pointing toward it. One level-synchronous BFS grows
-    all trees at once over `arc_csr`: each level expands the frontier's
-    (tree, node) pairs, drops the pairs their tree has reached, and gives
-    each newly reached node its lowest-index parent on the previous level.
+    collect the edges pointing toward it. All trees grow at once, as one
+    `_frontier_bfs` over `arc_csr`, so each node hangs from its
+    lowest-index parent on the previous level.
 
     Returns (tree, node, parent, edge, level) arrays, one entry per tree
     node other than the root, by level, then tree, then node: `tree`
@@ -265,29 +300,10 @@ def arborescences(
     indptr, heads, ids = g.arc_csr(orientation)
     if depth < 0:
         raise GraphError(f"depth must be nonnegative, got {depth}")
-    node = np.array([g.check_node(r) for r in roots], dtype=np.int64)
-    tree = np.arange(len(node))
-    seen = np.zeros((len(node), g.n), dtype=bool)
-    seen[tree, node] = True
-    empty = np.zeros(0, dtype=np.int64)
-    found = [(empty,) * 5]
-    for level in range(1, depth + 1):
-        start = indptr[node]
-        count = indptr[node + 1] - start
-        slots = run_slots(start, count)
-        tree, parent = np.repeat(tree, count), np.repeat(node, count)
-        node, edge = heads[slots], ids[slots]
-        new = ~seen[tree, node]
-        tree, node, parent, edge = tree[new], node[new], parent[new], edge[new]
-        # the first of each (tree, node) run, sorted by parent, is the lowest
-        order = np.lexsort((parent, node, tree))
-        pick = order[run_starts((tree * g.n + node)[order])]
-        if not len(pick):
-            break
-        tree, node, parent, edge = tree[pick], node[pick], parent[pick], edge[pick]
-        seen[tree, node] = True
-        found.append((tree, node, parent, edge, np.full(len(pick), level)))
-    return tuple(map(np.concatenate, zip(*found)))
+    roots = [g.check_node(r) for r in roots]
+    tree, node, parent, slot, level = (
+        a[len(roots):] for a in _frontier_bfs(indptr, heads, roots, depth))
+    return tree, node, parent, ids[slot], level
 
 
 # -- file format ---------------------------------------------------------

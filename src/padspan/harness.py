@@ -35,7 +35,7 @@ from .distributed import (
     round_bound,
     solve_distributed,
 )
-from .graphs import UNREACHABLE, Graph, directed_distances_from, read_graph
+from .graphs import UNREACHABLE, Graph, _pair_hops, read_graph
 from .localsim import TRANSCRIPT_CSV_HEADER, rng_stream, transcript_csv_row
 from .lp import check_feasibility
 from .rounding import output_csv, round_low_degree, round_spanner_distributed, verify_stretch
@@ -98,18 +98,9 @@ class ExperimentConfig:
 def gen_gnp(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     """Random (di)graph: every ordered (or unordered) pair kept with prob p."""
     rng = rng_stream(seed, "gen-gnp")
-    edges = []
-    if directed:
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < p:
-                    edges.append((u, v))
-    else:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    edges.append((u, v))
-    return Graph(n, edges, directed=directed)
+    u, v = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < p
+    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()), directed=directed)
 
 
 def gen_cycle(n: int, directed: bool = True) -> Graph:
@@ -158,24 +149,27 @@ def sample_spanning_demands(
     pairs = [(perm[2 * i], perm[2 * i + 1]) for i in range(n // 2)]
     if n % 2:
         pairs.append((perm[-1], perm[0]))
-    for u, v in pairs:
+    indptr, heads, _ = g.arc_csr("out")
+    hops = _pair_hops(indptr, heads, [u for u, _ in pairs], [v for _, v in pairs], n)
+    for (u, v), d in zip(pairs, hops.tolist()):
         u, v = int(u), int(v)
-        dist = directed_distances_from(g, u)
-        if dist[v] >= UNREACHABLE:
+        if d >= UNREACHABLE:
+            dist = _pair_hops(indptr, heads, [u] * n, range(n), n)
             reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
             retry = 0
             while not reachable and retry < RETRY_CAP:
                 retry += 1
                 u = int(rng.integers(n))
-                dist = directed_distances_from(g, u)
+                dist = _pair_hops(indptr, heads, [u] * n, range(n), n)
                 reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
             if not reachable:
                 raise HarnessError(
                     f"node {u} reaches nothing; cannot build spanning demands"
                 )
             v = reachable[int(rng.integers(len(reachable)))]
+            d = int(dist[v])
         extra = int(rng.integers(0, slack + 1))
-        demands.append((u, v, int(dist[v]) + extra))
+        demands.append((u, v, d + extra))
     return demands
 
 

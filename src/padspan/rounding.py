@@ -17,14 +17,15 @@ it to.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cp import CpInstance
-from .graphs import Graph, UNREACHABLE, arborescences, as_edge_vector, directed_distances_from
+from .graphs import Graph, GraphError, _pair_hops, arborescences, as_edge_vector
 from .localsim import RoundTranscript, rng_stream
-# perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 6)
+# perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
 
 
@@ -160,7 +161,7 @@ def round_low_degree(g: Graph, x, k: int, seed: int, iteration: int = 0) -> froz
         raise RoundingError("edge values must lie in [0, 1]; cap upstream")
     coins = _edge_coins(g, seed, iteration)
     probs = np.minimum(x, 1.0) ** (1.0 / k)
-    return frozenset(e for e in range(g.m) if coins[e] < probs[e])
+    return frozenset(np.flatnonzero(coins < probs).tolist())
 
 
 def verify_stretch(
@@ -169,20 +170,21 @@ def verify_stretch(
     """Check every demand's distance bound inside the rounded subgraph.
 
     Returns (all satisfied, indices of violated demands); distances are
-    directed BFS hops restricted to the output edges.
+    hops along the output edges' arcs in `g.arc_csr("out")`, from one search
+    of all sources. Edge indices outside 0..m-1 raise GraphError.
     """
-    sub = Graph(g.n, [g.edges[e] for e in sorted(set(out_edges))], g.directed)
-    violations = []
-    by_source: dict[int, list[int]] = {}
-    for i, d in enumerate(instance.demands):
-        by_source.setdefault(d.u, []).append(i)
-    for u, dids in sorted(by_source.items()):
-        dist = directed_distances_from(sub, u)
-        for i in dids:
-            d = instance.demands[i]
-            if dist[d.v] == UNREACHABLE or dist[d.v] > d.bound:
-                violations.append(i)
-    return (not violations, sorted(violations))
+    chosen = np.fromiter(map(operator.index, out_edges), dtype=np.int64)
+    bad = chosen[(chosen < 0) | (chosen >= g.m)]
+    if len(bad):
+        raise GraphError(f"edge {bad[0]} out of range for m={g.m}")
+    indptr, heads, ids = g.arc_csr("out")
+    kept = np.isin(ids, chosen)
+    u, v, bound = np.array([(d.u, d.v, d.bound) for d in instance.demands],
+                           dtype=np.int64).reshape(-1, 3).T
+    hops = _pair_hops(np.r_[0, np.cumsum(kept)][indptr], heads[kept], u, v,
+                      int(bound.max(initial=0)))
+    violations = np.flatnonzero(hops > bound).tolist()
+    return (not violations, violations)
 
 
 def classify_edges(g: Graph, instance: CpInstance) -> list[str]:

@@ -22,7 +22,7 @@ from padspan.cp import (
     read_instance,
     write_instance,
 )
-from padspan.graphs import Graph, restrict
+from padspan.graphs import Graph, GraphError, restrict
 from padspan.harness import gen_gnp
 
 
@@ -232,6 +232,26 @@ class TestDsnInstance:
         g = Graph(3, [(1, 0), (1, 2)])
         with pytest.raises(InfeasibleDemandError):
             build_dsn_instance(g, [(0, 2, 5)])
+
+    def test_infeasible_message_names_distance(self):
+        g = Graph(4, [(0, 1), (1, 2), (3, 0)])
+        with pytest.raises(InfeasibleDemandError) as err:
+            build_dsn_instance(g, [(0, 1, 1), (0, 2, 1), (3, 2, 3)])
+        assert str(err.value) == (
+            "demand (0,2) unreachable within bound 1 (directed distance 2)")
+        with pytest.raises(InfeasibleDemandError) as err:
+            build_dsn_instance(g, [(3, 2, 3), (2, 0, 4)])
+        assert str(err.value) == (
+            "demand (2,0) unreachable within bound 4 (directed distance inf)")
+
+    def test_nodes_checked_before_distances(self):
+        # the infeasible first demand is reported only after every
+        # demand's nodes and degeneracy pass
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InstanceError, match="degenerate demand"):
+            build_dsn_instance(g, [(0, 2, 1), (1, 1, 2)])
+        with pytest.raises(GraphError):
+            build_dsn_instance(g, [(0, 2, 1), (1, 3, 2)])
 
     def test_degenerate_demand(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -2,25 +2,31 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padspan.cp import Demand
 from padspan.graphs import (
     Graph,
     GraphError,
     UNREACHABLE,
+    _frontier_bfs,
     arborescences,
     as_edge_vector,
     ball,
-    directed_distances_from,
     read_graph,
     restrict,
     run_starts,
     write_graph,
 )
 from padspan.harness import gen_gnp, gen_grid
+from padspan.rounding import verify_stretch
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +64,22 @@ def bfs_oracle(g, s):
                     dist[w] = dist[u] + 1
                     nxt.append(w)
         frontier = nxt
+    return dist
+
+
+def directed_bfs_oracle(g, s):
+    """Plain deque BFS along edge directions (both ways for undirected
+    graphs), kept independent of the library's frontier search: hop
+    distances from s as an int64 vector with UNREACHABLE entries."""
+    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
+    dist[s] = 0
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        for w in g.out_adj[u]:
+            if dist[w] == UNREACHABLE:
+                dist[w] = dist[u] + 1
+                q.append(w)
     return dist
 
 
@@ -315,7 +337,7 @@ class TestArborescence:
                 mine = tree == i
                 depths = dict(zip(node[mine].tolist(), level[mine].tolist()))
                 parents = dict(zip(node[mine].tolist(), parent[mine].tolist()))
-                dist = directed_distances_from(g, root)
+                dist = directed_bfs_oracle(g, root)
                 # every node within depth hops, at its hop distance
                 assert depths == {w: int(d) for w, d in enumerate(dist)
                                   if 0 < d <= depth}
@@ -326,6 +348,66 @@ class TestArborescence:
     def test_bad_orientation(self):
         with pytest.raises(GraphError):
             arborescences(cycle(4), [0], 1, "sideways")
+
+
+@st.composite
+def bfs_graphs(draw):
+    """Directed and undirected gnp graphs (isolated nodes at low p,
+    antiparallel pairs at high p) and grids."""
+    kind = draw(st.sampled_from(["directed", "undirected", "grid"]))
+    if kind == "grid":
+        return gen_grid(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    return gen_gnp(draw(st.integers(1, 12)), draw(st.sampled_from([0.05, 0.2, 0.4, 0.7])),
+                   draw(st.integers(0, 2**32)), directed=kind == "directed")
+
+
+class TestFrontierBfs:
+    @settings(max_examples=120, deadline=None)
+    @given(g=bfs_graphs(), data=st.data())
+    def test_matches_per_source_bfs(self, g, data):
+        roots = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+        depth = data.draw(st.integers(0, g.n))
+        searches = (
+            (g.arc_csr("out")[:2], lambda r: directed_bfs_oracle(g, r)),
+            (g.shadow_csr(), lambda r: [bfs_oracle(g, r).get(w, UNREACHABLE)
+                                        for w in range(g.n)]),
+        )
+        for (indptr, heads), oracle in searches:
+            found = _frontier_bfs(indptr, heads, roots, depth)
+            order = np.lexsort((found[1], found[0], found[4]))
+            assert (order == np.arange(len(order))).all()  # level, tree, node
+            # the roots first, as their own parents at level 0 with slot -1
+            k = len(roots)
+            assert [a[:k].tolist() for a in found] == [
+                list(range(k)), roots, roots, [-1] * k, [0] * k]
+            tree, node, parent, slot, level = (a[k:] for a in found)
+            assert (heads[slot] == node).all()
+            assert ((indptr[parent] <= slot) & (slot < indptr[parent + 1])).all()
+            for i, root in enumerate(roots):
+                dist = oracle(root)
+                mine = tree == i
+                # every node within depth, at its hop distance, hanging from
+                # its lowest-index neighbour one hop nearer the root
+                assert dict(zip(node[mine].tolist(), level[mine].tolist())) == {
+                    w: int(d) for w, d in enumerate(dist) if 0 < d <= depth}
+                for w, p, lv in zip(node[mine], parent[mine], level[mine]):
+                    nearer = [u for u in range(g.n) if dist[u] == lv - 1
+                              and w in heads[indptr[u]:indptr[u + 1]]]
+                    assert p == min(nearer)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=bfs_graphs(), data=st.data())
+    def test_verify_stretch_matches_per_source_bfs(self, g, data):
+        pair = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(
+            lambda uv: uv[0] != uv[1])
+        demands = [Demand(u, v, data.draw(st.integers(1, 4))) for u, v in
+                   data.draw(st.lists(pair, max_size=6))] if g.n > 1 else []
+        kept = data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+        sub = Graph(g.n, [g.edges[e] for e in sorted(kept)], g.directed)
+        want = [i for i, d in enumerate(demands)
+                if directed_bfs_oracle(sub, d.u)[d.v] > d.bound]
+        got = verify_stretch(g, kept, SimpleNamespace(demands=demands))
+        assert got == (not want, want)
 
 
 class TestGraphFile:

@@ -6,7 +6,7 @@ import pytest
 import padspan.harness as harness
 from padspan.cli import main as cli_main
 from padspan.distributed import ConfigError
-from padspan.graphs import Graph, directed_distances_from, write_graph
+from padspan.graphs import Graph, write_graph
 from padspan.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -20,6 +20,8 @@ from padspan.harness import (
     run_trial,
     sample_spanning_demands,
 )
+
+from test_graphs import directed_bfs_oracle
 
 
 class TestGenerators:
@@ -49,7 +51,7 @@ class TestGenerators:
         touched = set()
         for u, v, L in demands:
             touched.update((u, v))
-            dist = directed_distances_from(g, u)
+            dist = directed_bfs_oracle(g, u)
             assert dist[v] <= L
         assert touched == set(range(12))
 

@@ -234,6 +234,16 @@ class TestVerifyStretch:
         ok, violations = verify_stretch(g, [], inst)
         assert not ok and violations == [0]
 
+    def test_edge_index_out_of_range_rejected(self):
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        inst = build_spanner_instance(g, 2)
+        assert verify_stretch(g, [2], inst) == (False, [0, 1])
+        for bad in ([-1], [3], [0, 3]):
+            with pytest.raises(GraphError, match="out of range"):
+                verify_stretch(g, bad, inst)
+        with pytest.raises(TypeError):
+            verify_stretch(g, [2.0], inst)
+
     def test_dsn_bounds(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         inst = build_dsn_instance(g, [(0, 3, 1)])
