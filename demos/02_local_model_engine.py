@@ -18,11 +18,11 @@ def bfs_step(u, level, inbox, rnd):
     outbox = []
     if rnd == 0 and u == 0:
         level = 0
-        outbox = [(w, 0) for w in g.shadow_adj[u]]
+        outbox = [(w, 0) for w in g.neighbors(u)]
     elif inbox and level is None:
         level = min(lvl for _, lvl in inbox) + 1
         senders = {src for src, _ in inbox}
-        outbox = [(w, level) for w in g.shadow_adj[u] if w not in senders]
+        outbox = [(w, level) for w in g.neighbors(u) if w not in senders]
     return NodeStep(level, outbox, done=True)
 
 levels, transcript = run_protocol(g, bfs_step, [None] * g.n, max_rounds=20)

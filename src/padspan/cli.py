@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .cp import build_spanner_instance, path_edge_indices
+from .cp import InstanceError, build_spanner_instance
 from .decomposition import (
     PaddedParams,
     clustering_csv,
@@ -21,6 +21,8 @@ from .decomposition import (
 )
 from .graphs import read_graph
 from .harness import (
+    GENERATORS,
+    PROBLEMS,
     ExperimentConfig,
     generate_graph,
     generate_instance,
@@ -32,7 +34,7 @@ from .rounding import verify_stretch
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="graph file (overrides --gen)")
-    p.add_argument("--gen", default="gnp", choices=("gnp", "cycle", "grid", "file"))
+    p.add_argument("--gen", default="gnp", choices=GENERATORS)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--k", type=int, default=2)
@@ -40,8 +42,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="output directory or file")
-    p.add_argument("--problem", default="directed-spanner",
-                   choices=("directed-spanner", "low-degree-spanner", "dsn", "raw-cp"))
+    p.add_argument("--problem", default="directed-spanner", choices=PROBLEMS)
     p.add_argument("--objective", help="linear-sum | max-degree[:mode] | p-norm:<p>")
 
 
@@ -135,7 +136,15 @@ def cmd_verify(args) -> int:
     if lines and len(lines[0]) == 3 and lines[0][2] in ("directed", "undirected"):
         lines = lines[1:]
     # an unknown pair raises InstanceError; undirected pairs match either way
-    chosen = [path_edge_indices(g, (int(a), int(b)))[0] for a, b, *_ in lines]
+    pairs = [(int(a), int(b)) for a, b, *_ in lines]
+    # a node id past n is no edge's end, however large
+    ends = np.array([[w if 0 <= w < g.n else -1 for w in p] for p in pairs],
+                    dtype=np.int64).reshape(-1, 2)
+    chosen = g.edge_ids(ends[:, 0], ends[:, 1])
+    missing = np.flatnonzero(chosen < 0)
+    if len(missing):
+        a, b = pairs[missing[0]]
+        raise InstanceError(f"{args.edges}: ({a},{b}) is not a graph edge")
     ok, violated = verify_stretch(g, chosen, instance)
     print(f"checked {len(instance.demands)} demands; "
           f"{'all satisfied' if ok else f'{len(violated)} violated'}")

@@ -8,6 +8,7 @@ whenever the vector is zero on cross-cluster edges.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -43,6 +44,20 @@ def enumerate_paths(
     g.check_node(v)
     if max_len < 1:
         raise InstanceError(f"max_len must be >= 1, got {max_len}")
+    return _paths(_out_lists(g), u, v, max_len, cap)
+
+
+def _out_lists(g: Graph) -> list[list[int]]:
+    """Every row of arc_csr("out") as a list of ints: the DFS's adjacency."""
+    indptr, heads, _ = g.arc_csr("out")
+    flat, bounds = heads.tolist(), indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _paths(
+    out: list[list[int]], u: int, v: int, max_len: int, cap: int = DEFAULT_PATH_CAP
+) -> list[tuple[int, ...]]:
+    """enumerate_paths over the adjacency lists `out`, arguments unchecked."""
     paths: list[tuple[int, ...]] = []
     prefix = [u]
     on_path = {u}
@@ -57,7 +72,7 @@ def enumerate_paths(
             return
         if len(prefix) > max_len:
             return
-        for w in g.out_adj[node]:
+        for w in out[node]:
             if w in on_path:
                 continue
             prefix.append(w)
@@ -68,19 +83,6 @@ def enumerate_paths(
 
     dfs(u)
     return paths
-
-
-def path_edge_indices(g: Graph, path: tuple[int, ...]) -> tuple[int, ...]:
-    """Edge indices along a node sequence; raises if a hop is not an edge."""
-    idx = []
-    for a, b in zip(path[:-1], path[1:]):
-        e = g.edge_index.get((a, b))
-        if e is None and not g.directed:
-            e = g.edge_index.get((b, a))
-        if e is None:
-            raise InstanceError(f"path hop ({a},{b}) is not a graph edge")
-        idx.append(e)
-    return tuple(idx)
 
 
 # -- objectives ----------------------------------------------------------
@@ -210,10 +212,18 @@ class CpInstance:
 
     def __post_init__(self):
         if not self.family_edges:
+            # every hop of every family in one edge_ids lookup
+            paths = [p for fam in self.families for p in fam]
+            tails = [a for p in paths for a in p[:-1]]
+            heads = [b for p in paths for b in p[1:]]
+            ids = self.graph.edge_ids(tails, heads)
+            if (ids < 0).any():
+                i = int(np.argmax(ids < 0))
+                raise InstanceError(f"path hop ({tails[i]},{heads[i]}) is not a graph edge")
+            ids, ends = ids.tolist(), list(itertools.accumulate(len(p) - 1 for p in paths))
+            hops = iter([tuple(ids[a:b]) for a, b in zip([0, *ends], ends)])
             self.family_edges = tuple(
-                tuple(path_edge_indices(self.graph, p) for p in fam)
-                for fam in self.families
-            )
+                tuple(itertools.islice(hops, len(fam))) for fam in self.families)
         self._validate()
 
     def _validate(self) -> None:
@@ -263,7 +273,8 @@ def build_spanner_instance(
     if objective is None:
         objective = linear_sum()
     demands = tuple(Demand(u, v, k) for u, v in g.edges)
-    families = tuple(tuple(enumerate_paths(g, u, v, k)) for u, v in g.edges)
+    out = _out_lists(g)
+    families = tuple(tuple(_paths(out, u, v, k)) for u, v in g.edges)
     return CpInstance(g, demands, families, objective)
 
 
@@ -287,6 +298,7 @@ def build_dsn_instance(
             raise InstanceError(f"degenerate demand ({u},{v})")
     indptr, heads, _ = g.arc_csr("out")
     dist = _pair_hops(indptr, heads, [d[0] for d in demands], [d[1] for d in demands], g.n)
+    out = _out_lists(g)
     dms = []
     fams = []
     for (u, v, bound), hops in zip(demands, dist.tolist()):
@@ -296,7 +308,7 @@ def build_dsn_instance(
                 f"(directed distance {'inf' if hops >= UNREACHABLE else hops})"
             )
         dms.append(Demand(u, v, int(bound)))
-        fams.append(tuple(enumerate_paths(g, u, v, int(bound))))
+        fams.append(tuple(_paths(out, u, v, int(bound))))
     return CpInstance(g, tuple(dms), tuple(fams), objective)
 
 
@@ -325,22 +337,42 @@ def write_instance(instance: CpInstance, path: str, graph_filename: str | None =
         fh.write("\n".join(lines) + "\n")
 
 
+#: The header lines of an instance file, each with the parser of its value.
+_HEADER = {"graph": str, "objective": objective_from_label, "spanning": int, "demands": int}
+
+
 def read_instance(path: str) -> CpInstance:
-    """Parse an instance file written by :func:`write_instance`."""
+    """Parse an instance file written by :func:`write_instance`. A malformed
+    file raises InstanceError naming it and the line at fault."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "padspan-instance v1":
+        rows = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not rows or rows[0][1] != "padspan-instance v1":
         raise InstanceError(f"{path}: not a padspan instance file")
-    head = dict(ln.split(None, 1) for ln in lines[1:5])
+    head, triples = {}, []
+    for no, text in rows[1:]:
+        in_head = len(head) < len(_HEADER)
+        try:
+            if in_head:
+                key, value = text.split(None, 1)
+                if key in head:
+                    raise ValueError
+                head[key] = _HEADER[key](value)
+            elif len(triples) < head["demands"]:
+                u, v, bound = map(int, text.split())
+                triples.append((u, v, bound))
+        except (KeyError, ValueError):
+            want = (f"one header line each of {', '.join(_HEADER)}" if in_head
+                    else "a demand row '<u> <v> <bound>'")
+            raise InstanceError(
+                f"{path}: line {no}: expected {want}, found {text!r}") from None
+    missing = [key for key in _HEADER if key not in head]
+    if missing:
+        raise InstanceError(f"{path}: missing the {missing[0]!r} header line")
+    if len(triples) != head["demands"]:
+        raise InstanceError(f"{path}: expected {head['demands']} demand rows")
     g = read_graph(os.path.join(base, head["graph"]))
-    objective = objective_from_label(head["objective"])
-    count = int(head["demands"])
-    demand_rows = lines[5 : 5 + count]
-    if len(demand_rows) != count:
-        raise InstanceError(f"{path}: expected {count} demand rows")
-    triples = [tuple(int(t) for t in row.split()) for row in demand_rows]
-    inst = build_dsn_instance(g, triples, objective)
-    if inst.spanning != bool(int(head["spanning"])):
+    inst = build_dsn_instance(g, triples, head["objective"])
+    if inst.spanning != bool(head["spanning"]):
         raise InstanceError(f"{path}: spanning flag mismatch")
     return inst

@@ -1,13 +1,17 @@
 """Graph structures: directed problem graphs over an undirected communication shadow.
 
-Nodes are dense integer indices 0..n-1. Every distance used for clustering and
-communication is a hop count in the undirected shadow of the graph; directed
-adjacency is kept separately for path enumeration and stretch checks. Every
-truncated search, shadow or directed, is one `_frontier_bfs` over CSR arrays.
+Nodes are dense integer indices 0..n-1. A graph is its edge list, the same
+endpoints as arrays, and CSR adjacency built from them on first use. Every
+distance used for clustering and communication is a hop count in the
+undirected shadow of the graph; the directed adjacency serves path
+enumeration and stretch checks. Every truncated search, shadow or directed,
+is one `_frontier_bfs` over CSR arrays.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +29,9 @@ class Graph:
     """Immutable directed or undirected graph.
 
     Edges are ordered pairs; for undirected graphs the stored orientation is
-    as given but adjacency is symmetric. Safe for concurrent reads.
+    as given but adjacency is symmetric. The graph is its edge list, the
+    same endpoints as arrays, and CSR adjacency arrays built on first use.
+    Safe for concurrent reads.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], directed: bool = True):
@@ -33,44 +39,11 @@ class Graph:
             raise GraphError(f"node count must be positive, got {n}")
         self.n = int(n)
         self.directed = bool(directed)
-        edge_list: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if (u, v) in seen or (not directed and (v, u) in seen):
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            edge_list.append((u, v))
-        self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
-        self.m = len(self.edges)
-        self.edge_index: dict[tuple[int, int], int] = {
-            e: i for i, e in enumerate(self.edges)
-        }
-
         # each edge's endpoints as read-only arrays: edge i is tail[i] -> head[i]
-        self.tail, self.head = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        self.tail, self.head = _checked_endpoints(self.n, list(edges), self.directed).T
         self.tail.flags.writeable = self.head.flags.writeable = False
-
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        shadow: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            out_adj[u].append(v)
-            shadow[u].add(v)
-            shadow[v].add(u)
-        if not directed:
-            for u, v in self.edges:
-                out_adj[v].append(u)
-        # Sorted adjacency gives deterministic iteration everywhere.
-        self.out_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in out_adj
-        )
-        self.shadow_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in shadow
-        )
+        self.edges = tuple(zip(self.tail.tolist(), self.head.tolist()))
+        self.m = len(self.edges)
         self._dist: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._arcs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -82,9 +55,11 @@ class Graph:
             raise GraphError(f"node {u} out of range for n={self.n}")
         return int(u)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Communication neighbors of u (direction ignored)."""
-        return self.shadow_adj[self.check_node(u)]
+    def neighbors(self, u: int) -> list[int]:
+        """Communication neighbors of u (direction ignored), ascending."""
+        indptr, indices = self.shadow_csr()
+        u = self.check_node(u)
+        return indices[indptr[u]:indptr[u + 1]].tolist()
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs hop distances in the undirected shadow.
@@ -103,9 +78,12 @@ class Graph:
         """
         if self._dist is None:
             n, width = self.n, (self.n + 7) // 8
-            nbrs = np.full((max(map(len, self.shadow_adj)), n), n, dtype=np.intp)
-            for u, adj in enumerate(self.shadow_adj):
-                nbrs[:len(adj), u] = adj
+            indptr, indices = self.shadow_csr()
+            degree = np.diff(indptr)
+            row = np.repeat(np.arange(n), degree)
+            # column u holds u's neighbours, then the pad n
+            nbrs = np.full((degree.max(), n), n, dtype=np.intp)
+            nbrs[np.arange(len(indices)) - indptr[row], row] = indices
             ids = np.arange(n)
             front = np.zeros((n + 1, width), dtype=np.uint8)  # row n: the pad
             front[ids, ids // 8] = 0x80 >> (ids % 8)
@@ -136,10 +114,11 @@ class Graph:
         node u's neighbors, ascending, are indices[indptr[u]:indptr[u + 1]].
         Computed once and cached."""
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(a) for a in self.shadow_adj])
-            indices = np.fromiter(
-                (w for a in self.shadow_adj for w in a), np.int64, int(indptr[-1]))
+            n = self.n
+            keys = np.sort(np.concatenate(
+                (self.tail * n + self.head, self.head * n + self.tail)))
+            keys = keys[run_starts(keys)]
+            indptr, indices = np.searchsorted(keys, np.arange(n + 1) * n), keys % n
             indptr.flags.writeable = indices.flags.writeable = False
             self._csr = indptr, indices
         return self._csr
@@ -166,8 +145,59 @@ class Graph:
             self._arcs[orientation] = arcs
         return self._arcs[orientation]
 
-    def degree(self, u: int) -> int:
-        return len(self.shadow_adj[self.check_node(u)])
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Index in `edges` of the edge u[i] -> v[i] (either way round on
+        undirected graphs), for every i, or -1 where there is no such edge
+        or a node is out of range: one search of the sorted row * n + column
+        keys of arc_csr("out")."""
+        n = self.n
+        indptr, heads, ids = self.arc_csr("out")
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        want = np.where((np.minimum(u, v) >= 0) & (np.maximum(u, v) < n), u * n + v, -1)
+        if not self.m:
+            return np.full(want.shape, -1)
+        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + heads
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, ids[at], -1)
+
+
+def _checked_endpoints(n: int, pairs: list, directed: bool) -> np.ndarray:
+    """The pairs as an (m, 2) int64 array, checked in one array pass: raises
+    GraphError naming the first pair, in input order, that is not two
+    integers (as `operator.index` reads them), is out of range, is a
+    self-loop, or repeats an earlier pair (either way round if undirected).
+    """
+    try:
+        if set(map(len, pairs)) - {2}:
+            raise TypeError
+        ends = np.fromiter(map(operator.index, chain.from_iterable(pairs)),
+                           np.int64, 2 * len(pairs)).reshape(-1, 2)
+    except (TypeError, OverflowError):
+        j = next(i for i, p in enumerate(pairs) if not _int64_pair(p))
+        _checked_endpoints(n, pairs[:j], directed)  # an earlier fault comes first
+        raise GraphError(f"edge {pairs[j]!r} is not a pair of int64 integers") from None
+    u, v = ends.T
+    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    # an out-of-range pair's key may equal another pair's; the later of the
+    # two is marked a repeat, so the first fault is still the right one
+    key = u * n + v if directed else np.minimum(u, v) * n + np.maximum(u, v)
+    repeat = np.ones(len(key), dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False  # first occurrences
+    bad = np.flatnonzero(outside | (u == v) | repeat)
+    if len(bad):
+        a, b = ends[bad[0]].tolist()
+        raise GraphError(f"edge ({a},{b}) out of range for n={n}" if outside[bad[0]]
+                         else f"self-loop at node {a}" if a == b
+                         else f"duplicate edge ({a},{b})")
+    return ends
+
+
+def _int64_pair(pair) -> bool:
+    """Whether `pair` is two integers that int64 holds."""
+    try:
+        return len(pair) == 2 and all(-2**63 <= operator.index(w) < 2**63 for w in pair)
+    except TypeError:
+        return False
 
 
 def run_slots(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -318,16 +348,21 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_graph(path) -> Graph:
-    """Parse a graph file written by :func:`write_graph`."""
+    """Parse a graph file written by :func:`write_graph`. A malformed file
+    raises GraphError naming it, and the line at fault if there is one."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        tokens = [(no, tok) for no, line in enumerate(fh, 1) for tok in line.split()]
     if len(tokens) < 3:
-        raise GraphError("graph file too short")
-    n, m, kind = int(tokens[0]), int(tokens[1]), tokens[2]
+        raise GraphError(f"{path}: graph file too short")
+    numbers = []
+    for no, tok in tokens[:2] + tokens[3:]:
+        try:
+            numbers.append(int(tok))
+        except ValueError:
+            raise GraphError(f"{path}: line {no}: {tok!r} is not an integer") from None
+    (n, m, *body), kind = numbers, tokens[2][1]
     if kind not in ("directed", "undirected"):
-        raise GraphError(f"unknown graph kind {kind!r}")
-    body = tokens[3:]
+        raise GraphError(f"{path}: unknown graph kind {kind!r}")
     if len(body) != 2 * m:
-        raise GraphError(f"expected {2 * m} edge tokens, found {len(body)}")
-    edges = [(int(body[2 * i]), int(body[2 * i + 1])) for i in range(m)]
-    return Graph(n, edges, directed=(kind == "directed"))
+        raise GraphError(f"{path}: expected {2 * m} edge tokens, found {len(body)}")
+    return Graph(n, zip(body[0::2], body[1::2]), directed=(kind == "directed"))

@@ -343,7 +343,7 @@ def run_protocol(
         transcript = RoundTranscript()
     n = g.n
     states = [init[u] for u in range(n)]
-    neighbor_sets = [set(a) for a in g.shadow_adj]
+    neighbor_sets = [set(g.neighbors(u)) for u in range(n)]
     done = [False] * n
     wake: list[int | None] = [0] * n
     inboxes: list[list[tuple[int, object]]] = [[] for _ in range(n)]

@@ -56,7 +56,7 @@ def carve_reference(g, params, radii, transcript):
          [([u], [budgets[i][u]]) for i in range(t)])
         for u in range(n)
     ]
-    adj = g.shadow_adj
+    adj = [g.neighbors(u) for u in range(n)]
 
     def step(u: int, state, inbox, rnd: int) -> NodeStep:
         accepted, stairs = state

@@ -66,7 +66,7 @@ def round_spanner_reference(
                         continue
                     # out-trees grow along edge direction, in-trees against it
                     fwd = (src, u) if kind == "out" else (u, src)
-                    if fwd in g.edge_index or (not g.directed and (fwd[1], fwd[0]) in g.edge_index):
+                    if g.edge_ids(*fwd) >= 0:
                         joins.setdefault(key, []).append(src)
             for key, candidates in joins.items():
                 root, kind = key
@@ -77,7 +77,7 @@ def round_spanner_reference(
                 st.parents[key] = min(candidates)
                 announce.append((root, kind, level))
         if announce and rnd < depth:
-            for w in g.shadow_adj[u]:
+            for w in g.neighbors(u):
                 per_nbr.setdefault(w, []).extend(
                     ("tree", root, kind, level) for root, kind, level in announce
                 )
@@ -99,10 +99,7 @@ def round_spanner_reference(
             roots.append(u)
         for (root, kind), parent in st.parents.items():
             e = (parent, u) if kind == "out" else (u, parent)
-            idx = g.edge_index.get(e)
-            if idx is None and not g.directed:
-                idx = g.edge_index[(e[1], e[0])]
-            tree_edges.add(idx)
+            tree_edges.add(int(g.edge_ids(*e)))
     out = SpannerOutput(
         sampled=frozenset(sampled), tree_edges=frozenset(tree_edges),
         roots=tuple(roots),

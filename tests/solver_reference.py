@@ -64,7 +64,7 @@ def _phase_probe(g, states, D, t, transcript) -> None:
         outbox = []
         if forward:
             size = sum(2 + len(v) for _, v, _ in forward)
-            outbox = [(w, forward, size) for w in g.shadow_adj[u]]
+            outbox = [(w, forward, size) for w in g.neighbors(u)]
         return NodeStep(st, outbox, done=True)
 
     run_protocol(g, step, states, max_rounds=D + 1,

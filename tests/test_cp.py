@@ -33,12 +33,13 @@ def complete_digraph(n):
 def oracle_paths(g, s, t, max_len):
     """Independent brute force: check every node sequence up to the bound."""
     found = []
+    edges = set(g.edges)
     nodes = range(g.n)
     for length in range(1, max_len + 1):
         for mids in itertools.permutations([w for w in nodes if w not in (s, t)],
                                            length - 1):
             seq = (s, *mids, t)
-            if all((a, b) in g.edge_index for a, b in zip(seq, seq[1:])):
+            if all((a, b) in edges for a, b in zip(seq, seq[1:])):
                 found.append(seq)
     return sorted(found)
 
@@ -302,6 +303,26 @@ class TestInstanceFile:
         assert back.families == inst.families
         assert back.objective == inst.objective
         assert back.spanning == inst.spanning
+
+    @pytest.mark.parametrize("edit, message", [
+        # a missing header line: a demand row takes its place, or the file ends
+        (lambda ls: ls[:2] + ls[3:], r"line 5: expected one header line each of .*'0 3 3'"),
+        (lambda ls: ls[:2] + ls[3:4], r"missing the 'objective' header line"),
+        (lambda ls: ls[:4] + ["demands one", *ls[5:]], r"line 5: expected .*'demands one'"),
+        (lambda ls: ls[:5] + ["0 3"], r"line 6: expected a demand row .*'0 3'"),
+        (lambda ls: ls[:5] + ["0 3 x"], r"line 6: expected a demand row .*'0 3 x'"),
+        (lambda ls: ls[:2] + ["objective p-norm:x", *ls[3:]], r"line 3: .*'objective p-norm:x'"),
+    ], ids=["header-replaced", "header-missing", "count", "short-row", "token", "objective"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, edit, message):
+        inst = build_dsn_instance(Graph(4, [(0, 1), (1, 2), (2, 3)]), [(0, 3, 3)])
+        path = str(tmp_path / "inst.txt")
+        write_instance(inst, path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        with pytest.raises(InstanceError, match="inst.txt: " + message):
+            read_instance(path)
 
     def test_canonical_bytes(self, tmp_path):
         g = gen_gnp(8, 0.3, seed=6)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padspan.cp import Demand
+from padspan.cp import Demand, enumerate_paths
 from padspan.graphs import (
     Graph,
     GraphError,
@@ -71,12 +72,17 @@ def directed_bfs_oracle(g, s):
     """Plain deque BFS along edge directions (both ways for undirected
     graphs), kept independent of the library's frontier search: hop
     distances from s as an int64 vector with UNREACHABLE entries."""
+    out = {u: set() for u in range(g.n)}
+    for u, v in g.edges:
+        out[u].add(v)
+        if not g.directed:
+            out[v].add(u)
     dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
     dist[s] = 0
     q = deque([s])
     while q:
         u = q.popleft()
-        for w in g.out_adj[u]:
+        for w in out[u]:
             if dist[w] == UNREACHABLE:
                 dist[w] = dist[u] + 1
                 q.append(w)
@@ -121,6 +127,28 @@ class TestGraphConstruction:
     def test_endpoint_arrays_without_edges(self):
         g = Graph(3, [])
         assert g.tail.shape == g.head.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.9), 1.0, "1", None])
+    def test_rejects_non_integer_endpoint(self, bad):
+        with pytest.raises(GraphError, match=r"edge \(0, .*\) is not a pair of int64 integers"):
+            Graph(3, [(0, 1), (0, bad)])
+
+    def test_earlier_bad_edge_named_before_non_integer(self):
+        with pytest.raises(GraphError, match="self-loop at node 2"):
+            Graph(3, [(0, 1), (2, 2), (0, 1.5)])
+
+    def test_integer_like_endpoints_accepted(self):
+        g = Graph(3, [(np.int64(0), np.uint8(2)), (True, 2)])
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(w) is int for e in g.edges for w in e)
+
+    def test_rejects_endpoint_beyond_int64(self):
+        with pytest.raises(GraphError, match="not a pair of int64 integers"):
+            Graph(3, [(0, 2**70)])
+
+    def test_rejects_non_pair(self):
+        with pytest.raises(GraphError, match="not a pair"):
+            Graph(3, [(0, 1, 2)])
 
 
 class TestRunStarts:
@@ -410,6 +438,94 @@ class TestFrontierBfs:
         assert got == (not want, want)
 
 
+def per_edge_reference(n, edges, directed):
+    """The constructor's checks as one loop over the edges (the code that
+    the array pass replaced): the edge list, or the first error message."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at node {u}"
+        if (u, v) in seen or (not directed and (v, u) in seen):
+            return f"duplicate edge ({u},{v})"
+        seen.add((u, v))
+    return tuple(edges)
+
+
+@st.composite
+def edge_lists(draw, valid=False):
+    """(n, edges, directed) from a few nodes, so that out-of-range ends,
+    self-loops, duplicates, reversed duplicates and antiparallel pairs are
+    common; with `valid`, lists the constructor accepts."""
+    n = draw(st.integers(1, 6))
+    directed = draw(st.booleans())
+    if valid:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=12, unique_by=(
+            (lambda e: e) if directed else frozenset)))
+    else:
+        # the extremes make int64 keys wrap, which must not hide a fault
+        node = st.one_of(st.integers(-1, n), st.sampled_from([2**62, -2**62, 2**63 - 1]))
+        edges = draw(st.lists(st.tuples(node, node), max_size=12))
+    return n, edges, directed
+
+
+class TestRepresentation:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_lists())
+    def test_constructor_matches_per_edge_loop(self, case):
+        n, edges, directed = case
+        want = per_edge_reference(n, edges, directed)
+        try:
+            got = Graph(n, edges, directed).edges
+        except GraphError as exc:
+            got = str(exc)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_lists(valid=True))
+    def test_adjacency_matches_set_references(self, case):
+        n, edges, directed = case
+        g = Graph(n, edges, directed)
+        shadow = {u: set() for u in range(n)}
+        arcs = {}  # (tail, head) -> edge index
+        for i, (u, v) in enumerate(edges):
+            shadow[u].add(v)
+            shadow[v].add(u)
+            arcs[u, v] = i
+            if not directed:
+                arcs[v, u] = i
+        indptr, indices = g.shadow_csr()
+        assert indptr.dtype == indices.dtype == np.int64
+        assert [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == [
+            sorted(shadow[u]) for u in range(n)]
+        assert [g.neighbors(u) for u in range(n)] == [sorted(shadow[u]) for u in range(n)]
+        assert all(type(w) is int for u in range(n) for w in g.neighbors(u))
+        for orientation, row in (("out", 0), ("in", 1)):
+            indptr, heads, ids = g.arc_csr(orientation)
+            for u in range(n):
+                mine = sorted((a[1 - row], i) for a, i in arcs.items() if a[row] == u)
+                span = slice(indptr[u], indptr[u + 1])
+                assert list(zip(heads[span].tolist(), ids[span].tolist())) == mine
+        nodes = range(-1, n + 1)
+        pairs = [(u, v) for u in nodes for v in nodes]
+        got = g.edge_ids([u for u, _ in pairs], [v for _, v in pairs])
+        assert got.tolist() == [arcs.get(p, -1) for p in pairs]
+        for u, v in pairs[:8]:
+            assert int(g.edge_ids(u, v)) == arcs.get((u, v), -1)
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    assert enumerate_paths(g, u, v, 3) == sorted(
+                        seq for length in range(1, 4)
+                        for mids in itertools.permutations(
+                            [w for w in range(n) if w not in (u, v)], length - 1)
+                        if all(hop in arcs for hop in zip((u, *mids), (*mids, v)))
+                        for seq in [(u, *mids, v)])
+
+
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -432,4 +548,14 @@ class TestGraphFile:
         path = tmp_path / "bad.graph"
         path.write_text("2 1 sideways\n0 1\n")
         with pytest.raises(GraphError):
+            read_graph(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 2 directed\n0 1\n1 x\n", 3),
+        ("3 2.0 directed\n0 1\n1 2\n", 1),
+    ])
+    def test_non_integer_token_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=f"bad.graph: line {line}: .* is not an integer"):
             read_graph(path)

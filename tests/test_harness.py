@@ -279,6 +279,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "(2,1) is not a graph edge" in err
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("far", [7, 2**70])
+    def test_verify_pair_beyond_the_nodes_is_usage_error(self, tmp_path, capsys,
+                                                         directed, far):
+        rc = self.verify_path_graph(tmp_path, directed, [(0, 1), (0, far)])
+        assert rc == 2
+        assert f"(0,{far}) is not a graph edge" in capsys.readouterr().err
+
     def test_verify_undirected_pair_either_orientation(self, tmp_path, capsys):
         rc = self.verify_path_graph(tmp_path, False, [(1, 0), (2, 1)])
         assert rc == 0

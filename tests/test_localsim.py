@@ -44,11 +44,11 @@ class TestRunProtocol:
             outbox = []
             if rnd == 0 and u == 0 and not have:
                 have = True
-                outbox = [(w, "tok") for w in g.shadow_adj[u]]
+                outbox = [(w, "tok") for w in g.neighbors(u)]
             elif inbox and not have:
                 have = True
                 senders = {src for src, _ in inbox}
-                outbox = [(w, "tok") for w in g.shadow_adj[u] if w not in senders]
+                outbox = [(w, "tok") for w in g.neighbors(u) if w not in senders]
             return NodeStep((have,), outbox, done=True)
 
         states, transcript = run_protocol(
@@ -72,11 +72,11 @@ class TestRunProtocol:
             outbox = []
             if rnd == 0 and u == 0:
                 level = 0
-                outbox = [(w, 0) for w in g.shadow_adj[u]]
+                outbox = [(w, 0) for w in g.neighbors(u)]
             elif inbox and level is None:
                 level = min(lvl for _, lvl in inbox) + 1
                 senders = {src for src, _ in inbox}
-                outbox = [(w, level) for w in g.shadow_adj[u] if w not in senders]
+                outbox = [(w, level) for w in g.neighbors(u) if w not in senders]
             return NodeStep(level, outbox, done=True)
 
         states, transcript = run_protocol(g, step, [None] * 6, max_rounds=10)
@@ -123,7 +123,7 @@ class TestRunProtocol:
             def step(u, state, inbox, rnd):
                 rng = rng_stream(9, "demo", rnd, u)
                 val = state + rng.random() + sum(p for _, p in inbox)
-                outbox = [(w, val) for w in g.shadow_adj[u]] if rnd < 3 else ()
+                outbox = [(w, val) for w in g.neighbors(u)] if rnd < 3 else ()
                 return NodeStep(val, outbox, done=rnd >= 3)
             return step
 
@@ -163,7 +163,7 @@ class TestInboxOrder:
             seen.append([payload for _, payload in inbox])
             assert all(src == payload[0] for src, payload in inbox)
             outbox = [] if rnd >= 3 else [
-                (w, (u, seq)) for w in reversed(g.shadow_adj[u])
+                (w, (u, seq)) for w in reversed(g.neighbors(u))
                 for seq in (0, 1)
             ]
             return NodeStep(seen, outbox, done=True)
@@ -173,7 +173,7 @@ class TestInboxOrder:
         for u, seen in enumerate(states):
             assert len(seen) == 4
             for got in seen[1:]:
-                assert got == [(w, seq) for w in sorted(g.shadow_adj[u])
+                assert got == [(w, seq) for w in sorted(g.neighbors(u))
                                for seq in (0, 1)]
 
 

@@ -234,7 +234,7 @@ class TestVerifyStretch:
         ok, violations = verify_stretch(g, [], inst)
         assert not ok and violations == [0]
 
-    def test_edge_index_out_of_range_rejected(self):
+    def test_edge_id_out_of_range_rejected(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         inst = build_spanner_instance(g, 2)
         assert verify_stretch(g, [2], inst) == (False, [0, 1])
