@@ -8,14 +8,15 @@ whenever the vector is zero on cross-cluster edges.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UNREACHABLE, Graph, _pair_hops, as_edge_vector, read_graph, write_graph
+from .graphs import (UNREACHABLE, Graph, _frontier_bfs, _pair_hops, as_edge_vector, read_graph,
+                     run_slots, write_graph)
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -36,53 +37,105 @@ def enumerate_paths(
 ) -> list[tuple[int, ...]]:
     """All simple directed u->v paths with at most `max_len` edges.
 
-    Output is in lexicographic node-sequence order (DFS over ascending
-    adjacency). Returns [] when no path exists; raises InstanceError when the
-    family would exceed `cap` paths.
+    Output is in lexicographic node-sequence order (the order of a DFS over
+    ascending adjacency). Returns [] when no path exists; raises
+    InstanceError when the family would exceed `cap` paths.
     """
-    g.check_node(u)
-    g.check_node(v)
+    u, v = g.check_node(u), g.check_node(v)
     if max_len < 1:
         raise InstanceError(f"max_len must be >= 1, got {max_len}")
-    return _paths(_out_lists(g), u, v, max_len, cap)
+    target = np.array([v])
+    _, hop_ptr, hop_node, _ = _path_family(g, np.array([u]), target, np.array([int(max_len)]),
+                                           cap, _target_hops(g, target, int(max_len) - 1))
+    nodes, ptr = hop_node.tolist(), hop_ptr.tolist()
+    return [(u, *nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
-def _out_lists(g: Graph) -> list[list[int]]:
-    """Every row of arc_csr("out") as a list of ints: the DFS's adjacency."""
-    indptr, heads, _ = g.arc_csr("out")
-    flat, bounds = heads.tolist(), indptr.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+def _target_hops(g: Graph, v: np.ndarray, depth: int):
+    """The target table: hops(i, w) is the directed hop distance from w[j]
+    to v[i[j]], for every j, or depth + 1 past `depth` hops. One
+    `_frontier_bfs` from the distinct targets over arc_csr("in") fills it."""
+    n = g.n
+    indptr, tails, _ = g.arc_csr("in")
+    is_target = np.zeros(n, dtype=bool)
+    is_target[v] = True
+    target_of = (np.cumsum(is_target) - 1)[v]
+    tree, node, _, _, level = _frontier_bfs(indptr, tails, np.flatnonzero(is_target), depth)
+    key = tree * n + node
+    order = np.argsort(key)
+    # the sentinel key n * n, past every other, stands for "beyond depth"
+    key, level = np.append(key[order], n * n), np.append(level[order], depth + 1)
+
+    def hops(i: np.ndarray, w: np.ndarray) -> np.ndarray:
+        want = target_of[i] * n + w
+        at = np.searchsorted(key, want)
+        return np.where(key[at] == want, level[at], depth + 1)
+
+    return hops
 
 
-def _paths(
-    out: list[list[int]], u: int, v: int, max_len: int, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[int, ...]]:
-    """enumerate_paths over the adjacency lists `out`, arguments unchecked."""
-    paths: list[tuple[int, ...]] = []
-    prefix = [u]
-    on_path = {u}
+def _path_family(g: Graph, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
+                 cap: int, hops) -> tuple[np.ndarray, ...]:
+    """Every demand's family: the simple directed u[i] -> v[i] paths of at
+    most bound[i] edges, as the flat arrays (path_ptr, hop_ptr, hop_node,
+    hop_edge) that CpInstance holds.
 
-    def dfs(node: int) -> None:
-        if node == v and len(prefix) > 1:
-            paths.append(tuple(prefix))
-            if len(paths) > cap:
-                raise InstanceError(
-                    f"path family for ({u},{v}) exceeds cap {cap}"
-                )
-            return
-        if len(prefix) > max_len:
-            return
-        for w in out[node]:
-            if w in on_path:
-                continue
-            prefix.append(w)
-            on_path.add(w)
-            dfs(w)
-            prefix.pop()
-            on_path.remove(w)
+    Level h extends every live prefix of h - 1 hops by each arc out of its
+    last node (arc_csr("out"), which carries edge ids). An extension stays
+    if its node is new to the prefix and reaches v[i] within the hops the
+    bound leaves, as the target table `hops` says (so the table needs
+    depth max(bound) - 1); it is a path once it reaches v[i]. No path to
+    v[i] is a prefix of another, so one lexsort by (demand, node sequence)
+    puts each family in DFS order.
 
-    dfs(u)
-    return paths
+    Raises InstanceError for the first demand, in input order, whose family
+    exceeds `cap` paths. The cap is checked every level, and once a family
+    is over it the prefixes of later demands are dropped.
+    """
+    indptr, heads, ids = g.arc_csr("out")
+    nd, depth = len(u), int(bound.max(initial=0))
+    # live prefix r: its demand dem[r], its node after h hops nodes[r, h]
+    # and the edge into it edges[r, h - 1]; -1 past its length
+    dem = np.arange(nd)
+    nodes = np.full((nd, depth + 1), -1)
+    nodes[:, 0] = u
+    edges = np.full((nd, depth), -1)
+    over, found, done = nd, 0, [(dem[:0], nodes[:0], edges[:0])]
+    for h in range(1, depth + 1):
+        last = nodes[:, h - 1]
+        start = indptr[last]
+        count = indptr[last + 1] - start
+        src = np.repeat(np.arange(len(dem)), count)
+        slot = run_slots(start, count)
+        w, d = heads[slot], dem[src]
+        keep = np.flatnonzero((hops(d, w) <= bound[d] - h)
+                              & (nodes[src, :h] != w[:, None]).all(axis=1))
+        d, src, slot = d[keep], src[keep], slot[keep]
+        nodes, edges = nodes[src], edges[src]
+        nodes[:, h], edges[:, h - 1] = heads[slot], ids[slot]
+        end = nodes[:, h] == v[d]
+        done.append((d[end], nodes[end], edges[end]))
+        found += len(done[-1][0])
+        if found > cap:
+            per_demand = np.bincount(np.concatenate([p[0] for p in done]), minlength=nd)
+            if per_demand.max() > cap:
+                over = int(np.argmax(per_demand > cap))
+        live = ~end & (d < over)
+        dem, nodes, edges = d[live], nodes[live], edges[live]
+        if not len(dem):
+            break
+    if over < nd:
+        raise InstanceError(f"path family for ({u[over]},{v[over]}) exceeds cap {cap}")
+    dem, nodes, edges = map(np.concatenate, zip(*done))
+    order = np.lexsort(np.vstack((nodes[:, :0:-1].T, dem)))
+    hop = nodes[order, 1:] >= 0
+    return (_offsets(np.bincount(dem, minlength=nd)), _offsets(hop.sum(axis=1)),
+            nodes[order, 1:][hop], edges[order][hop])
+
+
+def _offsets(count) -> np.ndarray:
+    """The CSR pointer of rows of the given sizes: 0, then their running sum."""
+    return np.concatenate(([0], np.cumsum(count, dtype=np.int64)))
 
 
 # -- objectives ----------------------------------------------------------
@@ -194,67 +247,123 @@ class Demand:
     bound: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CpInstance:
     """Graph, demands, allowed-path families, and objective.
 
-    `families[i]` lists the allowed paths of demand i as node tuples, and
-    `family_edges[i]` the matching edge-index tuples. D is the length of the
-    longest allowed path across all demands; `spanning` says whether every
-    node is some demand's endpoint.
+    The families are flat arrays. Demand i's allowed paths are
+    path_ptr[i]:path_ptr[i + 1], and path j's hops are hop_ptr[j]:hop_ptr[j + 1]:
+    hop s enters node hop_node[s] along edge hop_edge[s], so path j runs
+    from its demand's u through hop_node[hop_ptr[j]:hop_ptr[j + 1]].
+    `families` and `family_edges` show the same paths as node and edge-id
+    tuples, built on first use. D is the length of the longest allowed path
+    across all demands; `spanning` says whether every node is some demand's
+    endpoint. Build an instance from node tuples with `from_families`.
     """
 
     graph: Graph
     demands: tuple[Demand, ...]
-    families: tuple[tuple[tuple[int, ...], ...], ...]
     objective: Objective
-    family_edges: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, default=())
+    path_ptr: np.ndarray
+    hop_ptr: np.ndarray
+    hop_node: np.ndarray
+    hop_edge: np.ndarray
 
     def __post_init__(self):
-        if not self.family_edges:
-            # every hop of every family in one edge_ids lookup
-            paths = [p for fam in self.families for p in fam]
-            tails = [a for p in paths for a in p[:-1]]
-            heads = [b for p in paths for b in p[1:]]
-            ids = self.graph.edge_ids(tails, heads)
-            if (ids < 0).any():
-                i = int(np.argmax(ids < 0))
-                raise InstanceError(f"path hop ({tails[i]},{heads[i]}) is not a graph edge")
-            ids, ends = ids.tolist(), list(itertools.accumulate(len(p) - 1 for p in paths))
-            hops = iter([tuple(ids[a:b]) for a, b in zip([0, *ends], ends)])
-            self.family_edges = tuple(
-                tuple(itertools.islice(hops, len(fam))) for fam in self.families)
+        for a in (self.path_ptr, self.hop_ptr, self.hop_node, self.hop_edge):
+            a.flags.writeable = False
         self._validate()
 
-    def _validate(self) -> None:
-        g = self.graph
-        if len(self.families) != len(self.demands):
+    @classmethod
+    def from_families(cls, graph: Graph, demands, families, objective: Objective) -> CpInstance:
+        """The instance whose demand i may use the node tuples families[i]."""
+        if len(families) != len(demands):
             raise InstanceError("one path family required per demand")
-        for d, fam in zip(self.demands, self.families):
+        paths = [p for fam in families for p in fam]
+        tails = [a for p in paths for a in p[:-1]]
+        heads = [b for p in paths for b in p[1:]]
+        ids = graph.edge_ids(tails, heads)
+        if (ids < 0).any():
+            i = int(np.argmax(ids < 0))
+            raise InstanceError(f"path hop ({tails[i]},{heads[i]}) is not a graph edge")
+        for d, fam in zip(demands, families):
+            for p in fam:
+                if p[0] != d.u or p[-1] != d.v:
+                    raise InstanceError(f"path {p} does not join ({d.u},{d.v})")
+        path_ptr = _offsets([len(fam) for fam in families])
+        hop_ptr = _offsets([len(p) - 1 for p in paths])
+        return cls(graph, tuple(demands), objective, path_ptr, hop_ptr,
+                   np.array(heads, dtype=np.int64), ids)
+
+    def _validate(self) -> None:
+        """Raise InstanceError for the first demand, in input order, with a
+        bad node, no allowed path, or a path that is not simple or is longer
+        than the bound."""
+        g, demands = self.graph, self.demands
+        if len(self.path_ptr) != len(demands) + 1:
+            raise InstanceError("one path family required per demand")
+        for d in demands:
             g.check_node(d.u)
             g.check_node(d.v)
             if d.u == d.v:
                 raise InstanceError(f"degenerate demand ({d.u},{d.v})")
-            if not fam:
-                raise InfeasibleDemandError(
-                    f"demand ({d.u},{d.v}) has no allowed path within bound {d.bound}"
-                )
-            for p in fam:
-                if p[0] != d.u or p[-1] != d.v:
-                    raise InstanceError(f"path {p} does not join ({d.u},{d.v})")
-                if len(set(p)) != len(p):
-                    raise InstanceError(f"path {p} is not simple")
-                if len(p) - 1 > d.bound:
-                    raise InstanceError(
-                        f"path {p} longer than bound {d.bound} for ({d.u},{d.v})"
-                    )
+        count, length = np.diff(self.path_ptr), np.diff(self.hop_ptr)
+        owner = self.path_owner
+        start = np.array([d.u for d in demands], dtype=np.int64)[owner]
+        # a node twice on one path shows as a repeated path * n + node key
+        key = np.sort(np.concatenate((self.hop_path * g.n + self.hop_node,
+                                      np.arange(len(length)) * g.n + start)))
+        repeat = np.zeros(len(length), dtype=bool)
+        repeat[key[1:][key[1:] == key[:-1]] // g.n] = True
+        bound = np.array([d.bound for d in demands], dtype=float)
+        bad = np.flatnonzero(repeat | (length > bound[owner]))
+        empty = np.flatnonzero(count == 0)
+        if len(empty) and not (len(bad) and owner[bad[0]] < empty[0]):
+            d = demands[empty[0]]
+            raise InfeasibleDemandError(
+                f"demand ({d.u},{d.v}) has no allowed path within bound {d.bound}")
+        if len(bad):
+            j = int(bad[0])
+            d, p = demands[owner[j]], (int(start[j]), *self.hop_node[
+                self.hop_ptr[j]:self.hop_ptr[j + 1]].tolist())
+            if repeat[j]:
+                raise InstanceError(f"path {p} is not simple")
+            raise InstanceError(f"path {p} longer than bound {d.bound} for ({d.u},{d.v})")
 
-    @property
+    @functools.cached_property
+    def path_owner(self) -> np.ndarray:
+        """The demand of every path."""
+        return np.repeat(np.arange(len(self.demands)), self.path_ptr[1:] - self.path_ptr[:-1])
+
+    @functools.cached_property
+    def hop_path(self) -> np.ndarray:
+        """The path of every hop."""
+        return np.repeat(np.arange(len(self.hop_ptr) - 1), self.hop_ptr[1:] - self.hop_ptr[:-1])
+
+    @functools.cached_property
     def D(self) -> int:
         """Longest allowed path length over every demand (0 if no demands)."""
-        return max(
-            (len(p) - 1 for fam in self.families for p in fam), default=0
-        )
+        return int(np.diff(self.hop_ptr).max(initial=0))
+
+    @functools.cached_property
+    def families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every demand's allowed paths as node tuples, in family order."""
+        return self._per_path(self.hop_node, start=True)
+
+    @functools.cached_property
+    def family_edges(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every demand's allowed paths as edge-index tuples."""
+        return self._per_path(self.hop_edge, start=False)
+
+    def _per_path(self, hop_values: np.ndarray, start: bool) -> tuple:
+        """Each demand's paths as tuples of their hops' values, led by the
+        demand's u when `start` is set."""
+        flat, hop_ptr = hop_values.tolist(), self.hop_ptr.tolist()
+        path_ptr = self.path_ptr.tolist()
+        return tuple(
+            tuple(((d.u,) if start else ()) + tuple(flat[hop_ptr[j]:hop_ptr[j + 1]])
+                  for j in range(a, b))
+            for d, a, b in zip(self.demands, path_ptr, path_ptr[1:]))
 
     @property
     def spanning(self) -> bool:
@@ -273,9 +382,10 @@ def build_spanner_instance(
     if objective is None:
         objective = linear_sum()
     demands = tuple(Demand(u, v, k) for u, v in g.edges)
-    out = _out_lists(g)
-    families = tuple(tuple(_paths(out, u, v, k)) for u, v in g.edges)
-    return CpInstance(g, demands, families, objective)
+    bound = np.full(g.m, int(k))
+    family = _path_family(g, g.tail, g.head, bound, DEFAULT_PATH_CAP,
+                          _target_hops(g, g.head, int(k) - 1))
+    return CpInstance(g, demands, objective, *family)
 
 
 def build_dsn_instance(
@@ -287,29 +397,33 @@ def build_dsn_instance(
 
     Each demand (u, v, L) requires a directed u->v path of at most L edges.
     Once every demand's nodes pass, a bound below the directed distance
-    raises InfeasibleDemandError.
+    raises InfeasibleDemandError; demand distances come from the target
+    table the enumeration prunes with.
     """
     if objective is None:
         objective = linear_sum()
-    for u, v, _ in demands:
-        g.check_node(u)
-        g.check_node(v)
+    rows = []
+    for u, v, bound in demands:
+        u, v = g.check_node(u), g.check_node(v)
         if u == v:
             raise InstanceError(f"degenerate demand ({u},{v})")
-    indptr, heads, _ = g.arc_csr("out")
-    dist = _pair_hops(indptr, heads, [d[0] for d in demands], [d[1] for d in demands], g.n)
-    out = _out_lists(g)
-    dms = []
-    fams = []
-    for (u, v, bound), hops in zip(demands, dist.tolist()):
-        if hops > bound:
-            raise InfeasibleDemandError(
-                f"demand ({u},{v}) unreachable within bound {bound} "
-                f"(directed distance {'inf' if hops >= UNREACHABLE else hops})"
-            )
-        dms.append(Demand(u, v, int(bound)))
-        fams.append(tuple(_paths(out, u, v, int(bound))))
-    return CpInstance(g, tuple(dms), tuple(fams), objective)
+        rows.append((u, v, int(bound)))
+    u, v, bound = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    hops = _target_hops(g, v, int(bound.max(initial=0)))
+    far = np.flatnonzero(hops(np.arange(len(u)), u) > bound)
+    stop = int(far[0]) if len(far) else len(u)
+    # a cap error of an earlier demand comes before this one's
+    family = _path_family(g, u[:stop], v[:stop], bound[:stop], DEFAULT_PATH_CAP, hops)
+    if stop < len(u):
+        a, b, raw = demands[stop]
+        indptr, heads, _ = g.arc_csr("out")
+        dist = int(_pair_hops(indptr, heads, [u[stop]], [v[stop]], g.n)[0])
+        raise InfeasibleDemandError(
+            f"demand ({a},{b}) unreachable within bound {raw} "
+            f"(directed distance {'inf' if dist >= UNREACHABLE else dist})"
+        )
+    dms = tuple(Demand(a, b, c) for a, b, c in rows)
+    return CpInstance(g, dms, objective, *family)
 
 
 # -- instance files ------------------------------------------------------
@@ -361,9 +475,12 @@ def read_instance(path: str) -> CpInstance:
             elif len(triples) < head["demands"]:
                 u, v, bound = map(int, text.split())
                 triples.append((u, v, bound))
+            else:
+                raise ValueError
         except (KeyError, ValueError):
             want = (f"one header line each of {', '.join(_HEADER)}" if in_head
-                    else "a demand row '<u> <v> <bound>'")
+                    else "a demand row '<u> <v> <bound>'" if len(triples) < head["demands"]
+                    else f"the end of the file after {head['demands']} demand rows")
             raise InstanceError(
                 f"{path}: line {no}: expected {want}, found {text!r}") from None
     missing = [key for key in _HEADER if key not in head]

@@ -51,9 +51,15 @@ class Graph:
     # -- communication-shadow metric ------------------------------------
 
     def check_node(self, u: int) -> int:
-        if not (0 <= u < self.n):
+        """u as an int, if it is an integer (as `operator.index` reads it)
+        naming a node; else GraphError."""
+        try:
+            node = operator.index(u)
+        except TypeError:
+            raise GraphError(f"node {u!r} is not an integer") from None
+        if not (0 <= node < self.n):
             raise GraphError(f"node {u} out of range for n={self.n}")
-        return int(u)
+        return node
 
     def neighbors(self, u: int) -> list[int]:
         """Communication neighbors of u (direction ignored), ascending."""
@@ -149,10 +155,14 @@ class Graph:
         """Index in `edges` of the edge u[i] -> v[i] (either way round on
         undirected graphs), for every i, or -1 where there is no such edge
         or a node is out of range: one search of the sorted row * n + column
-        keys of arc_csr("out")."""
+        keys of arc_csr("out"). Non-integer node ids raise GraphError."""
         n = self.n
         indptr, heads, ids = self.arc_csr("out")
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
+        for a in (u, v):
+            if a.size and a.dtype.kind not in "biu":
+                raise GraphError(f"node ids must be integers, got dtype {a.dtype}")
+        u, v = u.astype(np.int64), v.astype(np.int64)
         want = np.where((np.minimum(u, v) >= 0) & (np.maximum(u, v) < n), u * n + v, -1)
         if not self.m:
             return np.full(want.shape, -1)

@@ -10,6 +10,7 @@ demands.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -21,7 +22,7 @@ import numpy as np
 
 from .cp import CpInstance, Objective, evaluate_objective
 from .decomposition import padded_mask
-from .graphs import as_edge_vector, induced_edges
+from .graphs import as_edge_vector, induced_edges, run_starts
 
 
 class LpError(RuntimeError):
@@ -42,23 +43,50 @@ class SimplexStall(LpError):
 
 @dataclass
 class LpProblem:
-    """min c.y over y >= 0 subject to sparse sense rows.
+    """min c.y over y >= 0 subject to row_lower <= A y <= row_upper.
 
-    Rows are (coefficients by variable index, '<=' or '>=', rhs).
+    A is row-wise CSR: row i holds value[k] at column index[k] for k in
+    start[i]:start[i + 1]. A '<=' row has lower bound -inf, a '>=' row upper
+    bound +inf. `rows` shows the same rows as (coefficients by variable
+    index, '<=' or '>=', rhs) triples.
     """
 
     var_names: list[str]
     objective: dict[int, float]
-    rows: list[tuple[dict[int, float], str, float]] = field(default_factory=list)
+    start: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
+    index: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    value: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    row_lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    row_upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def num_vars(self) -> int:
         return len(self.var_names)
 
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_lower)
+
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> None:
         if sense not in ("<=", ">="):
             raise LpError(f"unsupported row sense {sense!r}")
-        self.rows.append((coeffs, sense, rhs))
+        self.start = np.append(self.start, np.int32(self.start[-1] + len(coeffs)))
+        self.index = np.append(self.index, np.fromiter(coeffs, np.int32, len(coeffs)))
+        self.value = np.append(self.value, np.fromiter(coeffs.values(), float, len(coeffs)))
+        lower, upper = (-np.inf, rhs) if sense == "<=" else (rhs, np.inf)
+        self.row_lower = np.append(self.row_lower, lower)
+        self.row_upper = np.append(self.row_upper, upper)
+
+    @property
+    def rows(self) -> tuple[tuple[dict[int, float], str, float], ...]:
+        """The rows as (coefficients by variable index, sense, rhs), built
+        from the CSR on every access: a row with a finite upper bound reads
+        '<=' it, any other '>=' its lower bound."""
+        index, value, start = self.index.tolist(), self.value.tolist(), self.start.tolist()
+        return tuple(
+            (dict(zip(index[a:b], value[a:b])), *(("<=", up) if up < np.inf else (">=", lo)))
+            for a, b, lo, up in zip(start, start[1:], self.row_lower.tolist(),
+                                    self.row_upper.tolist()))
 
 
 @dataclass
@@ -99,53 +127,37 @@ _HIGHS_OPTIONS = (("output_flag", False), ("solver", "simplex"),
                   ("presolve", "off"), ("random_seed", 0), ("threads", 1))
 
 
-def _csr(problem: LpProblem):
-    """Row-wise CSR (start, index, value) of the rows, and the row bounds
-    (lower, upper) their senses give."""
-    nr = len(problem.rows)
-    start = np.zeros(nr + 1, dtype=np.int32)
-    lower, upper = np.full(nr, -np.inf), np.full(nr, np.inf)
-    index: list[int] = []
-    value: list[float] = []
-    for i, (coeffs, sense, rhs) in enumerate(problem.rows):
-        index.extend(coeffs)
-        value.extend(coeffs.values())
-        start[i + 1] = len(index)
-        (upper if sense == "<=" else lower)[i] = rhs
-    return start, np.asarray(index, dtype=np.int32), np.asarray(value), lower, upper
-
-
 def _cost(problem: LpProblem, ncols: int) -> np.ndarray:
     c = np.zeros(ncols)
     c[list(problem.objective)] = list(problem.objective.values())
     return c
 
 
-def _residual(csr, x: np.ndarray) -> float:
+def _residual(problem: LpProblem, x: np.ndarray) -> float:
     """Worst violation of a row or of x >= 0 (0 when x is feasible)."""
-    start, index, value, lower, upper = csr
-    rows = np.repeat(np.arange(len(lower)), np.diff(start))
-    lhs = np.bincount(rows, weights=value * x[index], minlength=len(lower))
-    gaps = np.maximum(lhs - upper, lower - lhs)
+    nr = problem.num_rows
+    rows = np.repeat(np.arange(nr), np.diff(problem.start))
+    lhs = np.bincount(rows, weights=problem.value * x[problem.index], minlength=nr)
+    gaps = np.maximum(lhs - problem.row_upper, problem.row_lower - lhs)
     return float(max(gaps.max(initial=0.0), -x.min(initial=0.0)))
 
 
 def _solve_highs(problem: LpProblem) -> LpSolution:
     h = _highs()
-    nv, nr = problem.num_vars, len(problem.rows)
-    csr = _csr(problem)
+    nv, nr = problem.num_vars, problem.num_rows
     cost = _cost(problem, nv)
-    lp = h.HighsLp()
-    lp.num_col_, lp.num_row_ = nv, nr
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(nv), np.full(nv, np.inf)
-    a = lp.a_matrix_
-    a.format_, a.num_col_, a.num_row_ = h.MatrixFormat.kRowwise, nv, nr
-    a.start_, a.index_, a.value_, lp.row_lower_, lp.row_upper_ = csr
     solver = h._Highs()
     for name, setting in _HIGHS_OPTIONS:
         if solver.setOptionValue(name, setting) == h.HighsStatus.kError:
             raise LpError(f"HiGHS rejected option {name}={setting!r}")
-    if solver.passModel(lp) == h.HighsStatus.kError:
+    # the array overload: (num_col, num_row, num_nz, a_format, sense, offset,
+    # col cost/lower/upper, row lower/upper, a_start/index/value, integrality);
+    # an empty integrality array makes it fail, so every column says 0
+    if solver.passModel(
+            nv, nr, len(problem.index), h.MatrixFormat.kRowwise, h.ObjSense.kMinimize, 0.0,
+            cost, np.zeros(nv), np.full(nv, np.inf), problem.row_lower, problem.row_upper,
+            problem.start, problem.index, problem.value,
+            np.zeros(nv, dtype=np.int32)) == h.HighsStatus.kError:
         raise LpError("HiGHS rejected the model")
     solver.run()
     status = solver.getModelStatus()
@@ -159,7 +171,7 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
         raise SimplexStall(message)
     x = np.array(solver.getSolution().col_value)
     x[np.abs(x) < 1e-9] = 0.0  # zeros come back as about -1e-14
-    res = _residual(csr, x)
+    res = _residual(problem, x)
     if res > 1e-6:
         raise SimplexStall(f"float residual {res} too large")
     iters = solver.getInfo().simplex_iteration_count
@@ -174,7 +186,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     if problem.num_vars == 0:
         # HiGHS answers "Empty" on a model without columns
-        res = _residual(_csr(problem), np.zeros(0))
+        res = _residual(problem, np.zeros(0))
         if res > 0:
             raise LpInfeasible(f"row violated by {res} at the empty point")
         return LpSolution(np.zeros(0), 0.0, 0, 0.0)
@@ -207,13 +219,52 @@ def cluster_demands(instance: CpInstance, cluster: frozenset[int] | set[int]) ->
     return [i for i, d in enumerate(instance.demands) if padded[d.u]]
 
 
-def _paths_by_edge(fam_edges) -> list[tuple[int, list[int]]]:
-    """(edge, indices of the family's paths that use it), by ascending edge."""
-    by_edge: dict[int, list[int]] = {}
-    for j, edges in enumerate(fam_edges):
-        for e in edges:
-            by_edge.setdefault(e, []).append(j)
-    return sorted(by_edge.items())
+def _family_rows(instance: CpInstance, chosen: np.ndarray, base: int,
+                 x_col: np.ndarray | None = None):
+    """The capacity and demand rows of the demands where the mask `chosen`
+    is set, as row-wise CSR.
+
+    Columns base, base + 1, ... are the chosen demands' paths, by demand,
+    each family in order. For each chosen demand in turn come one capacity
+    row per edge its paths use, by ascending edge, with +1 at each path
+    through the edge (and -1 at column x_col[edge], last, when x_col is
+    given), then its demand row with +1 at each of its paths. One pass over
+    the hop arrays builds them: the path entries, listed by column, then the
+    x entries go into rows by one stable sort of their row keys, which keeps
+    each row's entries in that order.
+
+    Returns (start, index, value, row edge): the row edge of a demand row
+    is m.
+    """
+    m = instance.graph.m
+    owner, hop_path = instance.path_owner, instance.hop_path
+    path_in = chosen[owner]
+    col = base - 1 + np.cumsum(path_in)  # each chosen path's column
+    hop_in = path_in[hop_path]
+    path, edge = hop_path[hop_in], instance.hop_edge[hop_in]
+    cap_key = owner[path] * (m + 1) + edge  # demand rows sort after the edges
+    if x_col is not None and (x_col[edge] < 0).any():
+        k = int(cap_key[x_col[edge] < 0].min())
+        raise LpError(f"demand {k // (m + 1)} path leaves the cluster scope "
+                      f"(edge {k % (m + 1)})")
+    row_key = [cap_key, owner[path_in] * (m + 1) + m]
+    cols = [col[path], col[path_in]]
+    if x_col is not None:
+        row_key.append(np.unique(cap_key))
+        cols.append(x_col[row_key[-1] % (m + 1)])
+    key = np.concatenate(row_key)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = run_starts(key)
+    start = np.append(np.flatnonzero(first), len(key)).astype(np.int32)
+    value = np.where(order < len(path) + len(cols[1]), 1.0, -1.0)  # -1 on x entries
+    return start, np.concatenate(cols)[order].astype(np.int32), value, key[first] % (m + 1)
+
+
+def _family_names(instance: CpInstance, dids: list[int]) -> list[str]:
+    """f_<demand>_<path> for the paths of the demands `dids`, in column order."""
+    ptr = instance.path_ptr.tolist()
+    return [f"f_{di}_{j}" for di in dids for j in range(ptr[di + 1] - ptr[di])]
 
 
 def build_cluster_cp(
@@ -227,65 +278,54 @@ def build_cluster_cp(
     each included demand; capacity rows are emitted only for (demand, edge)
     pairs where some allowed path uses the edge (the remaining rows reduce to
     x_e >= 0, already implied). Returns the LP, the scope edge indices, and
-    the included demand indices.
+    the included demand indices, ascending: the LP takes them in that order.
     """
     g = instance.graph
     members = set(int(u) for u in cluster)
     if demand_indices is None:
         demand_indices = cluster_demands(instance, members)
-    scope = np.flatnonzero(induced_edges(g, members)).tolist()
-    x_col = {e: j for j, e in enumerate(scope)}
-    names = [f"x_{e}" for e in scope]
-    problem = LpProblem(var_names=names, objective={})
-    f_cols: list[list[int]] = []
-    for di in demand_indices:
-        cols = []
-        for pj, _ in enumerate(instance.families[di]):
-            cols.append(len(problem.var_names))
-            problem.var_names.append(f"f_{di}_{pj}")
-        f_cols.append(cols)
-
-    for slot, di in enumerate(demand_indices):
-        for e, pjs in _paths_by_edge(instance.family_edges[di]):
-            if e not in x_col:
-                raise LpError(
-                    f"demand {di} path leaves the cluster scope (edge {e})"
-                )
-            coeffs = {f_cols[slot][pj]: 1.0 for pj in pjs}
-            coeffs[x_col[e]] = -1.0
-            problem.add_row(coeffs, "<=", 0.0)
-        problem.add_row({col: 1.0 for col in f_cols[slot]}, ">=", 1.0)
+    chosen = np.zeros(len(instance.demands), dtype=bool)
+    chosen[demand_indices] = True
+    dids = np.flatnonzero(chosen).tolist()
+    scope = np.flatnonzero(induced_edges(g, members))
+    x_col = np.full(g.m, -1)
+    x_col[scope] = np.arange(len(scope))
+    start, index, value, row_edge = _family_rows(instance, chosen, len(scope), x_col)
+    demand_row = row_edge == g.m
+    scope = scope.tolist()
+    problem = LpProblem(
+        [f"x_{e}" for e in scope] + _family_names(instance, dids),
+        dict.fromkeys(range(len(scope)), 1.0), start, index, value,
+        np.where(demand_row, 1.0, -np.inf), np.where(demand_row, np.inf, 0.0))
 
     obj = instance.objective
-    if obj.kind == "linear-sum" or (obj.kind == "p-norm" and obj.p == 1):
-        problem.objective = {x_col[e]: 1.0 for e in scope}
-    elif obj.kind == "max-degree":
+    if obj.kind == "max-degree":
         lam = len(problem.var_names)
         problem.var_names.append("lam")
         problem.objective = {lam: 1.0}
         incident: dict[int, list[int]] = {w: [] for w in sorted(members)}
-        for e in scope:
+        for j, e in enumerate(scope):
             u, v = g.edges[e]
             if obj.degree_mode in ("out", "inout"):
-                incident[u].append(e)
+                incident[u].append(j)
             if obj.degree_mode in ("in", "inout"):
-                incident[v].append(e)
+                incident[v].append(j)
         for w in sorted(incident):
-            coeffs = {x_col[e]: 1.0 for e in incident[w]}
+            coeffs = dict.fromkeys(incident[w], 1.0)
             coeffs[lam] = coeffs.get(lam, 0.0) - 1.0
             problem.add_row(coeffs, "<=", 0.0)
     elif obj.kind == "p-norm" and math.isinf(obj.p):
         lam = len(problem.var_names)
         problem.var_names.append("lam")
         problem.objective = {lam: 1.0}
-        for e in scope:
-            problem.add_row({x_col[e]: 1.0, lam: -1.0}, "<=", 0.0)
-    else:
+        for j in range(len(scope)):
+            problem.add_row({j: 1.0, lam: -1.0}, "<=", 0.0)
+    elif obj.kind != "linear-sum" and not (obj.kind == "p-norm" and obj.p == 1):
         raise LpError(
             f"objective {obj.label()} has no direct LP form; "
             "use solve_cluster_cp which handles it by cutting planes"
         )
-    return problem, scope, list(demand_indices)
+    return problem, scope, dids
 
 
 def solve_cluster_cp(
@@ -297,29 +337,29 @@ def solve_cluster_cp(
 
     The returned x lives on the full edge index set (zero outside scope);
     flows map demand index -> per-path values. Finite p-norm objectives with
-    p > 1 are minimized by cutting planes over the same LP feasible set.
+    p > 1 are minimized by cutting planes over the same LP feasible set. A
+    cluster without demands builds no LP: its optimum is zero.
     """
+    if demand_indices is None:
+        cluster = set(int(u) for u in cluster)
+        demand_indices = cluster_demands(instance, cluster)
+    if not len(demand_indices):
+        return CpSolution(np.zeros(instance.graph.m), {}, 0.0, 0.0, ())
     obj = instance.objective
     if obj.kind == "p-norm" and 1 < obj.p < math.inf:
         return _solve_pnorm(instance, cluster, demand_indices)
     problem, scope, dids = build_cluster_cp(instance, cluster, demand_indices)
-    if not dids:
-        x = np.zeros(instance.graph.m)
-        return CpSolution(x, {}, 0.0, 0.0, tuple())
-    sol = solve_lp(problem)
-    return _unpack(instance, problem, scope, dids, sol)
+    return _unpack(instance, scope, dids, solve_lp(problem))
 
 
-def _unpack(instance, problem, scope, dids, sol: LpSolution) -> CpSolution:
+def _unpack(instance, scope, dids, sol: LpSolution) -> CpSolution:
     x = np.zeros(instance.graph.m)
-    for j, e in enumerate(scope):
-        x[e] = sol.values[j]
-    flows = {}
-    pos = len(scope)
+    x[scope] = sol.values[:len(scope)]
+    ptr, flows, at = instance.path_ptr.tolist(), {}, len(scope)
     for di in dids:
-        k = len(instance.families[di])
-        flows[di] = np.asarray(sol.values[pos : pos + k], dtype=float)
-        pos += k
+        k = ptr[di + 1] - ptr[di]
+        flows[di] = sol.values[at:at + k]
+        at += k
     value = evaluate_objective(instance.objective, x, instance.graph)
     return CpSolution(
         x=x, flows=flows, value=value, residual=sol.residual,
@@ -327,14 +367,11 @@ def _unpack(instance, problem, scope, dids, sol: LpSolution) -> CpSolution:
     )
 
 
-def _solve_pnorm(instance: CpInstance, cluster,
-                 demand_indices: list[int] | None = None) -> CpSolution:
+def _solve_pnorm(instance: CpInstance, cluster, demand_indices: list[int]) -> CpSolution:
     """Kelley cutting planes: minimize t with t >= tangent of ||x||_p at iterates."""
     base, scope, dids = build_cluster_cp(
-        _with_objective(instance, Objective("linear-sum")), cluster, demand_indices
-    )
-    if not dids:
-        return CpSolution(np.zeros(instance.graph.m), {}, 0.0, 0.0, ())
+        dataclasses.replace(instance, objective=Objective("linear-sum")),
+        cluster, demand_indices)
     p = instance.objective.p
     tcol = len(base.var_names)
     base.var_names.append("t")
@@ -342,7 +379,7 @@ def _solve_pnorm(instance: CpInstance, cluster,
     best: CpSolution | None = None
     for _ in range(200):
         sol = solve_lp(base)
-        cps = _unpack(instance, base, scope, dids, sol)
+        cps = _unpack(instance, scope, dids, sol)
         t_val = sol.values[tcol]
         g_val = float(np.sum(cps.x**p) ** (1.0 / p))
         if best is None or g_val < best.value:
@@ -359,14 +396,6 @@ def _solve_pnorm(instance: CpInstance, cluster,
         base.add_row(coeffs, "<=", rhs)
     assert best is not None
     return best
-
-
-def _with_objective(instance: CpInstance, objective: Objective) -> CpInstance:
-    return CpInstance(
-        graph=instance.graph, demands=instance.demands,
-        families=instance.families, objective=objective,
-        family_edges=instance.family_edges,
-    )
 
 
 def solve_global_oracle(instance: CpInstance) -> CpSolution:
@@ -398,19 +427,13 @@ def check_feasibility(instance: CpInstance, x, tol: float = 1e-9) -> Feasibility
     reaches flow >= 1 - tol.
     """
     x = as_edge_vector(instance.graph, x)
-    problem = LpProblem(var_names=[], objective={})
-    sizes = []
-    for di, fam_edges in enumerate(instance.family_edges):
-        base, k = problem.num_vars, len(fam_edges)
-        problem.var_names.extend(f"f_{di}_{j}" for j in range(k))
-        for e, js in _paths_by_edge(fam_edges):
-            problem.add_row({base + j: 1.0 for j in js}, "<=", float(x[e]))
-        problem.add_row({base + j: 1.0 for j in range(k)}, "<=", 1.0)
-        sizes.append(k)
-    problem.objective = dict.fromkeys(range(problem.num_vars), -1.0)
+    nd, nv = len(instance.demands), int(instance.path_ptr[-1])
+    start, index, value, row_edge = _family_rows(instance, np.ones(nd, dtype=bool), 0)
+    problem = LpProblem(_family_names(instance, range(nd)), dict.fromkeys(range(nv), -1.0),
+                        start, index, value, np.full(len(row_edge), -np.inf),
+                        np.append(x, 1.0)[row_edge])
     sol = solve_lp(problem)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    flows = np.bincount(owner, weights=sol.values, minlength=len(sizes)).astype(float)
+    flows = np.bincount(instance.path_owner, weights=sol.values, minlength=nd).astype(float)
     return FeasibilityReport(bool(np.all(flows >= 1 - tol)), flows)
 
 
@@ -427,7 +450,8 @@ def dump_lp(problem: LpProblem, path: str) -> None:
     obj_terms = " ".join(
         term(v, problem.var_names[j]) for j, v in sorted(problem.objective.items())
     )
-    lines.append(f" obj: {obj_terms or '0 ' + problem.var_names[0]}")
+    # an empty objective names a variable at 0, if there is one
+    lines.append(f" obj: {obj_terms or ' '.join(['0', *problem.var_names[:1]])}")
     lines.append("Subject To")
     for i, (coeffs, sense, rhs) in enumerate(problem.rows):
         body = " ".join(term(v, problem.var_names[j]) for j, v in sorted(coeffs.items()))

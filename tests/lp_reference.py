@@ -1,13 +1,17 @@
 """Exhaustive vertex enumeration, the reference optimum the LP tests
 compare HiGHS against, and the conversions between an LpProblem and dense
-'<=' arrays (c, A, b) that feed it. Not collected by pytest."""
+'<=' arrays (c, A, b) that feed it; also the row-by-row, dict-built
+cluster and feasibility LPs that the array builders in `padspan.lp`
+replaced. Not collected by pytest."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from padspan.lp import LpProblem
+from padspan.graphs import induced_edges
+from padspan.lp import LpError, LpProblem, cluster_demands
 
 
 def vertex_enum_min(c, A, b):
@@ -94,3 +98,79 @@ def dense_le(problem):
         A[i, list(coeffs)] = [sign * v for v in coeffs.values()]
         b[i] = sign * rhs
     return c, A, b
+
+
+def _paths_by_edge(fam_edges) -> list[tuple[int, list[int]]]:
+    """(edge, indices of the family's paths that use it), by ascending edge."""
+    by_edge: dict[int, list[int]] = {}
+    for j, edges in enumerate(fam_edges):
+        for e in edges:
+            by_edge.setdefault(e, []).append(j)
+    return sorted(by_edge.items())
+
+
+def dict_cluster_cp(instance, cluster, demand_indices=None):
+    """build_cluster_cp row by row: the same LP, columns, rows and entry
+    order, from the tuple families."""
+    g = instance.graph
+    members = set(int(u) for u in cluster)
+    if demand_indices is None:
+        demand_indices = cluster_demands(instance, members)
+    scope = np.flatnonzero(induced_edges(g, members)).tolist()
+    x_col = {e: j for j, e in enumerate(scope)}
+    problem = LpProblem(var_names=[f"x_{e}" for e in scope], objective={})
+    f_cols: list[list[int]] = []
+    for di in demand_indices:
+        cols = []
+        for pj, _ in enumerate(instance.families[di]):
+            cols.append(len(problem.var_names))
+            problem.var_names.append(f"f_{di}_{pj}")
+        f_cols.append(cols)
+    for slot, di in enumerate(demand_indices):
+        for e, pjs in _paths_by_edge(instance.family_edges[di]):
+            if e not in x_col:
+                raise LpError(f"demand {di} path leaves the cluster scope (edge {e})")
+            coeffs = {f_cols[slot][pj]: 1.0 for pj in pjs}
+            coeffs[x_col[e]] = -1.0
+            problem.add_row(coeffs, "<=", 0.0)
+        problem.add_row({col: 1.0 for col in f_cols[slot]}, ">=", 1.0)
+    obj = instance.objective
+    if obj.kind == "linear-sum" or (obj.kind == "p-norm" and obj.p == 1):
+        problem.objective = {x_col[e]: 1.0 for e in scope}
+    elif obj.kind == "max-degree":
+        lam = len(problem.var_names)
+        problem.var_names.append("lam")
+        problem.objective = {lam: 1.0}
+        incident: dict[int, list[int]] = {w: [] for w in sorted(members)}
+        for e in scope:
+            u, v = g.edges[e]
+            if obj.degree_mode in ("out", "inout"):
+                incident[u].append(e)
+            if obj.degree_mode in ("in", "inout"):
+                incident[v].append(e)
+        for w in sorted(incident):
+            coeffs = {x_col[e]: 1.0 for e in incident[w]}
+            coeffs[lam] = coeffs.get(lam, 0.0) - 1.0
+            problem.add_row(coeffs, "<=", 0.0)
+    elif obj.kind == "p-norm" and math.isinf(obj.p):
+        lam = len(problem.var_names)
+        problem.var_names.append("lam")
+        problem.objective = {lam: 1.0}
+        for e in scope:
+            problem.add_row({x_col[e]: 1.0, lam: -1.0}, "<=", 0.0)
+    else:
+        raise LpError(f"objective {obj.label()} has no direct LP form")
+    return problem, scope, list(demand_indices)
+
+
+def dict_feasibility_lp(instance, x):
+    """The block max-flow LP of check_feasibility, row by row."""
+    problem = LpProblem(var_names=[], objective={})
+    for di, fam_edges in enumerate(instance.family_edges):
+        base, k = problem.num_vars, len(fam_edges)
+        problem.var_names.extend(f"f_{di}_{j}" for j in range(k))
+        for e, js in _paths_by_edge(fam_edges):
+            problem.add_row({base + j: 1.0 for j in js}, "<=", float(x[e]))
+        problem.add_row({base + j: 1.0 for j in range(k)}, "<=", 1.0)
+    problem.objective = dict.fromkeys(range(problem.num_vars), -1.0)
+    return problem

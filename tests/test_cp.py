@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padspan import cp
 from padspan.cp import (
     CpInstance,
     Demand,
@@ -22,8 +25,11 @@ from padspan.cp import (
     read_instance,
     write_instance,
 )
-from padspan.graphs import Graph, GraphError, restrict
-from padspan.harness import gen_gnp
+from padspan.graphs import UNREACHABLE, Graph, GraphError, restrict
+from padspan.harness import gen_cycle, gen_gnp, gen_grid
+
+from paths_reference import dfs_family
+from test_graphs import directed_bfs_oracle
 
 
 def complete_digraph(n):
@@ -274,7 +280,7 @@ class TestInstanceValidation:
     def test_path_not_simple_rejected(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 2)])
         with pytest.raises(InstanceError):
-            CpInstance(
+            CpInstance.from_families(
                 graph=g,
                 demands=(Demand(0, 2, 3),),
                 families=(((0, 1, 0, 2),),),
@@ -284,7 +290,7 @@ class TestInstanceValidation:
     def test_wrong_endpoints_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InstanceError):
-            CpInstance(
+            CpInstance.from_families(
                 graph=g,
                 demands=(Demand(0, 2, 2),),
                 families=(((0, 1),),),
@@ -312,7 +318,11 @@ class TestInstanceFile:
         (lambda ls: ls[:5] + ["0 3"], r"line 6: expected a demand row .*'0 3'"),
         (lambda ls: ls[:5] + ["0 3 x"], r"line 6: expected a demand row .*'0 3 x'"),
         (lambda ls: ls[:2] + ["objective p-norm:x", *ls[3:]], r"line 3: .*'objective p-norm:x'"),
-    ], ids=["header-replaced", "header-missing", "count", "short-row", "token", "objective"])
+        # a row past the declared demand count
+        (lambda ls: ls + ["1 2 9", "foo bar"], r"line 7: expected the end of the file after "
+                                               r"1 demand rows, found '1 2 9'"),
+    ], ids=["header-replaced", "header-missing", "count", "short-row", "token", "objective",
+            "extra-row"])
     def test_malformed_file_names_file_and_line(self, tmp_path, edit, message):
         inst = build_dsn_instance(Graph(4, [(0, 1), (1, 2), (2, 3)]), [(0, 3, 3)])
         path = str(tmp_path / "inst.txt")
@@ -345,3 +355,146 @@ class TestFractionalDegrees:
         assert out.tolist() == [1.0, 2.0, 4.0]
         assert inn.tolist() == [4.0, 1.0, 2.0]
         assert np.array_equal(both, out + inn)
+
+
+@st.composite
+def path_cases(draw):
+    """A small graph (directed or undirected gnp, grid, or cycle) and
+    demands with bounds 1-5, some of them unreachable."""
+    kind = draw(st.sampled_from(["gnp", "ugnp", "grid", "cycle", "ucycle"]))
+    if kind == "grid":
+        g = gen_grid(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    elif kind in ("cycle", "ucycle"):
+        g = gen_cycle(draw(st.integers(3, 8)), directed=kind == "cycle")
+    else:
+        g = gen_gnp(draw(st.integers(2, 8)), draw(st.sampled_from([0.2, 0.4, 0.7])),
+                    seed=draw(st.integers(0, 10**6)), directed=kind == "gnp")
+    pair = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(
+        lambda p: p[0] != p[1])
+    demands = draw(st.lists(st.tuples(pair, st.integers(1, 5)), max_size=8))
+    return g, [(u, v, bound) for (u, v), bound in demands]
+
+
+def family_tuples(g, u, family):
+    """The kernel's flat arrays as per-demand (node tuple, edge tuple) lists."""
+    path_ptr, hop_ptr, hop_node, hop_edge = (a.tolist() for a in family)
+    return [[((u[i], *hop_node[hop_ptr[j]:hop_ptr[j + 1]]),
+              tuple(hop_edge[hop_ptr[j]:hop_ptr[j + 1]]))
+             for j in range(path_ptr[i], path_ptr[i + 1])] for i in range(len(u))]
+
+
+def outcome(fn):
+    """("ok", fn()), or the type and message of the InstanceError it raised."""
+    try:
+        return "ok", fn()
+    except InstanceError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayEnumerator:
+    """The level-synchronous enumerator against the depth-first reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=path_cases(), cap=st.sampled_from([1, 3, 8, 100_000]))
+    def test_matches_dfs(self, case, cap):
+        g, demands = case
+        u, v, bound = np.array(demands, dtype=np.int64).reshape(-1, 3).T
+        hops = cp._target_hops(g, v, int(bound.max(initial=1)) - 1)  # the least depth it needs
+        status, got = outcome(lambda: family_tuples(g, u.tolist(), cp._path_family(
+            g, u, v, bound, cap, hops)))
+        want = outcome(lambda: dfs_family(g, demands, cap))
+        if want[0] != "ok":
+            assert (status, got) == want  # the same first demand over the cap
+            return
+        assert [[p for p, _ in fam] for fam in got] == [list(fam) for fam in want[1]]
+        for fam in got:
+            for p, edges in fam:
+                assert list(edges) == g.edge_ids(p[:-1], p[1:]).tolist()
+        for (a, b, bound_i), fam in zip(demands, got):
+            assert bool(fam) == (directed_bfs_oracle(g, a)[b] <= bound_i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=path_cases())
+    def test_dsn_builder_matches_dfs(self, case):
+        g, demands = case
+        first_far = next((i for i, (a, b, bound) in enumerate(demands)
+                          if not dfs_family(g, [(a, b, bound)])[0]), None)
+        if first_far is None:
+            inst = build_dsn_instance(g, demands)
+            assert inst.families == dfs_family(g, demands)
+            assert inst.D == max((len(p) - 1 for fam in inst.families for p in fam), default=0)
+            return
+        a, b, bound = demands[first_far]
+        dist = int(directed_bfs_oracle(g, a)[b])
+        with pytest.raises(InfeasibleDemandError) as err:
+            build_dsn_instance(g, demands)
+        assert str(err.value) == (f"demand ({a},{b}) unreachable within bound {bound} "
+                                  f"(directed distance {'inf' if dist >= UNREACHABLE else dist})")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_spanner_builder_matches_dfs(self, k):
+        for g in (gen_gnp(9, 0.35, seed=k), gen_gnp(8, 0.4, seed=k, directed=False),
+                  gen_grid(3, 3), gen_cycle(6), gen_cycle(5, directed=False)):
+            inst = build_spanner_instance(g, k)
+            assert inst.families == dfs_family(g, [(a, b, k) for a, b in g.edges])
+
+    def test_cap_names_first_demand_in_input_order(self, monkeypatch):
+        # with cap 2, demand (5,6) has 3 paths after two levels, and demand
+        # (0,1) reaches 4 only on the third: the error still names (0,1)
+        g = Graph(9, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (3, 2),
+                      (5, 6), (5, 7), (7, 6), (5, 8), (8, 6)])
+        assert [len(f) for f in dfs_family(g, [(0, 1, 2), (0, 1, 3), (5, 6, 2)])] == [2, 4, 3]
+        monkeypatch.setattr(cp, "DEFAULT_PATH_CAP", 2)
+        with pytest.raises(InstanceError, match=r"path family for \(0,1\) exceeds cap 2"):
+            build_dsn_instance(g, [(0, 1, 3), (5, 6, 2)])
+        with pytest.raises(InstanceError, match=r"path family for \(5,6\) exceeds cap 2"):
+            build_dsn_instance(g, [(0, 1, 2), (5, 6, 2)])
+
+    def test_cap_error_before_later_infeasible_demand(self, monkeypatch):
+        monkeypatch.setattr(cp, "DEFAULT_PATH_CAP", 2)
+        g = complete_digraph(4)
+        with pytest.raises(InstanceError, match=r"\(0,1\) exceeds cap 2"):
+            build_dsn_instance(g, [(0, 1, 3), (1, 0, 0)])
+        with pytest.raises(InfeasibleDemandError):
+            build_dsn_instance(g, [(1, 0, 0), (0, 1, 3)])
+
+
+class TestFlatFamily:
+    def test_arrays_and_views_agree(self):
+        g = Graph(4, [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
+        inst = build_dsn_instance(g, [(0, 3, 2), (0, 1, 1)])
+        assert inst.path_ptr.tolist() == [0, 3, 4]
+        assert inst.hop_ptr.tolist() == [0, 2, 4, 5, 6]
+        assert inst.hop_node.tolist() == [1, 3, 2, 3, 3, 1]
+        assert inst.hop_edge.tolist() == [0, 1, 2, 3, 4, 0]
+        assert inst.families == (((0, 1, 3), (0, 2, 3), (0, 3)), ((0, 1),))
+        assert inst.family_edges == (((0, 1), (2, 3), (4,)), ((0,),))
+        assert inst.D == 2
+        assert inst.path_owner.tolist() == [0, 0, 0, 1]
+        assert inst.hop_path.tolist() == [0, 0, 1, 1, 2, 3]
+
+    def test_arrays_read_only(self):
+        inst = build_spanner_instance(Graph(3, [(0, 1), (1, 2), (2, 0)]), 2)
+        for a in (inst.path_ptr, inst.hop_ptr, inst.hop_node, inst.hop_edge):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_from_families_round_trip(self):
+        g = gen_gnp(8, 0.4, seed=3)
+        inst = build_spanner_instance(g, 3)
+        back = CpInstance.from_families(g, inst.demands, inst.families, inst.objective)
+        for name in ("path_ptr", "hop_ptr", "hop_node", "hop_edge"):
+            assert np.array_equal(getattr(back, name), getattr(inst, name))
+
+    @pytest.mark.parametrize("families, message", [
+        ((((0, 2),),), r"path hop \(0,2\) is not a graph edge"),
+        ((((1, 2),),), r"path \(1, 2\) does not join \(0,2\)"),
+        ((((0, 1, 0, 1, 2),),), r"path \(0, 1, 0, 1, 2\) is not simple"),
+        ((((0, 1, 2),),), r"path \(0, 1, 2\) longer than bound 1 for \(0,2\)"),
+        (((),), r"demand \(0,2\) has no allowed path within bound 1"),
+        ((), "one path family required per demand"),
+    ])
+    def test_from_families_errors(self, families, message):
+        g = Graph(3, [(0, 1), (1, 0), (1, 2)])
+        with pytest.raises(InstanceError, match=message):
+            CpInstance.from_families(g, (Demand(0, 2, 1),), families, linear_sum())

@@ -72,8 +72,8 @@ class TestSolveDistributed:
     def test_no_demands_yields_zero(self):
         g = Graph(3, [(0, 1), (1, 2)])
         from padspan.cp import CpInstance, linear_sum
-        inst0 = CpInstance(graph=g, demands=(), families=(),
-                           objective=linear_sum())
+        inst0 = CpInstance.from_families(graph=g, demands=(), families=(),
+                                         objective=linear_sum())
         run = solve_distributed(inst0, SolverConfig(epsilon=0.5, seed=1))
         assert run.solution.value == 0.0
         assert np.all(run.solution.x == 0)

@@ -151,6 +151,44 @@ class TestGraphConstruction:
             Graph(3, [(0, 1, 2)])
 
 
+class TestNodeChecks:
+    """Node ids follow the constructor's rule: integers as operator.index
+    reads them, in range."""
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(1.0), 0.0, "1", None])
+    def test_check_node_rejects_non_integer(self, bad):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="is not an integer"):
+            g.check_node(bad)
+
+    def test_check_node_accepts_integer_like(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for u, want in [(np.int64(2), 2), (np.uint8(1), 1), (True, 1), (0, 0)]:
+            got = g.check_node(u)
+            assert got == want and type(got) is int
+        with pytest.raises(GraphError, match="out of range"):
+            g.check_node(3)
+
+    @pytest.mark.parametrize("u, v", [(0.9, 1.7), ([0.0], [1.0]), ([0, 2**70], [1, 2])])
+    def test_edge_ids_rejects_non_integer(self, u, v):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="node ids must be integers"):
+            g.edge_ids(u, v)
+
+    def test_edge_ids_accepts_empty_and_bool(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert g.edge_ids([], []).tolist() == []
+        assert g.edge_ids([False, True], np.array([1, 2], dtype=np.uint8)).tolist() == [0, 1]
+
+    def test_float_demand_nodes_raise_typed_error(self):
+        from padspan.cp import build_dsn_instance
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="node 2.5 is not an integer"):
+            build_dsn_instance(g, [(0, 2.5, 2)])
+        with pytest.raises(GraphError, match="node 0.0 is not an integer"):
+            build_dsn_instance(g, [(0.0, 2, 2)])
+
+
 class TestRunStarts:
     def test_empty(self):
         assert run_starts(np.zeros(0, dtype=np.int64)).tolist() == []

@@ -1,9 +1,14 @@
 import itertools
 import math
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padspan.cp import (
     build_dsn_instance,
@@ -13,7 +18,13 @@ from padspan.cp import (
 )
 from padspan import lp
 from padspan.graphs import Graph, GraphError, restrict
-from padspan.harness import ExperimentConfig, gen_gnp, generate_instance
+from padspan.harness import (
+    ExperimentConfig,
+    HarnessError,
+    gen_gnp,
+    generate_instance,
+    sample_spanning_demands,
+)
 from padspan.lp import (
     LpError,
     LpInfeasible,
@@ -29,7 +40,13 @@ from padspan.lp import (
     solve_lp,
 )
 
-from lp_reference import dense_le, le_problem, vertex_enum_min
+from lp_reference import (
+    dense_le,
+    dict_cluster_cp,
+    dict_feasibility_lp,
+    le_problem,
+    vertex_enum_min,
+)
 
 
 def random_bounded_lp(rng):
@@ -185,7 +202,7 @@ class TestSimplexKernel:
             for coeffs, sense, rhs in p.rows:
                 lhs = sum(v * x[j] for j, v in coeffs.items())
                 worst = max(worst, lhs - rhs if sense == "<=" else rhs - lhs)
-            assert lp._residual(lp._csr(p), x) == worst
+            assert lp._residual(p, x) == worst
 
     def test_highs_binding_loads(self):
         assert lp._highs().HIGHS_VERSION_MAJOR >= 1
@@ -296,11 +313,8 @@ class TestClusterCp:
             problem, scope, dids = build_cluster_cp(inst, range(g.n))
             base = solve_lp(problem).objective
             c = float(rng.uniform(0.2, 0.9))
-            scaled_rows = [
-                (coeffs, sense, rhs * c if sense == ">=" else rhs)
-                for coeffs, sense, rhs in problem.rows
-            ]
-            problem.rows = scaled_rows
+            # the '>=' rows are the demand rows, whose lower bound is finite
+            problem.row_lower = problem.row_lower * c
             scaled = solve_lp(problem).objective
             assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
 
@@ -441,3 +455,116 @@ class TestLpDump:
         assert text.startswith("\\ padspan LP dump")
         assert "Minimize" in text and "Subject To" in text and "End" in text
         assert "x_0" in text and "f_0_0" in text
+
+
+class TestLpProblemArrays:
+    def test_rows_view_of_csr(self):
+        p = LpProblem(["a", "b", "c"], {0: 1.0})
+        p.add_row({2: 1.5, 0: -1.0}, "<=", 4)
+        p.add_row({}, ">=", -1.0)
+        p.add_row({1: 2.0}, ">=", 0.5)
+        assert p.start.tolist() == [0, 2, 2, 3]
+        assert p.index.tolist() == [2, 0, 1]
+        assert p.value.tolist() == [1.5, -1.0, 2.0]
+        assert p.row_lower.tolist() == [-np.inf, -1.0, 0.5]
+        assert p.row_upper.tolist() == [4.0, np.inf, np.inf]
+        assert p.start.dtype == p.index.dtype == np.int32
+        assert p.num_rows == 3
+        assert p.rows == (({2: 1.5, 0: -1.0}, "<=", 4.0), ({}, ">=", -1.0),
+                          ({1: 2.0}, ">=", 0.5))
+        assert list(p.rows[0][0]) == [2, 0]  # entry order kept
+
+    def test_bad_sense_rejected(self):
+        p = LpProblem(["a"], {})
+        with pytest.raises(LpError, match="unsupported row sense"):
+            p.add_row({0: 1.0}, "==", 1.0)
+        assert p.num_rows == 0
+
+    def test_demand_free_cluster_builds_no_lp(self, monkeypatch):
+        g = Graph(3, [(0, 1), (0, 2), (2, 1)])
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an LP for a cluster without demands")
+
+        monkeypatch.setattr(lp, "build_cluster_cp", no_build)
+        for obj in (None, p_norm(2)):
+            inst = build_spanner_instance(g, 2, obj)
+            for demands in ([], None):
+                sol = solve_cluster_cp(inst, [1], demand_indices=demands)
+                assert sol.value == 0.0 and sol.flows == {} and sol.demand_indices == ()
+                assert sol.x.tolist() == [0.0] * g.m
+
+
+@st.composite
+def lp_cases(draw):
+    """A small instance, objective and cluster, and an edge vector."""
+    n = draw(st.integers(3, 8))
+    g = gen_gnp(n, draw(st.sampled_from([0.3, 0.5])), seed=draw(st.integers(0, 10**6)),
+                directed=draw(st.booleans()))
+    obj = draw(st.sampled_from([None, max_degree("out"), max_degree("in"),
+                                max_degree("inout"), p_norm(math.inf), p_norm(1)]))
+    if draw(st.booleans()):
+        inst = build_spanner_instance(g, draw(st.integers(1, 3)), obj)
+    else:
+        try:
+            demands = sample_spanning_demands(g, draw(st.integers(0, 1000)))
+            inst = build_dsn_instance(g, demands, obj)
+        except HarnessError:  # some node reaches nothing
+            inst = build_spanner_instance(g, 2, obj)
+    cluster = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    x = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+                               min_size=g.m, max_size=g.m)))
+    return inst, cluster, x
+
+
+def rows_in_order(problem):
+    return [(list(coeffs.items()), sense, rhs) for coeffs, sense, rhs in problem.rows]
+
+
+def dumped(problem):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.lp"
+        dump_lp(problem, str(path))
+        return path.read_bytes()
+
+
+class TestArrayRowsMatchDictReference:
+    """The vectorised cluster and feasibility LPs against the row-by-row,
+    dict-built reference: the same bytes from dump_lp, and the same rows in
+    the same entry order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lp_cases())
+    def test_cluster_lp(self, case):
+        inst, cluster, _ = case
+        for demands in (None, list(range(len(inst.demands)))):
+            try:
+                want = dict_cluster_cp(inst, cluster, demands)
+            except LpError as exc:
+                with pytest.raises(LpError, match=re.escape(str(exc))):
+                    build_cluster_cp(inst, cluster, demands)
+                continue
+            got = build_cluster_cp(inst, cluster, demands)
+            assert got[1:] == want[1:]
+            assert got[0].var_names == want[0].var_names
+            assert got[0].objective == want[0].objective
+            assert rows_in_order(got[0]) == rows_in_order(want[0])
+            assert dumped(got[0]) == dumped(want[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lp_cases())
+    def test_feasibility_lp(self, case):
+        inst, _, x = case
+        seen = []
+
+        def record(problem):
+            seen.append(problem)
+            return solve_lp(problem)
+
+        with mock.patch.object(lp, "solve_lp", record):
+            check_feasibility(inst, x)
+        want = dict_feasibility_lp(inst, x)
+        assert seen[0].var_names == want.var_names
+        assert seen[0].objective == want.objective
+        assert rows_in_order(seen[0]) == rows_in_order(want)
+        assert dumped(seen[0]) == dumped(want)
