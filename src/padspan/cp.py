@@ -20,6 +20,10 @@ from .graphs import (UNREACHABLE, Graph, _frontier_bfs, _pair_hops, as_edge_vect
 
 DEFAULT_PATH_CAP = 100_000
 
+#: Node cells (extended prefixes x their length) one step of the path
+#: enumeration may build, per path the cap allows.
+_CELLS_PER_CAP = 8
+
 
 class InstanceError(ValueError):
     """Malformed demand, path family, or objective."""
@@ -44,11 +48,16 @@ def enumerate_paths(
     u, v = g.check_node(u), g.check_node(v)
     if max_len < 1:
         raise InstanceError(f"max_len must be >= 1, got {max_len}")
-    target = np.array([v])
-    _, hop_ptr, hop_node, _ = _path_family(g, np.array([u]), target, np.array([int(max_len)]),
-                                           cap, _target_hops(g, target, int(max_len) - 1))
+    target, bound = np.array([v]), _simple_bound(g, max_len)
+    _, hop_ptr, hop_node, _ = _path_family(g, np.array([u]), target, np.array([bound]),
+                                           cap, _target_hops(g, target, bound - 1))
     nodes, ptr = hop_node.tolist(), hop_ptr.tolist()
     return [(u, *nodes[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def _simple_bound(g: Graph, bound: int) -> int:
+    """The bound as an int, cut to n - 1: no simple path is longer."""
+    return min(int(bound), g.n - 1)
 
 
 def _target_hops(g: Graph, v: np.ndarray, depth: int):
@@ -80,50 +89,65 @@ def _path_family(g: Graph, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
     most bound[i] edges, as the flat arrays (path_ptr, hop_ptr, hop_node,
     hop_edge) that CpInstance holds.
 
-    Level h extends every live prefix of h - 1 hops by each arc out of its
-    last node (arc_csr("out"), which carries edge ids). An extension stays
-    if its node is new to the prefix and reaches v[i] within the hops the
-    bound leaves, as the target table `hops` says (so the table needs
-    depth max(bound) - 1); it is a path once it reaches v[i]. No path to
-    v[i] is a prefix of another, so one lexsort by (demand, node sequence)
-    puts each family in DFS order.
+    Prefixes grow a hop at a time over arc_csr("out"), which carries edge
+    ids. An extension stays if its node is new to the prefix and reaches
+    v[i] within the hops the bound leaves, as the target table `hops` says
+    (so the table needs depth max(bound) - 1); it is a path once it reaches
+    v[i]. The prefixes wait in a stack of blocks, each of one length and in
+    demand order. A step extends the leading rows of the top block whose
+    extensions fit in _CELLS_PER_CAP * cap node cells (at least one row)
+    and pushes the survivors as a new block, so the search runs depth first
+    in demand order and holds at most one block per length. No path to v[i]
+    is a prefix of another, so one lexsort by (demand, node sequence) puts
+    each family in DFS order.
 
     Raises InstanceError for the first demand, in input order, whose family
-    exceeds `cap` paths. The cap is checked every level, and once a family
+    exceeds `cap` paths. The cap is checked every step, and once a family
     is over it the prefixes of later demands are dropped.
     """
     indptr, heads, ids = g.arc_csr("out")
-    nd, depth = len(u), int(bound.max(initial=0))
-    # live prefix r: its demand dem[r], its node after h hops nodes[r, h]
-    # and the edge into it edges[r, h - 1]; -1 past its length
-    dem = np.arange(nd)
+    nd, depth = len(u), min(int(bound.max(initial=0)), g.n - 1)
+    budget = _CELLS_PER_CAP * max(cap, 1)
+    # a block of prefixes of h hops: row r is demand dem[r], with its node
+    # after h hops nodes[r, h] and the edge into it edges[r, h - 1]; -1 past
+    # its length
     nodes = np.full((nd, depth + 1), -1)
     nodes[:, 0] = u
-    edges = np.full((nd, depth), -1)
-    over, found, done = nd, 0, [(dem[:0], nodes[:0], edges[:0])]
-    for h in range(1, depth + 1):
-        last = nodes[:, h - 1]
+    blocks = [(0, np.arange(nd), nodes, np.full((nd, depth), -1))] if depth > 0 else []
+    found, over, done = 0, nd, [(nodes[:0, 0], nodes[:0], nodes[:0, 1:])]
+    per_demand, counted = np.zeros(nd, dtype=np.int64), 0
+    while blocks:
+        h, dem, nodes, edges = blocks.pop()
+        rows = len(dem) if over == nd else int(np.searchsorted(dem, over))
+        last = nodes[:rows, h]
         start = indptr[last]
         count = indptr[last + 1] - start
-        src = np.repeat(np.arange(len(dem)), count)
+        take = rows
+        # a row has at most n extensions of depth + 1 cells each
+        if rows * g.n * (depth + 1) > budget and count.sum() * (depth + 1) > budget:
+            take = max(1, int(np.searchsorted(np.cumsum(count) * (depth + 1), budget, "right")))
+            blocks.append((h, dem[take:rows], nodes[take:rows], edges[take:rows]))
+            start, count = start[:take], count[:take]
+        src = np.repeat(np.arange(take), count)
         slot = run_slots(start, count)
         w, d = heads[slot], dem[src]
-        keep = np.flatnonzero((hops(d, w) <= bound[d] - h)
-                              & (nodes[src, :h] != w[:, None]).all(axis=1))
+        keep = np.flatnonzero((hops(d, w) <= bound[d] - h - 1)
+                              & (nodes[src, :h + 1] != w[:, None]).all(axis=1))
         d, src, slot = d[keep], src[keep], slot[keep]
         nodes, edges = nodes[src], edges[src]
-        nodes[:, h], edges[:, h - 1] = heads[slot], ids[slot]
-        end = nodes[:, h] == v[d]
+        nodes[:, h + 1], edges[:, h] = heads[slot], ids[slot]
+        end = nodes[:, h + 1] == v[d]
         done.append((d[end], nodes[end], edges[end]))
         found += len(done[-1][0])
-        if found > cap:
-            per_demand = np.bincount(np.concatenate([p[0] for p in done]), minlength=nd)
+        if found > cap:  # some family may be over: count each
+            per_demand += np.bincount(np.concatenate([p[0] for p in done[counted:]]),
+                                      minlength=nd)
+            counted = len(done)
             if per_demand.max() > cap:
-                over = int(np.argmax(per_demand > cap))
+                over = min(over, int(np.argmax(per_demand > cap)))
         live = ~end & (d < over)
-        dem, nodes, edges = d[live], nodes[live], edges[live]
-        if not len(dem):
-            break
+        if h + 1 < depth and len(d := d[live]):
+            blocks.append((h + 1, d, nodes[live], edges[live]))
     if over < nd:
         raise InstanceError(f"path family for ({u[over]},{v[over]}) exceeds cap {cap}")
     dem, nodes, edges = map(np.concatenate, zip(*done))
@@ -258,7 +282,7 @@ class CpInstance:
     `families` and `family_edges` show the same paths as node and edge-id
     tuples, built on first use. D is the length of the longest allowed path
     across all demands; `spanning` says whether every node is some demand's
-    endpoint. Build an instance from node tuples with `from_families`.
+    endpoint.
     """
 
     graph: Graph
@@ -274,31 +298,10 @@ class CpInstance:
             a.flags.writeable = False
         self._validate()
 
-    @classmethod
-    def from_families(cls, graph: Graph, demands, families, objective: Objective) -> CpInstance:
-        """The instance whose demand i may use the node tuples families[i]."""
-        if len(families) != len(demands):
-            raise InstanceError("one path family required per demand")
-        paths = [p for fam in families for p in fam]
-        tails = [a for p in paths for a in p[:-1]]
-        heads = [b for p in paths for b in p[1:]]
-        ids = graph.edge_ids(tails, heads)
-        if (ids < 0).any():
-            i = int(np.argmax(ids < 0))
-            raise InstanceError(f"path hop ({tails[i]},{heads[i]}) is not a graph edge")
-        for d, fam in zip(demands, families):
-            for p in fam:
-                if p[0] != d.u or p[-1] != d.v:
-                    raise InstanceError(f"path {p} does not join ({d.u},{d.v})")
-        path_ptr = _offsets([len(fam) for fam in families])
-        hop_ptr = _offsets([len(p) - 1 for p in paths])
-        return cls(graph, tuple(demands), objective, path_ptr, hop_ptr,
-                   np.array(heads, dtype=np.int64), ids)
-
     def _validate(self) -> None:
         """Raise InstanceError for the first demand, in input order, with a
-        bad node, no allowed path, or a path that is not simple or is longer
-        than the bound."""
+        bad node, no allowed path, or a path that does not end at its v, is
+        not simple or is longer than the bound."""
         g, demands = self.graph, self.demands
         if len(self.path_ptr) != len(demands) + 1:
             raise InstanceError("one path family required per demand")
@@ -309,14 +312,18 @@ class CpInstance:
                 raise InstanceError(f"degenerate demand ({d.u},{d.v})")
         count, length = np.diff(self.path_ptr), np.diff(self.hop_ptr)
         owner = self.path_owner
-        start = np.array([d.u for d in demands], dtype=np.int64)[owner]
+        ends = np.array([(d.u, d.v) for d in demands], dtype=np.int64).reshape(-1, 2)
+        start, end = ends[owner].T
+        last = start.copy()
+        last[length > 0] = self.hop_node[self.hop_ptr[1:][length > 0] - 1]
+        astray = last != end
         # a node twice on one path shows as a repeated path * n + node key
         key = np.sort(np.concatenate((self.hop_path * g.n + self.hop_node,
                                       np.arange(len(length)) * g.n + start)))
         repeat = np.zeros(len(length), dtype=bool)
         repeat[key[1:][key[1:] == key[:-1]] // g.n] = True
         bound = np.array([d.bound for d in demands], dtype=float)
-        bad = np.flatnonzero(repeat | (length > bound[owner]))
+        bad = np.flatnonzero(astray | repeat | (length > bound[owner]))
         empty = np.flatnonzero(count == 0)
         if len(empty) and not (len(bad) and owner[bad[0]] < empty[0]):
             d = demands[empty[0]]
@@ -326,6 +333,8 @@ class CpInstance:
             j = int(bad[0])
             d, p = demands[owner[j]], (int(start[j]), *self.hop_node[
                 self.hop_ptr[j]:self.hop_ptr[j + 1]].tolist())
+            if astray[j]:
+                raise InstanceError(f"path {p} does not join ({d.u},{d.v})")
             if repeat[j]:
                 raise InstanceError(f"path {p} is not simple")
             raise InstanceError(f"path {p} longer than bound {d.bound} for ({d.u},{d.v})")
@@ -382,9 +391,9 @@ def build_spanner_instance(
     if objective is None:
         objective = linear_sum()
     demands = tuple(Demand(u, v, k) for u, v in g.edges)
-    bound = np.full(g.m, int(k))
-    family = _path_family(g, g.tail, g.head, bound, DEFAULT_PATH_CAP,
-                          _target_hops(g, g.head, int(k) - 1))
+    bound = _simple_bound(g, k)
+    family = _path_family(g, g.tail, g.head, np.full(g.m, bound), DEFAULT_PATH_CAP,
+                          _target_hops(g, g.head, bound - 1))
     return CpInstance(g, demands, objective, *family)
 
 
@@ -408,7 +417,8 @@ def build_dsn_instance(
         if u == v:
             raise InstanceError(f"degenerate demand ({u},{v})")
         rows.append((u, v, int(bound)))
-    u, v, bound = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    u, v, bound = np.array([(a, b, _simple_bound(g, c)) for a, b, c in rows],
+                           dtype=np.int64).reshape(-1, 3).T
     hops = _target_hops(g, v, int(bound.max(initial=0)))
     far = np.flatnonzero(hops(np.arange(len(u)), u) > bound)
     stop = int(far[0]) if len(far) else len(u)

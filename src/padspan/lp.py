@@ -67,15 +67,23 @@ class LpProblem:
     def num_rows(self) -> int:
         return len(self.row_lower)
 
+    def add_rows(self, count, index, value, lower, upper) -> None:
+        """Append a block of rows: row i of the block has count[i] entries,
+        taken in turn from index and value, and bounds lower[i], upper[i].
+        Each call copies the whole matrix, so add rows in blocks."""
+        ends = self.start[-1] + np.cumsum(count, dtype=np.int64)
+        self.start = np.concatenate((self.start, ends)).astype(np.int32)
+        self.index = np.concatenate((self.index, index)).astype(np.int32)
+        self.value = np.concatenate((self.value, value)).astype(float)
+        self.row_lower = np.concatenate((self.row_lower, lower)).astype(float)
+        self.row_upper = np.concatenate((self.row_upper, upper)).astype(float)
+
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> None:
+        """Append the row sum coeffs[j] y_j (sense) rhs, sense '<=' or '>='."""
         if sense not in ("<=", ">="):
             raise LpError(f"unsupported row sense {sense!r}")
-        self.start = np.append(self.start, np.int32(self.start[-1] + len(coeffs)))
-        self.index = np.append(self.index, np.fromiter(coeffs, np.int32, len(coeffs)))
-        self.value = np.append(self.value, np.fromiter(coeffs.values(), float, len(coeffs)))
         lower, upper = (-np.inf, rhs) if sense == "<=" else (rhs, np.inf)
-        self.row_lower = np.append(self.row_lower, lower)
-        self.row_upper = np.append(self.row_upper, upper)
+        self.add_rows([len(coeffs)], list(coeffs), list(coeffs.values()), [lower], [upper])
 
     @property
     def rows(self) -> tuple[tuple[dict[int, float], str, float], ...]:
@@ -287,39 +295,38 @@ def build_cluster_cp(
     chosen = np.zeros(len(instance.demands), dtype=bool)
     chosen[demand_indices] = True
     dids = np.flatnonzero(chosen).tolist()
-    scope = np.flatnonzero(induced_edges(g, members))
+    in_scope = np.flatnonzero(induced_edges(g, members))
     x_col = np.full(g.m, -1)
-    x_col[scope] = np.arange(len(scope))
-    start, index, value, row_edge = _family_rows(instance, chosen, len(scope), x_col)
+    x_col[in_scope] = np.arange(len(in_scope))
+    start, index, value, row_edge = _family_rows(instance, chosen, len(in_scope), x_col)
     demand_row = row_edge == g.m
-    scope = scope.tolist()
+    scope, ns = in_scope.tolist(), len(in_scope)
     problem = LpProblem(
         [f"x_{e}" for e in scope] + _family_names(instance, dids),
-        dict.fromkeys(range(len(scope)), 1.0), start, index, value,
+        dict.fromkeys(range(ns), 1.0), start, index, value,
         np.where(demand_row, 1.0, -np.inf), np.where(demand_row, np.inf, 0.0))
 
     obj = instance.objective
-    if obj.kind == "max-degree":
+    if obj.kind == "max-degree" or (obj.kind == "p-norm" and math.isinf(obj.p)):
         lam = len(problem.var_names)
         problem.var_names.append("lam")
         problem.objective = {lam: 1.0}
-        incident: dict[int, list[int]] = {w: [] for w in sorted(members)}
-        for j, e in enumerate(scope):
-            u, v = g.edges[e]
-            if obj.degree_mode in ("out", "inout"):
-                incident[u].append(j)
-            if obj.degree_mode in ("in", "inout"):
-                incident[v].append(j)
-        for w in sorted(incident):
-            coeffs = dict.fromkeys(incident[w], 1.0)
-            coeffs[lam] = coeffs.get(lam, 0.0) - 1.0
-            problem.add_row(coeffs, "<=", 0.0)
-    elif obj.kind == "p-norm" and math.isinf(obj.p):
-        lam = len(problem.var_names)
-        problem.var_names.append("lam")
-        problem.objective = {lam: 1.0}
-        for j in range(len(scope)):
-            problem.add_row({j: 1.0, lam: -1.0}, "<=", 0.0)
+        if obj.kind == "max-degree":
+            # sum of x over the edges counted in w's degree - lam <= 0, for
+            # every member node w, by node
+            nodes = np.array(sorted(members), dtype=np.int64)
+            ends = {"out": [g.tail], "in": [g.head], "inout": [g.tail, g.head]}[obj.degree_mode]
+            rows = [np.searchsorted(nodes, end[in_scope]) for end in ends]
+            cols = [np.arange(ns)] * len(ends)
+            nr = len(nodes)
+        else:  # x_j - lam <= 0 for every scope column j
+            rows, cols, nr = [np.arange(ns)], [np.arange(ns)], ns
+        # each row's entries by column, so lam last
+        row = np.concatenate(rows + [np.arange(nr)])
+        col = np.concatenate(cols + [np.full(nr, lam)])
+        col = col[np.argsort(row * (lam + 1) + col)]
+        problem.add_rows(np.bincount(row, minlength=nr), col, np.where(col == lam, -1.0, 1.0),
+                         np.full(nr, -np.inf), np.zeros(nr))
     elif obj.kind != "linear-sum" and not (obj.kind == "p-norm" and obj.p == 1):
         raise LpError(
             f"objective {obj.label()} has no direct LP form; "

@@ -28,7 +28,7 @@ from padspan.cp import (
 from padspan.graphs import UNREACHABLE, Graph, GraphError, restrict
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 
-from paths_reference import dfs_family
+from paths_reference import dfs_family, dfs_paths, instance_from_families
 from test_graphs import directed_bfs_oracle
 
 
@@ -280,7 +280,7 @@ class TestInstanceValidation:
     def test_path_not_simple_rejected(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 2)])
         with pytest.raises(InstanceError):
-            CpInstance.from_families(
+            instance_from_families(
                 graph=g,
                 demands=(Demand(0, 2, 3),),
                 families=(((0, 1, 0, 2),),),
@@ -290,7 +290,7 @@ class TestInstanceValidation:
     def test_wrong_endpoints_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(InstanceError):
-            CpInstance.from_families(
+            instance_from_families(
                 graph=g,
                 demands=(Demand(0, 2, 2),),
                 families=(((0, 1),),),
@@ -450,6 +450,52 @@ class TestArrayEnumerator:
         with pytest.raises(InstanceError, match=r"path family for \(5,6\) exceeds cap 2"):
             build_dsn_instance(g, [(0, 1, 2), (5, 6, 2)])
 
+    @pytest.mark.parametrize("bound", [10**9, 2**70])
+    def test_bound_past_n_matches_dfs(self, bound, tmp_path):
+        # a simple path has at most n - 1 hops, so a looser bound cuts
+        # nothing and sizes nothing
+        for g in (gen_gnp(7, 0.5, seed=2), gen_grid(2, 3), gen_cycle(5, directed=False)):
+            assert enumerate_paths(g, 0, 1, bound) == dfs_paths(g, 0, 1, bound)
+            demands = [(0, g.n - 1, bound), (1, 0, bound)]
+            inst = build_dsn_instance(g, demands)
+            assert inst.families == dfs_family(g, demands)
+            assert inst.demands[0].bound == bound
+            write_instance(inst, str(tmp_path / "inst.txt"))
+            assert read_instance(str(tmp_path / "inst.txt")).families == inst.families
+            assert build_spanner_instance(g, bound).families == build_spanner_instance(
+                g, g.n - 1).families
+
+    def test_small_steps_give_the_same_family(self, monkeypatch):
+        # with no cell budget every step extends a single prefix
+        graphs = (gen_gnp(9, 0.35, seed=4), gen_grid(3, 3), gen_cycle(6, directed=False))
+        want = [build_spanner_instance(g, k) for g in graphs for k in (2, 3, 4)]
+        monkeypatch.setattr(cp, "_CELLS_PER_CAP", 0)
+        got = [build_spanner_instance(g, k) for g in graphs for k in (2, 3, 4)]
+        for a, b in zip(want, got):
+            for name in ("path_ptr", "hop_ptr", "hop_node", "hop_edge"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_default_cap_bounds_each_step(self, monkeypatch):
+        # every demand of the complete 60-node digraph has about 188,000
+        # paths of at most 4 hops; growing every prefix level by level would
+        # hold 11.7 million 3-hop prefixes before any family is over the cap
+        g = complete_digraph(60)
+        extended = []
+        real = cp.run_slots
+
+        def counting(start, count):
+            # fail at once, not after the memory is gone: a step builds at
+            # most the budget's cells (5 per 4-hop prefix), and all steps
+            # together some 6.2 million extensions
+            extended.append(int(count.sum()))
+            assert extended[-1] * 5 <= cp._CELLS_PER_CAP * cp.DEFAULT_PATH_CAP
+            assert sum(extended) < 20_000_000
+            return real(start, count)
+
+        monkeypatch.setattr(cp, "run_slots", counting)
+        with pytest.raises(InstanceError, match=r"path family for \(0,1\) exceeds cap 100000"):
+            build_spanner_instance(g, 4)
+
     def test_cap_error_before_later_infeasible_demand(self, monkeypatch):
         monkeypatch.setattr(cp, "DEFAULT_PATH_CAP", 2)
         g = complete_digraph(4)
@@ -479,22 +525,28 @@ class TestFlatFamily:
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_from_families_round_trip(self):
+    def test_tuple_families_round_trip(self):
         g = gen_gnp(8, 0.4, seed=3)
         inst = build_spanner_instance(g, 3)
-        back = CpInstance.from_families(g, inst.demands, inst.families, inst.objective)
+        back = instance_from_families(g, inst.demands, inst.families, inst.objective)
         for name in ("path_ptr", "hop_ptr", "hop_node", "hop_edge"):
             assert np.array_equal(getattr(back, name), getattr(inst, name))
 
     @pytest.mark.parametrize("families, message", [
-        ((((0, 2),),), r"path hop \(0,2\) is not a graph edge"),
-        ((((1, 2),),), r"path \(1, 2\) does not join \(0,2\)"),
+        ((((0, 1),),), r"path \(0, 1\) does not join \(0,2\)"),
+        ((((0, 1, 0, 1),),), r"path \(0, 1, 0, 1\) does not join \(0,2\)"),
         ((((0, 1, 0, 1, 2),),), r"path \(0, 1, 0, 1, 2\) is not simple"),
         ((((0, 1, 2),),), r"path \(0, 1, 2\) longer than bound 1 for \(0,2\)"),
         (((),), r"demand \(0,2\) has no allowed path within bound 1"),
         ((), "one path family required per demand"),
     ])
-    def test_from_families_errors(self, families, message):
+    def test_constructor_errors(self, families, message):
         g = Graph(3, [(0, 1), (1, 0), (1, 2)])
         with pytest.raises(InstanceError, match=message):
-            CpInstance.from_families(g, (Demand(0, 2, 1),), families, linear_sum())
+            instance_from_families(g, (Demand(0, 2, 1),), families, linear_sum())
+
+    def test_zero_hop_path_does_not_join(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InstanceError, match=r"path \(0,\) does not join \(0,2\)"):
+            CpInstance(g, (Demand(0, 2, 2),), linear_sum(), np.array([0, 1]), np.array([0, 0]),
+                       np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))

@@ -71,9 +71,10 @@ def small_run(seed=3, eps=0.5, n=12, t=40):
 class TestSolveDistributed:
     def test_no_demands_yields_zero(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        from padspan.cp import CpInstance, linear_sum
-        inst0 = CpInstance.from_families(graph=g, demands=(), families=(),
-                                         objective=linear_sum())
+        from padspan.cp import linear_sum
+        from paths_reference import instance_from_families
+        inst0 = instance_from_families(graph=g, demands=(), families=(),
+                                       objective=linear_sum())
         run = solve_distributed(inst0, SolverConfig(epsilon=0.5, seed=1))
         assert run.solution.value == 0.0
         assert np.all(run.solution.x == 0)
