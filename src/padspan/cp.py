@@ -305,14 +305,23 @@ class CpInstance:
         g, demands = self.graph, self.demands
         if len(self.path_ptr) != len(demands) + 1:
             raise InstanceError("one path family required per demand")
-        for d in demands:
+        # the nodes in one array pass; the node checks and their messages
+        # run from the first faulty demand on, or on every demand when some
+        # node is no integer
+        ends = np.array([(d.u, d.v) for d in demands]).reshape(-1, 2)
+        suspects = demands
+        if ends.dtype.kind in "biu":
+            ends = ends.astype(np.int64)
+            faulty = ((ends < 0) | (ends >= g.n)).any(axis=1) | (ends[:, 0] == ends[:, 1])
+            suspects = demands[int(np.argmax(faulty)):] if faulty.any() else ()
+        for d in suspects:
             g.check_node(d.u)
             g.check_node(d.v)
             if d.u == d.v:
                 raise InstanceError(f"degenerate demand ({d.u},{d.v})")
+        ends = ends.astype(np.int64, copy=False)
         count, length = np.diff(self.path_ptr), np.diff(self.hop_ptr)
         owner = self.path_owner
-        ends = np.array([(d.u, d.v) for d in demands], dtype=np.int64).reshape(-1, 2)
         start, end = ends[owner].T
         last = start.copy()
         last[length > 0] = self.hop_node[self.hop_ptr[1:][length > 0] - 1]

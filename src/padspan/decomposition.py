@@ -10,11 +10,15 @@ assignment once per iteration. `carve` is the one message-passing flood: it
 runs t carvings bundled into one message stream, and in each one every node
 joins the smallest id whose flood reached it. It simulates each LOCAL round
 as a few linear passes over every node and iteration at once: the round's
-arrivals are sorted into inboxes and admitted in one merge with every
+entries are expanded over the shadow CSR in one `run_slots`, the arrivals
+are sorted into inboxes and admitted in one merge with every
 node-iteration's domination staircase, over 32-bit keys whenever n³·t <
-2³¹. It charges the transcript's ledger (`send`, `check_rounds`) as the
-engine would charge the per-node protocol that the tests hold it to. The
-distributed sampler is its t=1 case and matches the centralized sampler
+2³¹. The centers are the heads of the final staircases. The rounds run over
+blocks of iterations of a fixed size in slots, so a round's temporaries stay
+bounded at the paper's t. It charges the transcript's ledger (`send`,
+`check_rounds`) as the engine would charge the per-node protocol that the
+tests hold it to. The distributed sampler is its t=1 case, which reads the
+centers without building `Floods`, and matches the centralized sampler
 exactly when the permutation is node-ID order and the seed and iteration
 are the same; the distributed solver runs all its iterations as one
 `carve`. `padded_mask` is the one central padding test, is B(u, k) inside
@@ -40,6 +44,11 @@ from .localsim import run_protocol  # noqa: F401
 #: `cluster_diameters_batch` at a few hundred kilobytes, where whole (n, n)
 #: arrays would be allocated and page-faulted afresh on every call.
 _PAIR_BLOCK = 1 << 15
+
+#: Adjacency slots times iterations in one block of a `carve`'s iterations.
+#: A round expands each entry of a block over its node's slots, so its
+#: temporaries grow with the block, not with t.
+_BLOCK_SLOTS = 1 << 18
 
 
 class DecompositionError(ValueError):
@@ -271,68 +280,38 @@ def _admit_batch(
 
 
 def _send(
-    indptr: np.ndarray, indices: np.ndarray, key: np.ndarray, via: np.ndarray,
-    t: int, n: int,
+    indptr: np.ndarray, code: np.ndarray, key: np.ndarray, back: np.ndarray,
+    tn: int, n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand one round's sent entries over the adjacency (CSR `indptr`,
-    `indices`). The entries are accepted floods with budget left, keyed
-    (u * t + iteration) * n + origin in ascending order, next to the
-    neighbor `via` that delivered each; an entry goes to every neighbor of
-    its node u but that one. Returns, for each adjacency slot (u, w) of the
-    round's senders, the count of entries u sends w, and each arrival's key
-    ((w * t + iteration) * n + origin) * n + u.
+    """Expand one round's sent entries over the adjacency (CSR `indptr`).
+
+    The entries are accepted floods with budget left, keyed (u * t +
+    iteration) * n + origin. Each goes to every neighbor of its node u but
+    the one that delivered it, whose slot in u's row is `back` (past the
+    last slot for u's own flood, which goes to every neighbor): one
+    `run_slots` over the rows, one slot short where the row holds `back`,
+    with the slots from `back` on moved up by one. Slot (u, w) carries
+    `code` = w·t·n² + the position of u in w's row, so a copy's arrival key
+    is ((w * t + iteration) * n + origin) * n + that position; w's row is
+    ascending, so positions order the senders as their ids do. Returns each
+    copy's slot and arrival key.
     """
-    tn = t * n
     sender = key // tn
-    first = np.flatnonzero(run_starts(sender))
-    own = sender[first]
-    size = np.diff(first, append=len(key))  # entries per sender
-    deg = indptr[own + 1] - indptr[own]
-    # the senders' slots, numbered from 0 in sender order
-    nbr = indices[run_slots(indptr[own], deg)]
-    edeg = np.repeat(deg, size)
-    slot = run_slots(np.repeat(np.cumsum(deg) - deg, size), edeg)
-    dst = nbr[slot]
-    arrived = np.repeat((key - sender * tn) * n + sender, edeg)
-    arrived += dst * (tn * n)
-    # no copy goes back to the neighbor that delivered the entry
-    back = dst == np.repeat(via, edeg)
-    per_slot = np.repeat(size, deg) - np.bincount(slot[back], minlength=len(nbr))
-    return per_slot, arrived[~back]
+    start = indptr[sender]
+    deg = indptr[sender + 1] - start - (back < len(code))
+    slot = run_slots(start, deg)
+    slot += slot >= np.repeat(back, deg)
+    arrived = np.repeat((key - sender * tn) * n, deg)
+    arrived += code[slot]
+    return slot, arrived
 
 
-def carve(
+def _carve_rounds(
     g: Graph, params: PaddedParams, radii: np.ndarray, transcript: RoundTranscript
-) -> tuple[Floods, np.ndarray]:
-    """Run t carving floods at once, bundled into one message stream.
-
-    `radii` is (t, n): node u floods (iteration i, id u, remaining budget)
-    with budget floor(radii[i, u]). A node accepts the first arrival of each
-    origin unless a smaller-id origin with at least as much budget left was
-    accepted already, and forwards what it accepts while budget remains, to
-    every neighbor but the one that delivered it. It then joins, per
-    iteration, the smallest accepted id.
-
-    Each round is a few linear passes over every node and iteration at once.
-    An accepted flood is keyed (node * t + iteration) * n + origin, whose
-    last part, iteration * n + origin, indexes its budget, so a copy
-    arriving in round r has budget[...] - r left. `_send` expands the
-    entries sent in a round over the adjacency into arrivals. One sort by
-    (node, iteration, origin, sender) puts each node's inbox in the order a
-    node stepping alone would read it, so the first copy of each origin is
-    the one from the smallest sender. `_admit_batch` then admits the
-    arrivals against each node-iteration's staircase in one merge. Keys,
-    budgets and the CSR copies take the narrowest type that holds them
-    (`_flood_dtype`: int32 while n³·t < 2³¹ and budgets stay below n², as in
-    every bench workload). The transcript is charged as the engine would
-    charge a per-node protocol: `send` gets one message of 3 scalars per
-    entry from u to each neighbor w that gets an entry, rounds run up to the
-    first round from `decide_round` on in which nothing is sent, and
-    `check_rounds` raises `ProtocolTimeout` past `decide_round` + 2.
-    `tests/carve_reference.py` holds the per-node flood this must equal.
-
-    Returns the accepted floods (int64 fields) and the (n, t) center matrix.
-    """
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """The rounds of `carve`, without the `Floods` build. Returns the
+    accepted floods as chunks of (key, rem, back), each chunk ascending, the
+    (n, t) center matrix and the budgets, indexed by key mod t·n."""
     n = g.n
     radii = np.asarray(radii, dtype=float)
     if params.n != n:
@@ -356,52 +335,144 @@ def carve(
     dtype = _flood_dtype(n, t, int(budget.max()))
     budget = budget.astype(dtype)
     indptr, indices = (a.astype(dtype) for a in g.shadow_csr())
+    slots = len(indices)
+    # slot (u, w) -> w * t·n·n + the position of u in w's row; the shadow is
+    # symmetric and its rows ascending, so sorting the slots by (w, u) lists
+    # w's row in order
+    tail = np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
+    by_head = np.lexsort((tail, indices))
+    code = np.empty(slots, dtype=dtype)
+    code[by_head] = np.arange(slots, dtype=dtype) - indptr[indices[by_head]]
+    code += indices * (tn * n)
+    centers = np.empty((n, t), dtype=np.int64)
 
-    # accepted floods, one chunk of key, rem and via per round; each node's
-    # own flood first, node-major
-    via = np.repeat(np.arange(n, dtype=dtype), t)
-    key = via * tn + np.tile(np.arange(0, tn, n, dtype=dtype), n) + via
-    rem = budget[key % tn]
-    chunks = [(key, rem, via)]
-    stair_key, stair_rem = key, rem
+    # one block of iterations a..b-1 per state [a, b, key, rem, back,
+    # stair_key, stair_rem]: the entries its last round accepted and its
+    # staircases. Each starts from its nodes' own floods, node-major
+    step = max(1, _BLOCK_SLOTS // max(1, slots))
+    blocks, chunks = [], []
+    for a in range(0, t, step):
+        b = min(a + step, t)
+        node = np.repeat(np.arange(n, dtype=dtype), b - a)
+        key = node * tn + np.tile(np.arange(a * n, b * n, n, dtype=dtype), n) + node
+        rem = budget[key % tn]
+        back = np.full(len(key), slots, dtype=dtype)
+        blocks.append([a, b, key, rem, back, key, rem])
+        chunks.append((key, rem, back))
 
     # masks select through index lists: on masks as scattered as these,
     # numpy's boolean indexing is several times slower
     r = 0
     while True:
-        live = np.flatnonzero(rem >= 1)
-        per_slot, arrived = _send(indptr, indices, key[live], via[live], t, n)
-        if not len(arrived):
+        # one message per adjacency slot (u, w) with an entry for w in some
+        # block; its payload holds the entries of every block
+        per_slot = None
+        for blk in list(blocks):
+            a, b, key, rem, back, stair_key, stair_rem = blk
+            live = np.flatnonzero(rem >= 1)
+            slot, arrived = _send(indptr, code, key[live], back[live], tn, n)
+            if not len(arrived):
+                # nothing more to accept: each staircase's head is its
+                # smallest accepted origin, which nothing dominates
+                heads = stair_key[run_starts(stair_key // n)] % n
+                centers[:, a:b] = heads.reshape(n, b - a)
+                blocks.remove(blk)
+                continue
+            count = np.bincount(slot, minlength=slots)
+            per_slot = count if per_slot is None else per_slot + count
+            del slot
+            # each node's inbox in reading order; the first copy of each
+            # (node, iteration, origin) is the one from the smallest sender
+            arrived.sort()
+            arrived = arrived[np.flatnonzero(run_starts(arrived // n))]
+            key, back = np.divmod(arrived, n)
+            del arrived
+            back += indptr[key // tn]
+            rem = budget[key % tn] - (r + 1)
+            admitted, stair_key, stair_rem = _admit_batch(
+                stair_key, stair_rem, key, rem, n)
+            admitted = np.flatnonzero(admitted)
+            key, rem, back = key[admitted], rem[admitted], back[admitted]
+            blk[2:] = key, rem, back, stair_key, stair_rem
+            chunks.append((key, rem, back))
+        if per_slot is None:
             transcript.charge("decomposition", max(r, r_decide))
-            break
-        # one message per adjacency slot (u, w) with an entry for w
+            return chunks, centers, budget
         transcript.send(3 * per_slot[per_slot > 0])
         r += 1
         check_rounds(r, r_decide + 2)
-        # each node's inbox in reading order; the first copy of each
-        # (node, iteration, origin) is the one from the smallest sender
-        arrived.sort()
-        arrived = arrived[np.flatnonzero(run_starts(arrived // n))]
-        key, via = np.divmod(arrived, n)
-        del arrived
-        rem = budget[key % tn] - r
-        admitted, stair_key, stair_rem = _admit_batch(
-            stair_key, stair_rem, key, rem, n)
-        admitted = np.flatnonzero(admitted)
-        key, rem, via = key[admitted], rem[admitted], via[admitted]
-        chunks.append((key, rem, via))
 
-    # the chunks are each ascending, so one stable sort merges them
-    key, rem, via = map(np.concatenate, zip(*chunks))
-    del chunks, stair_key, stair_rem
+
+def carve(
+    g: Graph, params: PaddedParams, radii: np.ndarray, transcript: RoundTranscript
+) -> tuple[Floods, np.ndarray]:
+    """Run t carving floods at once, bundled into one message stream.
+
+    `radii` is (t, n): node u floods (iteration i, id u, remaining budget)
+    with budget floor(radii[i, u]). A node accepts the first arrival of each
+    origin unless a smaller-id origin with at least as much budget left was
+    accepted already, and forwards what it accepts while budget remains, to
+    every neighbor but the one that delivered it. It then joins, per
+    iteration, the smallest accepted id.
+
+    Each round is a few linear passes over every node and iteration at once.
+    An accepted flood is keyed (node * t + iteration) * n + origin, whose
+    last part, iteration * n + origin, indexes its budget, so a copy
+    arriving in round r has budget[...] - r left. Next to its key each
+    entry keeps the slot of its node's row that holds the neighbor that
+    delivered it. `_send` expands the entries sent in a round over the
+    adjacency with one `run_slots` over their senders' rows and an
+    `np.repeat` of each entry's values. One sort by (node, iteration,
+    origin, sender) puts each node's inbox in the order a node stepping
+    alone would read it, so the first copy of each origin is the one from
+    the smallest sender. `_admit_batch` then admits the arrivals against
+    each node-iteration's staircase in one merge. A staircase's head is its
+    smallest accepted origin, which nothing can dominate, so the centers are
+    the heads of the final staircases, and `sample_decomposition_distributed`
+    takes them without the `Floods` build. Keys, budgets and the CSR copies
+    take the narrowest type that holds them (`_flood_dtype`: int32 while
+    n³·t < 2³¹ and budgets stay below n², as in every bench workload).
+
+    The iterations meet only in the transcript, so the rounds run over
+    blocks of iterations, each of at most `_BLOCK_SLOTS` adjacency slots
+    times iterations (at least one iteration), which bounds a round's
+    temporaries however large t is. The transcript is charged as the engine
+    would charge a per-node protocol: each round's per-slot entry counts are
+    summed over the blocks, and `send` gets one message of 3 scalars per
+    entry from u to each neighbor w that gets an entry in any block; rounds
+    run up to the first round from `decide_round` on in which nothing is
+    sent, and `check_rounds` raises `ProtocolTimeout` past `decide_round` +
+    2. `tests/carve_reference.py` holds the per-node flood this must equal.
+
+    Returns the accepted floods (int64 fields) and the (n, t) center matrix.
+    """
+    chunks, centers, budget = _carve_rounds(g, params, radii, transcript)
+    n, tn = g.n, len(budget)
+    key, rem, back = ([chunk[j] for chunk in chunks] for j in range(3))
+    del chunks
+    # the chunks are each ascending, so one stable sort merges them; each
+    # field is merged and its chunks dropped in turn, to stay near the result
+    key = np.concatenate(key)
     order = np.argsort(key, kind="stable")
-    key, rem, via = key[order], rem[order], via[order]
+    key = key[order]
+    rem = np.concatenate(rem)[order]
+    back = np.concatenate(back)[order]
+    del order
     node, base = np.divmod(key, tn)
+    del key
     iteration, origin = np.divmod(base, n)
-    hop = budget[base] - rem
-    centers = origin[run_starts(key // n)].reshape(n, t)
-    return Floods(*(a.astype(np.int64) for a in (
-        node, iteration, origin, hop, rem, via))), centers.astype(np.int64)
+    hop = budget[base]
+    hop -= rem
+    del base
+    # the neighbor that delivered each flood: back past the last slot picks
+    # the pad, and a node's own flood came from itself
+    indices = g.shadow_csr()[1]
+    own = back == len(indices)
+    via = np.append(indices, 0)[back]
+    del back
+    via[own] = node[own]
+    return Floods(*(a.astype(np.int64, copy=False) for a in (
+        node, iteration, origin, hop, rem, via))), centers
 
 
 def sample_decomposition_distributed(
@@ -421,7 +492,7 @@ def sample_decomposition_distributed(
     if transcript is None:
         transcript = RoundTranscript()
     radii = draw_radii(params, seed, iteration, g.n)
-    _, centers = carve(g, params, radii[None, :], transcript)
+    _, centers, _ = _carve_rounds(g, params, radii[None, :], transcript)
     return Clustering(assignment=centers[:, 0], radii=radii), transcript
 
 

@@ -25,7 +25,7 @@ from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
 from .graphs import _frontier_bfs, run_slots
-from .localsim import RoundTranscript, check_rounds
+from .localsim import ProtocolError, RoundTranscript, check_rounds
 # perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
 from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
@@ -37,6 +37,12 @@ class ConfigError(ValueError):
 
 class NoCertificateError(RuntimeError):
     """A demand source was never padded, so no averaged flow exists."""
+
+
+class AssemblyError(ProtocolError):
+    """The delivered cluster solutions do not fit together: a node lacks its
+    cluster's solution, an edge's endpoints average differently, or a padded
+    node's edge leaves its cluster."""
 
 
 @dataclass(frozen=True)
@@ -355,7 +361,7 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
     missing = same & ((delivered[:, us] < 0) | (delivered[:, vs] < 0))
     if missing.any():
         e = int(np.nonzero(missing.any(axis=0))[0][0])
-        raise RuntimeError(f"missing broadcast solution at edge {e}")
+        raise AssemblyError(f"missing broadcast solution at edge {e}")
     # the x vectors of the distinct solutions, then a zero row that a
     # delivery of -1 picks
     xs = np.stack([sol.x for sol in sols] + [np.zeros(g.m)])
@@ -374,12 +380,12 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
     off = np.abs(val_u - val_v) > 1e-12
     if off.any():
         e = int(np.nonzero(off)[0][0])
-        raise RuntimeError(
+        raise AssemblyError(
             f"endpoint disagreement on edge {e}: {val_u[e]} vs {val_v[e]}"
         )
     broken = np.argwhere(padded[:, us] & ~same)
     if broken.size:
-        raise RuntimeError(f"padding bookkeeping violated at edge {broken[0, 1]}")
+        raise AssemblyError(f"padding bookkeeping violated at edge {broken[0, 1]}")
 
     records = [
         IterationRecord(

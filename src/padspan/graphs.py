@@ -213,8 +213,12 @@ def _int64_pair(pair) -> bool:
 def run_slots(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Positions start[j], ..., start[j] + count[j] - 1 for every j, one run
     after another: the CSR slots of rows `r` are run_slots(indptr[r],
-    indptr[r + 1] - indptr[r])."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    indptr[r + 1] - indptr[r]). The positions take the integer type of
+    `start` and `count`, which must hold their total."""
+    dtype = np.result_type(start, count)
+    end = np.cumsum(count, dtype=dtype)
+    total = end[-1] if len(end) else 0
+    return np.arange(total, dtype=dtype) + np.repeat(start - end + count, count)
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ class SpannerOutput:
             return "sampled-thin"
         if in_t:
             return "arborescence"
-        raise KeyError(f"edge {e} not in output")
+        raise RoundingError(f"edge {e} not in output")
 
 
 def edge_probability(n: int, x_e: float) -> float:

@@ -298,6 +298,35 @@ class TestInstanceValidation:
             )
 
 
+    @pytest.mark.parametrize("ends, message", [
+        ([(0, 1), (0, 5), (2, 2)], "node 5 out of range for n=3"),
+        ([(0, 1), (2, 2), (0, 5)], r"degenerate demand \(2,2\)"),
+        ([(7, 1), (0, 1.5)], "node 7 out of range"),
+        ([(0, 1), (0, 1.5), (9, 1)], "node 1.5 is not an integer"),
+        ([(0, 1), ("1", 2)], "node '1' is not an integer"),
+        ([(0, 1), (-1, 2)], "node -1 out of range"),
+        ([(0, 2**64)], f"node {2**64} out of range"),
+        ([(np.uint64(2**63), 1)], f"node {2**63} out of range"),
+    ])
+    def test_first_faulty_demand_named(self, ends, message):
+        # nodes are checked in one array pass, but the error names the
+        # first faulty demand in input order, u before v
+        g = Graph(3, [(0, 1), (1, 2)])
+        demands = tuple(Demand(u, v, 2) for u, v in ends)
+        with pytest.raises((GraphError, InstanceError), match=message):
+            instance_from_families(graph=g, demands=demands,
+                                   families=((),) * len(demands),
+                                   objective=linear_sum())
+
+    def test_integer_like_nodes_accepted(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for u, v in [(np.int32(0), np.uint8(2)), (False, 2)]:
+            inst = instance_from_families(
+                graph=g, demands=(Demand(u, v, 2),), families=(((0, 1, 2),),),
+                objective=linear_sum())
+            assert inst.families == (((0, 1, 2),),)
+
+
 class TestInstanceFile:
     def test_round_trip(self, tmp_path):
         g = gen_gnp(10, 0.3, seed=5)

@@ -38,6 +38,17 @@ from padspan.localsim import RoundTranscript, rng_stream
 from carve_reference import _admit, carve_reference
 
 
+def random_graph(data, n, directed):
+    """A graph on n nodes with up to 2n edges drawn by hypothesis."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=2 * n)) if pairs else []
+    flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                               max_size=len(chosen)))
+    edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+    return Graph(n, edges, directed=directed)
+
+
 class TestParams:
     def test_derived_quantities_exact(self):
         p = PaddedParams(k=2, epsilon=0.25, n=16)
@@ -232,13 +243,7 @@ class TestDistributedSampler:
     )
     def test_matches_centralized_on_random_graphs(self, data, n, directed, k,
                                                   seed):
-        pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
-                                    max_size=2 * n))
-        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
-                                   max_size=len(chosen)))
-        edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
-        g = Graph(n, edges, directed=directed)
+        g = random_graph(data, n, directed)
         params = PaddedParams(k=k, epsilon=0.5, n=n)
         central = sample_decomposition_centralized(g, params, seed,
                                                    permutation="ids")
@@ -391,16 +396,64 @@ class TestCarve:
     )
     def test_matches_reference_on_random_graphs(self, data, n, directed, k,
                                                 epsilon, t, seed):
-        pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
-                                    max_size=2 * n)) if pairs else []
-        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
-                                   max_size=len(chosen)))
-        edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
-        g = Graph(n, edges, directed=directed)
+        g = random_graph(data, n, directed)
         params = PaddedParams(k=k, epsilon=epsilon, n=n)
         radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
         assert_carve_matches_reference(g, params, radii)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=16),
+        directed=st.booleans(),
+        k=st.sampled_from([1, 2, 3]),
+        t=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_iteration_blocks_match_reference(self, data, n, directed, k, t,
+                                              seed):
+        # a block budget below t iterations' slots, so several blocks of
+        # iterations run side by side and share each round's messages
+        g = random_graph(data, n, directed)
+        slots = len(g.shadow_csr()[1])
+        budget = data.draw(st.integers(1, max(1, slots * (t - 1))))
+        assert max(1, budget // max(1, slots)) < t
+        params = PaddedParams(k=k, epsilon=0.5, n=n)
+        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomposition, "_BLOCK_SLOTS", budget)
+            assert_carve_matches_reference(g, params, radii)
+            floods, centers = carve(g, params, radii, RoundTranscript())
+        # each center is the smallest origin its node accepted in that
+        # iteration: the head of the node-iteration's final staircase
+        group = floods.node * t + floods.iteration
+        first = np.flatnonzero(np.diff(group, prepend=-1))
+        assert np.array_equal(group[first], np.arange(n * t))
+        smallest = np.minimum.reduceat(floods.origin, first)
+        assert np.array_equal(centers.ravel(), smallest)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=20),
+        directed=st.booleans(),
+        k=st.sampled_from([0, 1, 2]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_sampler_skips_floods_but_matches_carve(self, data, n, directed,
+                                                    k, seed):
+        # the sampler takes its centers without building Floods; it still
+        # equals carve at t=1 and the "ids" centralized sampler
+        g = random_graph(data, n, directed)
+        params = PaddedParams(k=k, epsilon=0.5, n=n)
+        sampled, got = sample_decomposition_distributed(g, params, seed)
+        want = RoundTranscript()
+        _, centers = carve(g, params, sampled.radii[None, :], want)
+        assert got == want
+        assert np.array_equal(sampled.assignment, centers[:, 0])
+        central = sample_decomposition_centralized(g, params, seed,
+                                                   permutation="ids")
+        assert np.array_equal(sampled.assignment, central.assignment)
 
     def test_paper_t_gnp_matches_reference(self):
         # the dsn-gnp shape: n=16 at the paper's t=200, with the solver's

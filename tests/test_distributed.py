@@ -14,6 +14,7 @@ from padspan.decomposition import (
     sample_decomposition_centralized,
 )
 from padspan.distributed import (
+    AssemblyError,
     ConfigError,
     NoCertificateError,
     SolverConfig,
@@ -27,7 +28,7 @@ from padspan.graphs import Graph, restrict
 from padspan.harness import (
     ExperimentConfig, HarnessError, gen_gnp, gen_grid, generate_instance,
 )
-from padspan.localsim import ProtocolTimeout, RoundTranscript
+from padspan.localsim import ProtocolError, ProtocolTimeout, RoundTranscript
 from padspan.lp import CpSolution, check_feasibility, solve_global_oracle
 
 import solver_reference
@@ -562,5 +563,49 @@ class TestArrayPhases:
             return broadcast(g, params, assign, pruned, payload, transcript)
 
         monkeypatch.setattr(distributed, "_phase_broadcast", drop_one_edge)
-        with pytest.raises(RuntimeError, match="missing broadcast solution"):
+        with pytest.raises(AssemblyError, match="missing broadcast solution"):
             solve_distributed(inst, cfg)
+
+    def test_endpoint_disagreement_raises(self, monkeypatch):
+        # hand one endpoint of an edge inside a cluster another cluster's
+        # solution, which differs on that edge: the two ends' averages part
+        g, inst, cfg, _ = small_run(seed=6, t=6)
+        assemble = distributed._assemble
+
+        def swap_one(instance, config, assign, padded, delivered, solved,
+                     radii, transcript):
+            sols, sol_of, _ = solved
+            x = np.stack([sols[j].x for j in sol_of])  # by cluster
+            for i, e in zip(*np.nonzero(assign[:, g.tail] == assign[:, g.head])):
+                u = g.tail[e]
+                other = np.flatnonzero(x[:, e] != x[delivered[i, u], e])
+                if delivered[i, u] >= 0 and len(other):
+                    delivered = delivered.copy()
+                    delivered[i, u] = other[0]
+                    break
+            else:
+                pytest.fail("no edge whose clusters' solutions differ")
+            return assemble(instance, config, assign, padded, delivered,
+                            solved, radii, transcript)
+
+        monkeypatch.setattr(distributed, "_assemble", swap_one)
+        with pytest.raises(AssemblyError, match="endpoint disagreement"):
+            solve_distributed(inst, cfg)
+
+    def test_padding_bookkeeping_raises(self, monkeypatch):
+        # call every node padded, while some edge leaves its cluster
+        g, inst, cfg, _ = small_run(seed=6, t=6)
+        assemble = distributed._assemble
+
+        def all_padded(instance, config, assign, padded, *rest):
+            return assemble(instance, config, assign, np.ones_like(padded),
+                            *rest)
+
+        monkeypatch.setattr(distributed, "_assemble", all_padded)
+        with pytest.raises(AssemblyError, match="padding bookkeeping"):
+            solve_distributed(inst, cfg)
+
+    def test_assembly_error_is_a_protocol_error(self):
+        # callers that catch RuntimeError or ProtocolError still catch it
+        assert issubclass(AssemblyError, ProtocolError)
+        assert issubclass(AssemblyError, RuntimeError)

@@ -23,6 +23,7 @@ from padspan.graphs import (
     ball,
     read_graph,
     restrict,
+    run_slots,
     run_starts,
     write_graph,
 )
@@ -187,6 +188,24 @@ class TestNodeChecks:
             build_dsn_instance(g, [(0, 2.5, 2)])
         with pytest.raises(GraphError, match="node 0.0 is not an integer"):
             build_dsn_instance(g, [(0.0, 2, 2)])
+
+
+class TestRunSlots:
+    def test_csr_rows(self):
+        start, count = np.array([5, 0, 9, 2]), np.array([2, 0, 3, 1])
+        assert run_slots(start, count).tolist() == [5, 6, 9, 10, 11, 2]
+        assert run_slots(start[:0], count[:0]).tolist() == []
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_keeps_the_integer_type(self, dtype):
+        rng = np.random.default_rng(4)
+        start = rng.integers(0, 1000, 50)
+        count = rng.integers(0, 6, 50)
+        want = run_slots(start, count)
+        assert want.dtype == np.int64
+        got = run_slots(start.astype(dtype), count.astype(dtype))
+        assert got.dtype == dtype
+        assert got.tolist() == want.tolist()
 
 
 class TestRunStarts:

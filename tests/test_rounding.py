@@ -101,6 +101,14 @@ class TestRoundSpanner:
         for e in out.edges:
             assert out.provenance(e) in ("sampled-thin", "arborescence", "both")
 
+    def test_provenance_of_an_edge_not_in_the_output(self):
+        out = rounding.SpannerOutput(sampled=frozenset({0}),
+                                     tree_edges=frozenset({1}), roots=(0,))
+        assert [out.provenance(e) for e in (0, 1)] == ["sampled-thin",
+                                                       "arborescence"]
+        with pytest.raises(RoundingError, match="edge 3 not in output"):
+            out.provenance(3)
+
     def test_output_csv(self):
         g = Graph(2, [(0, 1)])
         out = round_spanner(g, np.ones(1), 1, seed=5)
