@@ -13,6 +13,7 @@ import numpy as np
 
 from .cp import InstanceError, build_spanner_instance
 from .decomposition import (
+    DecompositionError,
     PaddedParams,
     clustering_csv,
     sample_decomposition_centralized,
@@ -66,7 +67,7 @@ def cmd_decompose(args) -> int:
         dist, transcript = sample_decomposition_distributed(g, params, seed)
         try:
             validate_clustering(g, params, dist)
-        except Exception as exc:  # noqa: BLE001 - report and count
+        except DecompositionError as exc:
             print(f"trial {trial}: invariant violation: {exc}")
             failures += 1
             continue

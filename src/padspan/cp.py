@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (UNREACHABLE, Graph, _frontier_bfs, _pair_hops, as_edge_vector, read_graph,
-                     run_slots, write_graph)
+from .graphs import (UNREACHABLE, Graph, _hop_table, as_edge_vector, read_graph, run_slots,
+                     write_graph)
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -62,25 +62,10 @@ def _simple_bound(g: Graph, bound: int) -> int:
 
 def _target_hops(g: Graph, v: np.ndarray, depth: int):
     """The target table: hops(i, w) is the directed hop distance from w[j]
-    to v[i[j]], for every j, or depth + 1 past `depth` hops. One
-    `_frontier_bfs` from the distinct targets over arc_csr("in") fills it."""
-    n = g.n
+    to v[i[j]], for every j, or UNREACHABLE past `depth` hops. It is the
+    `_hop_table` of the distinct targets over arc_csr("in")."""
     indptr, tails, _ = g.arc_csr("in")
-    is_target = np.zeros(n, dtype=bool)
-    is_target[v] = True
-    target_of = (np.cumsum(is_target) - 1)[v]
-    tree, node, _, _, level = _frontier_bfs(indptr, tails, np.flatnonzero(is_target), depth)
-    key = tree * n + node
-    order = np.argsort(key)
-    # the sentinel key n * n, past every other, stands for "beyond depth"
-    key, level = np.append(key[order], n * n), np.append(level[order], depth + 1)
-
-    def hops(i: np.ndarray, w: np.ndarray) -> np.ndarray:
-        want = target_of[i] * n + w
-        at = np.searchsorted(key, want)
-        return np.where(key[at] == want, level[at], depth + 1)
-
-    return hops
+    return _hop_table(indptr, tails, v, depth)
 
 
 def _path_family(g: Graph, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
@@ -92,9 +77,10 @@ def _path_family(g: Graph, u: np.ndarray, v: np.ndarray, bound: np.ndarray,
     Prefixes grow a hop at a time over arc_csr("out"), which carries edge
     ids. An extension stays if its node is new to the prefix and reaches
     v[i] within the hops the bound leaves, as the target table `hops` says
-    (so the table needs depth max(bound) - 1); it is a path once it reaches
-    v[i]. The prefixes wait in a stack of blocks, each of one length and in
-    demand order. A step extends the leading rows of the top block whose
+    (so the table needs depth max(bound) - 1, and its UNREACHABLE past that
+    depth fails every bound); it is a path once it reaches v[i]. The
+    prefixes wait in a stack of blocks, each of one length and in demand
+    order. A step extends the leading rows of the top block whose
     extensions fit in _CELLS_PER_CAP * cap node cells (at least one row)
     and pushes the survivors as a new block, so the search runs depth first
     in demand order and holds at most one block per length. No path to v[i]
@@ -416,7 +402,8 @@ def build_dsn_instance(
     Each demand (u, v, L) requires a directed u->v path of at most L edges.
     Once every demand's nodes pass, a bound below the directed distance
     raises InfeasibleDemandError; demand distances come from the target
-    table the enumeration prunes with.
+    table the enumeration prunes with, and the message's distance from an
+    uncut table of the first infeasible demand's target.
     """
     if objective is None:
         objective = linear_sum()
@@ -435,8 +422,7 @@ def build_dsn_instance(
     family = _path_family(g, u[:stop], v[:stop], bound[:stop], DEFAULT_PATH_CAP, hops)
     if stop < len(u):
         a, b, raw = demands[stop]
-        indptr, heads, _ = g.arc_csr("out")
-        dist = int(_pair_hops(indptr, heads, [u[stop]], [v[stop]], g.n)[0])
+        dist = int(_target_hops(g, v[stop:stop + 1], g.n)(0, u[stop]))
         raise InfeasibleDemandError(
             f"demand ({a},{b}) unreachable within bound {raw} "
             f"(directed distance {'inf' if dist >= UNREACHABLE else dist})"

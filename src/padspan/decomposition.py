@@ -35,7 +35,7 @@ import numpy as np
 
 from .graphs import Graph, run_slots, run_starts
 from .localsim import RoundTranscript, check_rounds, rng_stream, rng_uniforms
-# perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 6)
+# perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
 
 

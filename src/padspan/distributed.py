@@ -305,6 +305,8 @@ def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.nda
 
     A center holds its solution from round 0 and a tree node at depth h gets
     it in round h, from its parent, and passes it on to its own children.
+    The gather's trees are whole (each parent is the center or a tree node
+    one level up) and no deeper than its rounds, so every tree edge carries.
     A node sends each child one message holding every solution it passes
     there that round, 3 scalars plus the solution's size each. The rounds
     are the deepest tree node, and `check_rounds` times out past
@@ -319,31 +321,17 @@ def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.nda
     k, child, parent, depth = (gathered.cluster, gathered.child,
                                gathered.parent, gathered.depth)
     it, center = np.divmod(gathered.key, n)
-    # each edge's parent edge, the one into `parent`, unless it is the center
-    node_key, want = k * n + child, k * n + parent
-    up = np.searchsorted(node_key, want)
-    has_up = up < len(k)
-    has_up[has_up] = node_key[up[has_up]] == want[has_up]
-    up[~has_up] = 0
-    got = parent == center[k]
-    for h in np.unique(depth[~got]).tolist():
-        at = np.flatnonzero((depth == h) & ~got)
-        got[at] = has_up[at] & got[up[at]]
-    sent = np.flatnonzero(got)
-    rnd = depth[sent] - 1  # a parent at depth h sends in round h
-    size = 3 + payload
-    on_time = rnd <= max_rounds
-    per_link = np.unique(
-        ((rnd * n + parent[sent]) * n + child[sent])[on_time], return_inverse=True)[1]
-    transcript.send(np.bincount(per_link, size[k[sent][on_time]]))
-    rounds = int(depth[sent].max(initial=0))
+    rnd = depth - 1  # a parent at depth h sends in round h
+    per_link = np.unique((rnd * n + parent) * n + child, return_inverse=True)[1]
+    transcript.send(np.bincount(per_link, (3 + payload)[k]))
+    rounds = int(depth.max(initial=0))
     check_rounds(rounds, max_rounds)
     transcript.charge("solve-broadcast", rounds)
 
     delivered = np.full((t, n), -1, dtype=np.int64)
     own = np.flatnonzero(assign[it, center] == center)
     delivered[it[own], center[own]] = own
-    mine = sent[assign[it[k[sent]], child[sent]] == center[k[sent]]]
+    mine = np.flatnonzero(assign[it[k], child] == center[k])
     delivered[it[k[mine]], child[mine]] = k[mine]
     return delivered
 

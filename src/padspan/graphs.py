@@ -229,12 +229,14 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def ball(g: Graph, u: int, radius: float) -> frozenset[int]:
-    """Nodes within undirected hop distance `radius` of u (always includes u)."""
-    g.check_node(u)
-    if radius < 0:
+    """Nodes within undirected hop distance `radius` of u (always includes u):
+    one `_frontier_bfs` over the shadow CSR, cut at the radius."""
+    u = g.check_node(u)
+    if not radius >= 0:
         raise GraphError(f"radius must be nonnegative, got {radius}")
-    row = g.distance_matrix()[u]
-    return frozenset(int(w) for w in np.nonzero(row <= radius)[0])
+    indptr, indices = g.shadow_csr()
+    node = _frontier_bfs(indptr, indices, [u], int(min(radius, g.n)))[1]
+    return frozenset(node.tolist())
 
 
 # -- edge vectors -------------------------------------------------------
@@ -312,18 +314,24 @@ def _frontier_bfs(
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _pair_hops(indptr: np.ndarray, heads: np.ndarray, u, v, depth: int) -> np.ndarray:
-    """Hop distance from u[i] to v[i] along the CSR arcs, for every i, or
-    UNREACHABLE past `depth` hops: one `_frontier_bfs` from the distinct
-    sources."""
+def _hop_table(indptr: np.ndarray, heads: np.ndarray, roots, depth: int):
+    """The hop table of one `_frontier_bfs` from the distinct roots, cut at
+    `depth`: hops(i, w) is the hop distance along the CSR arcs from
+    roots[i[j]] to w[j], for every j, or UNREACHABLE past `depth` hops."""
     n = len(indptr) - 1
-    sources, source_of = np.unique(np.asarray(u, dtype=np.int64), return_inverse=True)
+    sources, source_of = np.unique(np.asarray(roots, dtype=np.int64), return_inverse=True)
     tree, node, _, _, level = _frontier_bfs(indptr, heads, sources, depth)
     key = tree * n + node
     order = np.argsort(key)
-    want = source_of * n + np.asarray(v, dtype=np.int64)
-    at = order[np.minimum(np.searchsorted(key, want, sorter=order), len(key) - 1)]
-    return np.where(key[at] == want, level[at], UNREACHABLE)
+    # the sentinel key n * n, past every other, stands for "beyond depth"
+    key, level = np.append(key[order], n * n), np.append(level[order], UNREACHABLE)
+
+    def hops(i, w) -> np.ndarray:
+        want = source_of[i] * n + np.asarray(w, dtype=np.int64)
+        at = np.searchsorted(key, want)
+        return np.where(key[at] == want, level[at], UNREACHABLE)
+
+    return hops
 
 
 def arborescences(

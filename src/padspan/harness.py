@@ -35,7 +35,7 @@ from .distributed import (
     round_bound,
     solve_distributed,
 )
-from .graphs import UNREACHABLE, Graph, _pair_hops, read_graph
+from .graphs import UNREACHABLE, Graph, _hop_table, read_graph
 from .localsim import TRANSCRIPT_CSV_HEADER, rng_stream, transcript_csv_row
 from .lp import check_feasibility
 from .rounding import output_csv, round_low_degree, round_spanner_distributed, verify_stretch
@@ -150,18 +150,23 @@ def sample_spanning_demands(
     if n % 2:
         pairs.append((perm[-1], perm[0]))
     indptr, heads, _ = g.arc_csr("out")
-    hops = _pair_hops(indptr, heads, [u for u, _ in pairs], [v for _, v in pairs], n)
-    for (u, v), d in zip(pairs, hops.tolist()):
+    table = _hop_table(indptr, heads, [u for u, _ in pairs], n)
+    hops = table(np.arange(len(pairs)), [v for _, v in pairs])
+
+    def reach(hops_from, i, u):
+        # hop distances from the table's root i, and the other nodes they reach
+        dist = hops_from(np.full(n, i), np.arange(n))
+        return dist, [w for w in np.flatnonzero(dist < UNREACHABLE).tolist() if w != u]
+
+    for i, ((u, v), d) in enumerate(zip(pairs, hops.tolist())):
         u, v = int(u), int(v)
         if d >= UNREACHABLE:
-            dist = _pair_hops(indptr, heads, [u] * n, range(n), n)
-            reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
+            dist, reachable = reach(table, i, u)
             retry = 0
             while not reachable and retry < RETRY_CAP:
                 retry += 1
                 u = int(rng.integers(n))
-                dist = _pair_hops(indptr, heads, [u] * n, range(n), n)
-                reachable = [w for w in range(n) if w != u and dist[w] < UNREACHABLE]
+                dist, reachable = reach(_hop_table(indptr, heads, [u], n), 0, u)
             if not reachable:
                 raise HarnessError(
                     f"node {u} reaches nothing; cannot build spanning demands"
@@ -222,11 +227,7 @@ class TrialRow:
     max_degree: float | None = None
 
 
-REPORT_CSV_HEADER = (
-    "trial,retry,seed,n,m,D,epsilon,cp_star,g_tilde,ratio,rounds,round_bound,"
-    "concentration_rate,concentration_all,feasible,e_out,stretch_ok,"
-    "rounding_rounds,max_degree"
-)
+REPORT_CSV_HEADER = ",".join(TrialRow.__dataclass_fields__)
 
 
 def _fmt(v) -> str:

@@ -277,10 +277,10 @@ def check_rounds(rounds: int, max_rounds: int) -> None:
             f"no global termination within max_rounds={max_rounds}")
 
 
-TRANSCRIPT_CSV_HEADER = (
-    "seed,n,m,epsilon,D,rounds_decomposition,rounds_gather,"
-    "rounds_solve_broadcast,rounds_rounding,total_rounds,messages,max_payload_bytes"
-)
+TRANSCRIPT_CSV_HEADER = ",".join(
+    ["seed", "n", "m", "epsilon", "D"]
+    + [f"rounds_{p.replace('-', '_')}" for p in PHASES]
+    + ["total_rounds", "messages", "max_payload_bytes"])
 
 
 def transcript_csv_row(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import CpInstance
-from .graphs import Graph, GraphError, _pair_hops, arborescences, as_edge_vector
+from .graphs import Graph, GraphError, _hop_table, arborescences, as_edge_vector
 from .localsim import RoundTranscript, rng_stream
 # perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
@@ -181,8 +181,8 @@ def verify_stretch(
     kept = np.isin(ids, chosen)
     u, v, bound = np.array([(d.u, d.v, d.bound) for d in instance.demands],
                            dtype=np.int64).reshape(-1, 3).T
-    hops = _pair_hops(np.r_[0, np.cumsum(kept)][indptr], heads[kept], u, v,
-                      int(bound.max(initial=0)))
+    hops = _hop_table(np.r_[0, np.cumsum(kept)][indptr], heads[kept], u,
+                      int(bound.max(initial=0)))(np.arange(len(u)), v)
     violations = np.flatnonzero(hops > bound).tolist()
     return (not violations, violations)
 

@@ -514,6 +514,45 @@ class TestArrayPhases:
             k=phase_k, epsilon=1.0, n=n)
         assert_phases_match_reference(g, params, radii, sources, phase_params)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        grid=st.booleans(),
+        k=st.sampled_from([0, 1, 2, 3]),
+        epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+        t=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_gather_trees_are_whole(self, data, grid, k, epsilon, t, seed):
+        # what lets the broadcast walk the trees as recorded: every tree
+        # edge's parent is the center, at depth 1, or the child of another
+        # edge of the same cluster one level up, and no depth passes the
+        # rounds the gather charged
+        if grid:
+            g = gen_grid(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        else:
+            g = gen_gnp(data.draw(st.integers(1, 16)),
+                        data.draw(st.sampled_from([0.1, 0.25, 0.5])), seed=seed)
+        n = g.n
+        params = PaddedParams(k=k, epsilon=epsilon, n=n)
+        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        floods, centers = carve(g, params, radii, RoundTranscript())
+        assign = np.ascontiguousarray(centers.T)
+        padded = distributed._phase_probe(g, assign, k, RoundTranscript())
+        transcript = RoundTranscript()
+        gathered = distributed._phase_gather(
+            g, params, floods, assign, padded, np.arange(n), transcript)
+        tree = gathered.cluster.tolist(), gathered.child.tolist()
+        depth_of = dict(zip(zip(*tree), gathered.depth.tolist()))
+        assert len(depth_of) == len(gathered.child)  # one parent per child
+        for c, child, parent, depth in zip(*tree, gathered.parent.tolist(),
+                                           gathered.depth.tolist()):
+            center = int(gathered.key[c]) % n
+            assert child != center
+            assert (parent == center and depth == 1
+                    or depth_of.get((c, parent)) == depth - 1)
+        assert gathered.depth.max(initial=0) <= transcript.phase_rounds["gather"]
+
     def test_dsn_shape_matches_reference(self):
         # the dsn-gnp shape: n=16 at the paper's t=200, the solver's padding
         # parameter for epsilon=0.5, a length bound of 4 and n/2 demands

@@ -18,6 +18,7 @@ from padspan.graphs import (
     GraphError,
     UNREACHABLE,
     _frontier_bfs,
+    _hop_table,
     arborescences,
     as_edge_vector,
     ball,
@@ -88,6 +89,17 @@ def directed_bfs_oracle(g, s):
                 dist[w] = dist[u] + 1
                 q.append(w)
     return dist
+
+
+@st.composite
+def bfs_graphs(draw):
+    """Directed and undirected gnp graphs (isolated nodes at low p,
+    antiparallel pairs at high p) and grids."""
+    kind = draw(st.sampled_from(["directed", "undirected", "grid"]))
+    if kind == "grid":
+        return gen_grid(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    return gen_gnp(draw(st.integers(1, 12)), draw(st.sampled_from([0.05, 0.2, 0.4, 0.7])),
+                   draw(st.integers(0, 2**32)), directed=kind == "directed")
 
 
 class TestGraphConstruction:
@@ -325,6 +337,31 @@ class TestBall:
         with pytest.raises(GraphError):
             ball(cycle(4), 0, -1)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(GraphError):
+            ball(cycle(4), 0, float("nan"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=bfs_graphs(), data=st.data())
+    def test_matches_distance_matrix_row(self, g, data):
+        u = data.draw(st.integers(0, g.n - 1))
+        radius = data.draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 3, g.n, float("inf")]))
+        row = g.distance_matrix()[u]
+        # an infinite radius still leaves out the nodes u cannot reach
+        within = (row <= radius) & (row < UNREACHABLE)
+        assert ball(g, u, radius) == frozenset(np.flatnonzero(within).tolist())
+
+    def test_never_reads_the_distance_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ball read the dense distance matrix")
+
+        monkeypatch.setattr(Graph, "distance_matrix", refuse)
+        g = gen_grid(4, 5)
+        for u, r in ((0, 0), (0, 2), (7, 1), (19, 100)):
+            assert ball(g, u, r) == {w for w, d in bfs_oracle(g, u).items() if d <= r}
+        assert ball(path_graph(2), 1, float("inf")) == {0, 1}
+        assert ball(Graph(3, [(0, 1)]), 0, float("inf")) == {0, 1}  # not node 2
+
 
 class TestRestrict:
     def test_full_cluster_identity(self):
@@ -435,17 +472,6 @@ class TestArborescence:
             arborescences(cycle(4), [0], 1, "sideways")
 
 
-@st.composite
-def bfs_graphs(draw):
-    """Directed and undirected gnp graphs (isolated nodes at low p,
-    antiparallel pairs at high p) and grids."""
-    kind = draw(st.sampled_from(["directed", "undirected", "grid"]))
-    if kind == "grid":
-        return gen_grid(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
-    return gen_gnp(draw(st.integers(1, 12)), draw(st.sampled_from([0.05, 0.2, 0.4, 0.7])),
-                   draw(st.integers(0, 2**32)), directed=kind == "directed")
-
-
 class TestFrontierBfs:
     @settings(max_examples=120, deadline=None)
     @given(g=bfs_graphs(), data=st.data())
@@ -479,6 +505,34 @@ class TestFrontierBfs:
                     nearer = [u for u in range(g.n) if dist[u] == lv - 1
                               and w in heads[indptr[u]:indptr[u + 1]]]
                     assert p == min(nearer)
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=bfs_graphs(), data=st.data())
+    def test_hop_table_matches_per_source_bfs(self, g, data):
+        # the last root repeats the first, so one root answers under two
+        # indices; past `depth` every lookup reads UNREACHABLE
+        roots = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+        roots.append(roots[0])
+        depth = data.draw(st.integers(0, g.n))
+        searches = (
+            (g.arc_csr("out")[:2], lambda r: directed_bfs_oracle(g, r)),
+            (g.arc_csr("in")[:2], lambda r: [directed_bfs_oracle(g, w)[r]
+                                             for w in range(g.n)]),
+            (g.shadow_csr(), lambda r: [bfs_oracle(g, r).get(w, UNREACHABLE)
+                                        for w in range(g.n)]),
+        )
+        for (indptr, heads), oracle in searches:
+            hops = _hop_table(indptr, heads, roots, depth)
+            want = [[int(d) if d <= depth else UNREACHABLE for d in oracle(r)]
+                    for r in roots]
+            i, w = np.divmod(np.arange(len(roots) * g.n), g.n)
+            assert hops(i, w).tolist() == sum(want, [])
+            # lookups in any order, one at a time and repeated read the same
+            order = data.draw(st.permutations(range(len(i))))
+            assert hops(i[order], w[order]).tolist() == [want[j][x] for j, x in
+                                                         zip(i[order], w[order])]
+            assert [int(hops(len(roots) - 1, x)) for x in range(g.n)] == want[0]
+            assert hops(np.zeros(0, dtype=np.int64), []).tolist() == []
 
     @settings(max_examples=80, deadline=None)
     @given(g=bfs_graphs(), data=st.data())

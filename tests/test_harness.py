@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+import padspan.cli as cli
 import padspan.harness as harness
 from padspan.cli import main as cli_main
 from padspan.distributed import ConfigError
 from padspan.graphs import Graph, write_graph
+from padspan.localsim import TRANSCRIPT_CSV_HEADER
 from padspan.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -114,6 +116,18 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run_trial", flaky)
         with pytest.raises(HarnessError, match=r"^trial 0 retry 1 failed: boom$"):
             run_experiment(self.small_config())
+
+    def test_csv_headers_pinned(self):
+        # both headers are derived from the row fields and the phases; the
+        # report bytes must not move
+        assert REPORT_CSV_HEADER == (
+            "trial,retry,seed,n,m,D,epsilon,cp_star,g_tilde,ratio,rounds,round_bound,"
+            "concentration_rate,concentration_all,feasible,e_out,stretch_ok,"
+            "rounding_rounds,max_degree")
+        assert TRANSCRIPT_CSV_HEADER == (
+            "seed,n,m,epsilon,D,rounds_decomposition,rounds_gather,"
+            "rounds_solve_broadcast,rounds_rounding,total_rounds,messages,"
+            "max_payload_bytes")
 
     def test_zero_trials_header_only(self, tmp_path):
         cfg = self.small_config(out=str(tmp_path / "r"), trials=0)
@@ -231,6 +245,17 @@ class TestCli:
 
     def test_unknown_command_exit_2(self):
         assert cli_main(["frobnicate", "--seed", "1"]) == 2
+
+    def test_decompose_bug_is_not_a_violation(self, monkeypatch):
+        # only a DecompositionError is an invariant violation; any other
+        # failure of the check is a bug and propagates
+        def broken(g, params, clustering):
+            raise IndexError("bug in the check")
+
+        monkeypatch.setattr(cli, "validate_clustering", broken)
+        with pytest.raises(IndexError, match="bug in the check"):
+            cli_main(["decompose", "--gen", "cycle", "--n", "10", "--k", "1",
+                      "--seed", "3"])
 
     def test_decompose_ok(self, capsys):
         rc = cli_main([

@@ -429,3 +429,52 @@ def test_untyped_raises_are_found():
         "    raise ValueError('typed')\n")
     assert _untyped_raises(tree, "m.py") == {
         ("m.py", "f", "KeyError"), ("m.py", "f", "RuntimeError")}
+
+
+def _swallowing_handlers(tree: ast.AST, module: str) -> set[tuple[str, int]]:
+    """(module, line) of every `except Exception`, `except BaseException` or
+    bare `except` in one syntax tree whose body raises nothing."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        broad = any(t is None or getattr(t, "id", None) in ("Exception", "BaseException")
+                    for t in types)
+        raises = any(isinstance(n, ast.Raise) for body in node.body for n in ast.walk(body))
+        if broad and not raises:
+            found.add((module, node.lineno))
+    return found
+
+
+def test_broad_handlers_reraise():
+    """A handler that catches every exception in `src/padspan` raises again,
+    so a bug never comes back as a counted failure or a silent result."""
+    package = Path(padspan.__file__).parent
+    assert set().union(*(_swallowing_handlers(ast.parse(path.read_text()), path.name)
+                         for path in sorted(package.glob("*.py")))) == set()
+
+
+def test_swallowing_handlers_are_found():
+    tree = ast.parse(
+        "try:\n"
+        "    pass\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+        "try:\n"
+        "    pass\n"
+        "except (ValueError, BaseException):\n"
+        "    pass\n"
+        "try:\n"
+        "    pass\n"
+        "except Exception as exc:\n"
+        "    raise ValueError('typed') from exc\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    pass\n")
+    assert _swallowing_handlers(tree, "m.py") == {("m.py", 3), ("m.py", 7), ("m.py", 11)}
