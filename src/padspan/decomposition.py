@@ -21,9 +21,16 @@ tests hold it to. The distributed sampler is its t=1 case, which reads the
 centers without building `Floods`, and matches the centralized sampler
 exactly when the permutation is node-ID order and the seed and iteration
 are the same; the distributed solver runs all its iterations as one
-`carve`. `padded_mask` is the one central padding test, is B(u, k) inside
-u's cluster; the solver's nodes decide the same fact locally from what they
-probed.
+`carve`.
+
+The checks read only what decides them. `padded_mask` is the one central
+padding test, is B(u, k) inside u's cluster; it spreads a cut frontier from
+the cross-cluster shadow arcs for floor(k) passes and reads no distances.
+The solver's nodes decide the same fact locally from what they probed.
+`_assign` reads each block of centers' distances to the nodes still
+unassigned only. `validate_clustering` and `sample_assignments_batch`
+settle the diameter bound by twice the largest center distance, and
+measure the diameters only when that leaves it open.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ from .localsim import RoundTranscript, check_rounds, rng_stream, rng_uniforms
 from .localsim import run_protocol  # noqa: F401
 
 
-#: Distances one block of a dense-metric computation reads at once: row
-#: blocks keep the temporaries of `_assign`, `padded_mask` and
-#: `cluster_diameters_batch` at a few hundred kilobytes, where whole (n, n)
+#: Entries one block of a check reads at once: distances for `_assign` and
+#: `cluster_diameters_batch`, shadow slots times rows for `padded_mask`. It
+#: keeps their temporaries at a few hundred kilobytes, where whole (n, n)
 #: arrays would be allocated and page-faulted afresh on every call.
 _PAIR_BLOCK = 1 << 15
 
@@ -68,7 +75,7 @@ class PaddedParams:
     n: int
 
     def __post_init__(self):
-        if self.k < 0:
+        if not self.k >= 0:
             raise DecompositionError(f"k must be nonnegative, got {self.k}")
         if not (0 < self.epsilon <= 1):
             raise DecompositionError(f"epsilon must be in (0, 1], got {self.epsilon}")
@@ -154,16 +161,28 @@ class Clustering:
 
 
 def _assign(g: Graph, radii: np.ndarray, pi_order: np.ndarray) -> np.ndarray:
-    """Each node joins the permutation-earliest center whose radius reaches it."""
+    """Each node joins the permutation-earliest center whose radius reaches it.
+
+    The centers go in permutation order, in blocks of about `_PAIR_BLOCK`
+    distances that read only the columns of the nodes still unassigned.
+    Each node a block reaches takes its first reaching center, and the loop
+    ends once every node has one: every node reaches itself, and hop
+    distances are symmetric, so d(center, u) decides. A node no center
+    reaches (a NaN radius) keeps rank 0, as a full scan's argmax gives it.
+    """
     dist = g.distance_matrix()
-    first_rank = np.empty(g.n, dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // g.n)
-    for a in range(0, g.n, step):
-        # reached[u, j]: the j-th node in permutation order reaches node u
-        # (hop distances are symmetric, so row u of the metric serves)
-        reached = (dist[a:a + step] <= radii)[:, pi_order]
-        first_rank[a:a + step] = np.argmax(reached, axis=1)
-    return pi_order[first_rank].astype(np.int64)
+    rank = np.zeros(g.n, dtype=np.int64)
+    left = np.arange(g.n)
+    a = 0
+    while len(left) and a < g.n:
+        centers = pi_order[a:a + max(1, _PAIR_BLOCK // len(left))]
+        reached = dist[np.ix_(centers, left)] <= radii[centers, None]
+        first = np.argmax(reached, axis=0)
+        hit = reached[first, np.arange(len(left))]
+        rank[left[hit]] = a + first[hit]
+        left = left[~hit]
+        a += len(centers)
+    return pi_order[rank].astype(np.int64)
 
 
 def sample_decomposition_centralized(
@@ -518,7 +537,12 @@ def sample_assignments_batch(
     for s in range(count):
         out[s] = _assign(g, radii[s], _carving_order(seed, s, g.n, permutation))
     cap2 = 2 * params.radius_cap
-    for s, diams in enumerate(cluster_diameters_batch(g, out)):
+    # as in `validate_clustering`: twice the largest center distance bounds
+    # a sample's diameters, and only the samples it leaves open are measured
+    bound = 2 * g.distance_matrix()[out, np.arange(g.n)].max(axis=1, initial=0)
+    unsettled = np.flatnonzero(bound > cap2)
+    for s, diams in zip(unsettled.tolist(),
+                        cluster_diameters_batch(g, out[unsettled])):
         diam = max(diams.values())
         if diam > cap2:
             raise DecompositionError(
@@ -528,20 +552,43 @@ def sample_assignments_batch(
 
 
 def padded_mask(g: Graph, assignments: np.ndarray, k: float) -> np.ndarray:
-    """(s, n) booleans for an (s, n) assignment array: is B(u, k) contained
-    in u's cluster, for every clustering and node u.
+    """(s, n) booleans for an (s, n) assignment array: is B(u, k), the nodes
+    within k hops of u in the shadow, contained in u's cluster, for every
+    clustering and node u. The labels may be of any type that compares.
 
-    One block of rows of one clustering at a time, so temporaries stay at
-    about `_PAIR_BLOCK` entries.
+    A shortest path from u to its nearest node outside u's cluster runs
+    inside the cluster up to its last hop, so u is unpadded iff a node
+    within floor(k) - 1 hops of u along same-cluster shadow arcs has a
+    neighbour in another cluster. A cut frontier decides it with no
+    distances: the first pass over the shadow CSR slots marks the tails of
+    the cross-cluster slots, each later one, up to floor(k) in all, marks
+    the tails of same-cluster slots whose head is marked, and the passes
+    stop early once one adds nothing. Blocks of rows keep a pass's
+    temporaries at about `_PAIR_BLOCK` slots.
     """
-    dist = g.distance_matrix()
-    mask = np.empty(assignments.shape, dtype=bool)
-    step = max(1, _PAIR_BLOCK // g.n)
-    for a in range(0, g.n, step):
-        outside = dist[a:a + step] > k
-        for s, assign in enumerate(assignments):
-            mask[s, a:a + step] = np.all(
-                (assign[a:a + step, None] == assign) | outside, axis=1)
+    if not k >= 0:
+        raise DecompositionError(f"k must be nonnegative, got {k}")
+    mask = np.ones(assignments.shape, dtype=bool)
+    passes = int(min(k, g.n))
+    if passes == 0:
+        return mask
+    indptr, indices = g.shadow_csr()
+    tail = np.repeat(np.arange(g.n), np.diff(indptr))
+    step = max(1, _PAIR_BLOCK // max(1, len(indices)))
+    for a in range(0, len(assignments), step):
+        rows = assignments[a:a + step]
+        marked = np.zeros(rows.shape, dtype=bool)
+        row, slot = np.nonzero(rows[:, tail] != rows[:, indices])
+        marked[row, tail[slot]] = True
+        for _ in range(passes - 1):
+            # slots whose head is marked and whose tail is not; the tail of
+            # a cross-cluster slot is marked already, so these are
+            # same-cluster slots
+            row, slot = np.nonzero(marked[:, indices] > marked[:, tail])
+            if not len(row):
+                break
+            marked[row, tail[slot]] = True
+        mask[a:a + step] = ~marked
     return mask
 
 
@@ -580,6 +627,11 @@ def validate_clustering(
         raise DecompositionError(
             f"node {u}: d(center {assign[u]}, u)={d_c[u]} vs radius {r_c[u]}"
         )
+    # d(u, v) <= d(u, c) + d(c, v) bounds each diameter by twice its
+    # largest center distance; only a cap within 1e-12 below an integer
+    # leaves room for a breach, and then the diameters decide
+    if 2 * d_c.max(initial=0) <= 2 * cap:
+        return
     for c, d_max in cluster_diameters(g, clustering).items():
         if d_max > 2 * cap:
             raise DecompositionError(

@@ -31,6 +31,11 @@ from .localsim import run_protocol  # noqa: F401
 from .lp import CpSolution, solve_cluster_cp, solve_global_oracle
 
 
+#: Pairs times iterations whose center vectors `_phase_probe` compares at
+#: once, so its temporaries stay bounded at the paper's t.
+_PROBE_CELLS = 1 << 18
+
+
 class ConfigError(ValueError):
     pass
 
@@ -199,9 +204,20 @@ def _phase_probe(g, assign, D, transcript) -> np.ndarray:
     transcript.charge("gather", rounds)
     vectors = assign.T  # row v: node v's center in every iteration
     order = np.argsort(node, kind="stable")
-    unpadded = np.logical_or.reduceat(
-        (vectors[node] != vectors[origin])[order],
-        np.searchsorted(node[order], np.arange(n)))
+    node, origin = node[order], origin[order]
+    # every node learned itself, so each has a nonempty run of pairs
+    start = np.searchsorted(node, np.arange(n + 1))
+    unpadded = np.empty((n, t), dtype=bool)
+    # blocks of whole runs of at most _PROBE_CELLS pairs times iterations
+    # (at least one run) bound the comparison's temporaries
+    per_block = max(1, _PROBE_CELLS // t)
+    u = 0
+    while u < n:
+        v = max(u + 1, int(np.searchsorted(start, start[u] + per_block, "right")) - 1)
+        p, q = start[u], start[v]
+        unpadded[u:v] = np.logical_or.reduceat(
+            vectors[node[p:q]] != vectors[origin[p:q]], start[u:v] - p)
+        u = v
     return np.ascontiguousarray(~unpadded.T)
 
 

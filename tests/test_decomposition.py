@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +33,12 @@ from padspan.decomposition import (
     sample_radius,
     validate_clustering,
 )
+from padspan.cp import build_spanner_instance
 from padspan.distributed import SolverConfig
 from padspan.graphs import UNREACHABLE, Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.localsim import RoundTranscript, rng_stream
+from padspan.lp import cluster_demands
 
 from carve_reference import _admit, carve_reference
 
@@ -65,6 +70,11 @@ class TestParams:
     def test_negative_k(self):
         with pytest.raises(DecompositionError):
             PaddedParams(k=-1, epsilon=0.5, n=4)
+
+    def test_nan_k(self):
+        # a NaN k would give a NaN radius cap, which every check passes
+        with pytest.raises(DecompositionError, match="k must be nonnegative, got nan"):
+            PaddedParams(k=math.nan, epsilon=0.5, n=4)
 
 
 class TestSampleRadius:
@@ -746,3 +756,321 @@ class TestSerialization:
         assert int(node) == 0
         assert int(cid) == int(center)
         assert float(r_v) >= 0
+
+
+# -- the checks read only what decides them ---------------------------------
+
+
+def assign_full_scan(g, radii, pi_order):
+    """`_assign` as a scan of every (node, center) pair, in row blocks."""
+    dist = g.distance_matrix()
+    first_rank = np.empty(g.n, dtype=np.int64)
+    step = max(1, decomposition._PAIR_BLOCK // g.n)
+    for a in range(0, g.n, step):
+        reached = (dist[a:a + step] <= radii)[:, pi_order]
+        first_rank[a:a + step] = np.argmax(reached, axis=1)
+    return pi_order[first_rank].astype(np.int64)
+
+
+def validate_full_diameters(g, params, clustering):
+    """`validate_clustering` measuring every cluster's diameter."""
+    n = g.n
+    assign, radii = clustering.assignment, clustering.radii
+    if assign.shape != (n,):
+        raise DecompositionError("assignment is not total")
+    if radii.shape != (n,):
+        raise DecompositionError(f"radii have shape {radii.shape}, expected ({n},)")
+    foreign = (assign < 0) | (assign >= n)
+    if foreign.any():
+        u = int(np.argmax(foreign))
+        raise DecompositionError(f"node {u}: cluster id {assign[u]} is not a node")
+    cap = params.radius_cap
+    d_c = g.distance_matrix()[assign, np.arange(n)]
+    r_c = radii[assign]
+    bad = ~((d_c <= r_c) & (r_c <= cap + 1e-12))
+    if bad.any():
+        u = int(np.argmax(bad))
+        raise DecompositionError(
+            f"node {u}: d(center {assign[u]}, u)={d_c[u]} vs radius {r_c[u]}")
+    for c, d_max in cluster_diameters(g, clustering).items():
+        if d_max > 2 * cap:
+            raise DecompositionError(
+                f"cluster {c} has hop diameter {d_max} > {2 * cap}")
+
+
+def batch_full_diameters(g, params, seed, count):
+    """`sample_assignments_batch` measuring every sample's diameters."""
+    radii = draw_radii(params, seed, np.arange(count), g.n)
+    out = np.array([decomposition._assign(
+        g, radii[s], decomposition._carving_order(seed, s, g.n, "random"))
+        for s in range(count)], dtype=np.int64)
+    cap2 = 2 * params.radius_cap
+    for s, diams in enumerate(cluster_diameters_batch(g, out)):
+        diam = max(diams.values())
+        if diam > cap2:
+            raise DecompositionError(
+                f"sample {s}: cluster diameter {diam} exceeds {cap2}")
+    return out
+
+
+def verdict(check, *args):
+    """None if `check(*args)` passes, else its DecompositionError message."""
+    try:
+        check(*args)
+    except DecompositionError as err:
+        return str(err)
+    return None
+
+
+def cap_params(cap):
+    """A stand-in for PaddedParams with the given radius cap."""
+    return type("Params", (), {"radius_cap": cap})()
+
+
+#: Radius caps for the check tests: real ones, and caps within 1e-12 below
+#: an integer, where the center bound cannot settle the diameters.
+CAPS = [0.0, 1.5, 2.0, 3.0, 2 - 1e-13, 3 - 1e-13, 4 - 5e-13]
+
+
+class TestPaddedMaskFrontier:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=24),
+        directed=st.booleans(),
+        s=st.integers(min_value=0, max_value=4),
+        labels=st.integers(min_value=1, max_value=6),
+        boolean=st.booleans(),
+    )
+    def test_matches_dense_definition(self, data, n, directed, s, labels, boolean):
+        # oracle: B(u, k) from the distance matrix, compared with every
+        # clustering at once; random graphs are often disconnected
+        g = random_graph(data, n, directed)
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, labels - 1), min_size=n, max_size=n),
+            min_size=s, max_size=s)), dtype=np.int64).reshape(s, n)
+        if boolean:
+            rows = rows % 2 == 1
+        same = rows[:, :, None] == rows[:, None, :]
+        for k in (0, 0.5, 1, 1.7, 2, 3, n, n + 0.5, 10 * n):
+            expect = np.all(same | (g.distance_matrix() > k), axis=2)
+            assert np.array_equal(padded_mask(g, rows, k), expect), k
+
+    def test_row_blocks_match_dense_definition(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_PAIR_BLOCK", 100)
+        g = gen_grid(5, 6)
+        rows = rng_stream(5, "frontier-test").integers(0, 4, size=(9, g.n))
+        same = rows[:, :, None] == rows[:, None, :]
+        for k in (1, 2, 4):
+            expect = np.all(same | (g.distance_matrix() > k), axis=2)
+            assert np.array_equal(padded_mask(g, rows, k), expect)
+
+    def test_infinite_k_is_the_component(self):
+        # the ball never holds another component's nodes, however large k
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)], directed=False)
+        rows = np.array([[0, 0, 0, 1, 1], [0, 0, 1, 1, 1]])
+        for k in (5, 2**41, math.inf):
+            assert padded_mask(g, rows, k).tolist() == [
+                [True] * 5, [False, False, False, True, True]]
+
+    @pytest.mark.parametrize("k", [math.nan, -1, -0.5])
+    def test_nan_or_negative_k_rejected(self, k):
+        # the distance comparison gave all False for NaN, all True below 0
+        g = gen_cycle(6, directed=False)
+        with pytest.raises(DecompositionError, match="k must be nonnegative"):
+            padded_mask(g, np.zeros((1, 6), dtype=np.int64), k)
+
+
+class TestAssignBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=30),
+        directed=st.booleans(),
+        order=st.sampled_from(["ids", "random"]),
+        radii=st.sampled_from(["drawn", "zero", "nan"]),
+        block=st.sampled_from([1, 7, 64, None]),
+    )
+    def test_matches_full_scan(self, data, n, directed, order, radii, block):
+        g = random_graph(data, n, directed)
+        pi = (np.arange(n) if order == "ids"
+              else np.array(data.draw(st.permutations(range(n))), dtype=np.int64))
+        if radii == "zero":  # every node its own center
+            r = np.zeros(n)
+        else:
+            r = np.array(data.draw(st.lists(
+                st.floats(0, n), min_size=n, max_size=n)))
+            if radii == "nan":  # a NaN radius reaches no node, not even its own
+                r[data.draw(st.integers(0, n - 1))] = math.nan
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(decomposition, "_PAIR_BLOCK", block)
+            got = decomposition._assign(g, r, pi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, assign_full_scan(g, r, pi))
+        if radii == "zero":
+            assert np.array_equal(got, np.arange(n))
+
+    def test_grid_blocks_match_full_scan(self, monkeypatch):
+        # blocks of one to a few centers while many nodes are left
+        g = gen_grid(16, 16)
+        rng = rng_stream(2, "assign-blocks")
+        monkeypatch.setattr(decomposition, "_PAIR_BLOCK", 500)
+        for _ in range(3):
+            radii, pi = rng.random(g.n) * 6, rng.permutation(g.n)
+            assert np.array_equal(decomposition._assign(g, radii, pi),
+                                  assign_full_scan(g, radii, pi))
+
+
+class TestCenterBound:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=16),
+        cap=st.sampled_from(CAPS),
+        corrupt=st.sampled_from(["none", "labels", "radii"]),
+    )
+    def test_validate_matches_full_diameters(self, data, n, cap, corrupt):
+        g = random_graph(data, n, False)
+        params = cap_params(cap)
+        # a clustering honouring its radii: the centralized assignment of
+        # radii below the cap, then perhaps corrupted
+        radii = np.array(data.draw(st.lists(
+            st.floats(0, math.floor(cap)), min_size=n, max_size=n)))
+        pi = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        assign = decomposition._assign(g, radii, pi)
+        if corrupt == "labels":
+            assign = np.array(data.draw(st.lists(
+                st.integers(-1, n), min_size=n, max_size=n)), dtype=np.int64)
+        elif corrupt == "radii":
+            radii = np.array(data.draw(st.lists(
+                st.sampled_from([0.0, cap, cap + 5e-13, math.ceil(cap), cap + 1]),
+                min_size=n, max_size=n)))
+        c = Clustering(assign, radii)
+        assert (verdict(validate_clustering, g, params, c)
+                == verdict(validate_full_diameters, g, params, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=14),
+        count=st.integers(min_value=1, max_value=4),
+        cap=st.sampled_from([None] + CAPS),
+        corrupt=st.booleans(),
+    )
+    def test_batch_matches_full_diameters(self, data, n, count, cap, corrupt):
+        # corrupt rows replace `_assign`, and caps below the drawn radii or
+        # just below an integer leave the center bound open
+        g = random_graph(data, n, False)
+        params = PaddedParams(k=1, epsilon=0.5, n=n)
+        rows = data.draw(st.lists(st.lists(
+            st.integers(0, n - 1), min_size=n, max_size=n),
+            min_size=count, max_size=count))
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(PaddedParams, "radius_cap", property(lambda self: cap))
+            if corrupt:
+                # each sampling call takes `count` rows, so both read the same
+                drawn = itertools.cycle(rows)
+                mp.setattr(decomposition, "_assign",
+                           lambda *args: np.array(next(drawn), dtype=np.int64))
+            got = verdict(sample_assignments_batch, g, params, 3, count)
+            assert got == verdict(batch_full_diameters, g, params, 3, count)
+
+    def test_cap_just_below_an_integer_measures_the_diameters(self, monkeypatch):
+        # d(center, u) <= r_c <= cap + 1e-12 lets d reach 3 when the cap is
+        # 3 - 1e-13, so twice the largest center distance no longer settles
+        # the diameter bound; the full diameters decide, with the same message
+        g = Graph(7, [(i, i + 1) for i in range(6)], directed=False)
+        params = cap_params(3 - 1e-13)
+        calls = []
+        measure = decomposition.cluster_diameters
+        monkeypatch.setattr(decomposition, "cluster_diameters",
+                            lambda *args: calls.append(1) or measure(*args))
+        ok = Clustering(np.array([0, 0, 0, 0, 6, 6, 6]), np.full(7, 3.0))
+        validate_clustering(g, params, ok)  # diameters 3 and 2
+        assert len(calls) == 1
+        wide = Clustering(np.full(7, 3), np.full(7, 3.0))
+        message = verdict(validate_full_diameters, g, params, wide)
+        assert message == f"cluster 3 has hop diameter 6 > {2 * (3 - 1e-13)}"
+        with pytest.raises(DecompositionError) as err:
+            validate_clustering(g, params, wide)
+        assert str(err.value) == message
+        assert len(calls) == 2
+        # a cap at the integer itself is settled by the bound
+        validate_clustering(g, cap_params(3.0), wide)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("cap, message", [
+        (2.5, "sample 0: cluster diameter 6 exceeds 5.0"),
+        (3 - 1e-13, f"sample 0: cluster diameter 6 exceeds {2 * (3 - 1e-13)}"),
+        (3.0, None),
+    ])
+    def test_batch_measures_what_the_bound_leaves_open(self, monkeypatch, cap,
+                                                        message):
+        # one cluster around the middle of a 7-node path: center distances
+        # up to 3, so a bound of 6 and a diameter of 6
+        g = Graph(7, [(i, i + 1) for i in range(6)], directed=False)
+        params = PaddedParams(k=1, epsilon=0.5, n=7)
+        monkeypatch.setattr(PaddedParams, "radius_cap", property(lambda self: cap))
+        monkeypatch.setattr(decomposition, "_assign",
+                            lambda *args: np.full(7, 3, dtype=np.int64))
+        assert verdict(sample_assignments_batch, g, params, 0, 2) == message
+
+
+#: The functions of `src/padspan` that may read the dense distance matrix.
+DENSE_READERS = {
+    ("decomposition.py", "_assign"),
+    ("decomposition.py", "validate_clustering"),
+    ("decomposition.py", "sample_assignments_batch"),
+    ("decomposition.py", "cluster_diameters_batch"),
+}
+
+
+def _matrix_readers(tree, module):
+    """(module, enclosing function) of every call of a `distance_matrix`
+    attribute in one syntax tree."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "distance_matrix"):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+class TestDenseMatrixReaders:
+    def test_only_allowlisted_functions_read_the_matrix(self):
+        package = Path(decomposition.__file__).parent
+        found = set().union(*(_matrix_readers(ast.parse(path.read_text()), path.name)
+                              for path in sorted(package.glob("*.py"))))
+        assert found - DENSE_READERS == set()
+        assert DENSE_READERS <= found  # a stale allowlist entry goes too
+
+    def test_matrix_readers_are_found(self):
+        tree = ast.parse(
+            "def f(g):\n"
+            "    return g.distance_matrix()[0]\n"
+            "def h(g):\n"
+            "    return g.distance_matrix\n"
+            "x = Graph.distance_matrix(g)\n")
+        assert _matrix_readers(tree, "m.py") == {("m.py", "f"), ("m.py", "<module>")}
+
+    def test_padding_runs_without_the_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the distance matrix was read")
+
+        monkeypatch.setattr(Graph, "distance_matrix", refuse)
+        g = gen_grid(4, 4)
+        inst = build_spanner_instance(g, k=2)
+        assign = np.arange(16) // 8
+        assert padded_mask(g, assign[None], 1)[0].tolist() == [True] * 4 + [False] * 8 + [True] * 4
+        members = set(range(8))
+        expect = [i for i, d in enumerate(inst.demands) if d.u in (0, 1, 2, 3)]
+        assert cluster_demands(inst, members) == expect

@@ -514,6 +514,33 @@ class TestArrayPhases:
             k=phase_k, epsilon=1.0, n=n)
         assert_phases_match_reference(g, params, radii, sources, phase_params)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        grid=st.booleans(),
+        k=st.sampled_from([1, 2, 3]),
+        t=st.integers(min_value=1, max_value=9),
+        cells=st.sampled_from([1, 7, 40]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_probe_blocks_match_one_block(self, data, grid, k, t, cells, seed):
+        # blocks of a few pairs, down to one node's pairs, decide the same
+        # padding as one block of every pair
+        if grid:
+            g = gen_grid(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+        else:
+            g = gen_gnp(data.draw(st.integers(1, 20)),
+                        data.draw(st.sampled_from([0.1, 0.25, 0.5])), seed=seed)
+        params = PaddedParams(k=k, epsilon=0.5, n=g.n)
+        radii = np.stack([draw_radii(params, seed, i, g.n) for i in range(t)])
+        assign = np.ascontiguousarray(carve(g, params, radii, RoundTranscript())[1].T)
+        whole = distributed._phase_probe(g, assign, k, RoundTranscript())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributed, "_PROBE_CELLS", cells)
+            blocked = distributed._phase_probe(g, assign, k, RoundTranscript())
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(whole, padded_mask(g, assign, k))
+
     @settings(max_examples=80, deadline=None)
     @given(
         data=st.data(),
