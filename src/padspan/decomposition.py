@@ -9,13 +9,14 @@ centralized sampler is the reference, and the batch sampler runs its
 assignment once per iteration. `carve` is the one message-passing flood: it
 runs t carvings bundled into one message stream, and in each one every node
 joins the smallest id whose flood reached it. It simulates each LOCAL round
-as a few linear passes over every node and iteration at once: the round's
-entries are expanded over the shadow CSR in one `run_slots`, the arrivals
-are sorted into inboxes and admitted in one merge with every
-node-iteration's domination staircase, over 32-bit keys whenever n³·t <
-2³¹. The centers are the heads of the final staircases. The rounds run over
-blocks of iterations of a fixed size in slots, so a round's temporaries stay
-bounded at the paper's t. It charges the transcript's ledger (`send`,
+as one sort and a few linear passes over every node and iteration at once:
+the round's entries are expanded over the shadow CSR in one `run_slots`
+into copies, each one packed integer, and `_merge` sorts them with every
+node-iteration's domination staircase into one array, in which one running
+maximum admits them. The centers are the heads of the final staircases,
+and `Floods` keeps the three columns the solver's gather reads. The rounds
+run over blocks of iterations of a fixed size in slots, so a round's
+temporaries stay bounded at the paper's t. It charges the transcript's ledger (`send`,
 `check_rounds`) as the engine would charge the per-node protocol that the
 tests hold it to. The distributed sampler is its t=1 case, which reads the
 centers without building `Floods`, and matches the centralized sampler
@@ -77,6 +78,8 @@ class PaddedParams:
     def __post_init__(self):
         if not self.k >= 0:
             raise DecompositionError(f"k must be nonnegative, got {self.k}")
+        if math.isinf(self.k):
+            raise DecompositionError(f"k must be finite, got {self.k}")
         if not (0 < self.epsilon <= 1):
             raise DecompositionError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.n < 1:
@@ -227,110 +230,88 @@ def decide_round(params: PaddedParams, n: int) -> int:
 
 @dataclass(frozen=True)
 class Floods:
-    """Every flood a `carve` accepted, one row per (node, iteration, origin)
-    in that order: the round `hop` it arrived in, the budget `rem` it had
-    left, and the neighbor `via` that delivered it (the node itself for its
-    own flood)."""
+    """Every flood a `carve` accepted, one row per (node, iteration, origin),
+    ascending by its `key` (node * t + iteration) * n + origin: the round
+    `hop` it arrived in and the neighbor `via` that delivered it (the node
+    itself for its own flood). All three take the carve's integer type."""
 
-    node: np.ndarray
-    iteration: np.ndarray
-    origin: np.ndarray
+    key: np.ndarray
     hop: np.ndarray
-    rem: np.ndarray
     via: np.ndarray
 
 
-def _flood_dtype(n: int, t: int, bmax: int) -> type:
-    """The integer type of a carve's keys, budgets and CSR copies: int32
-    when every value its rounds compute fits, else int64. Arrival keys and
-    copy counts are below n³·t, and `_undominated` lifts budgets of at most
-    `bmax` to below n·t·(bmax + 1), which n³·t covers whenever bmax < n²."""
-    return np.int32 if n * t * max(n * n, bmax + 1) < 2**31 else np.int64
+def _flood_dtype(n: int, t: int, dmax: int, bmax: int) -> type:
+    """The integer type of a carve's packed values, keys and CSR copies.
 
-
-def _undominated(group: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose value exceeds every earlier value of their
-    group. `group` must be ascending and `vals` nonnegative."""
-    keep = np.ones(len(vals), dtype=bool)
-    if len(vals):
-        # lift each group above every earlier one, so one running maximum
-        # never carries a value across a group boundary
-        lifted = group * (int(vals.max()) + 1) + vals
-        run = np.maximum.accumulate(lifted)
-        np.greater(lifted[1:], run[:-1], out=keep[1:])
-    return keep
-
-
-def _admit_batch(
-    stair_key: np.ndarray, stair_rem: np.ndarray,
-    key: np.ndarray, rem: np.ndarray, n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Admit one round's arrivals against the domination staircases.
-
-    Keys are group * n + origin, and the arrival keys are ascending and
-    unique. The staircase holds, per group, the accepted entries no smaller
-    origin dominates: ascending keys, remaining budget strictly increasing.
-    An arrival is admitted iff its origin is not accepted yet and its budget
-    exceeds that of every accepted smaller origin of its group and of every
-    smaller one admitted in this batch.
-
-    One stable sort merges the staircase and the arrivals (two ascending
-    runs, so the sort is a linear merge), a staircase entry ahead of an
-    arrival with its key, and one running maximum per group over the merged
-    sequence decides everything: an entry is admitted, or stays on the
-    staircase, iff its budget exceeds every one before it. A rejected
-    arrival's budget is at most that maximum, so counting it changes no
-    later decision. An accepted origin is rejected, as long as it comes back
-    with less budget than it was accepted with, as every flood does: its
-    staircase entry, or the one that dominated it, has more left.
-
-    Returns the admitted mask and the staircase with the admitted entries
-    added and the ones they dominate dropped.
+    A value packs a key below t·n², a copy bit, a row position below
+    max(1, dmax) and a budget of at most `bmax` (see `_merge`), so every
+    value, and every key, count and lifted budget a round computes, is below
+    2·t·n²·max(1, dmax)·(bmax + 1): int32 while that is below 2³¹, int64
+    while it is below 2⁶³. Past that no integer type holds a round.
     """
-    merged = np.concatenate((stair_key, key))
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    mrem = np.concatenate((stair_rem, rem))[order]
-    keep = _undominated(merged // n, mrem)
-    # the arrivals stay in key order within the merge
-    admitted = keep[order >= len(stair_key)]
-    kept = np.flatnonzero(keep)
-    return admitted, merged[kept], mrem[kept]
+    bound = 2 * t * n * n * max(1, dmax) * (bmax + 1)
+    if bound < 2**31:
+        return np.int32
+    if bound < 2**63:
+        return np.int64
+    raise DecompositionError(
+        f"a carve of n={n}, t={t}, degree {dmax} and budget {bmax} packs "
+        f"values up to {bound}, past int64")
 
 
-def _send(
-    indptr: np.ndarray, code: np.ndarray, key: np.ndarray, back: np.ndarray,
-    tn: int, n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand one round's sent entries over the adjacency (CSR `indptr`).
+def _merge(stair: np.ndarray, copies: np.ndarray, n: int, P: int, B: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Admit one round's copies against the domination staircases.
 
-    The entries are accepted floods with budget left, keyed (u * t +
-    iteration) * n + origin. Each goes to every neighbor of its node u but
-    the one that delivered it, whose slot in u's row is `back` (past the
-    last slot for u's own flood, which goes to every neighbor): one
-    `run_slots` over the rows, one slot short where the row holds `back`,
-    with the slots from `back` on moved up by one. Slot (u, w) carries
-    `code` = w·t·n² + the position of u in w's row, so a copy's arrival key
-    is ((w * t + iteration) * n + origin) * n + that position; w's row is
-    ascending, so positions order the senders as their ids do. Returns each
-    copy's slot and arrival key.
+    Values pack ((key * 2 + copy) * P + pos) * B + rem: the key (group *
+    n + origin, a group being one node-iteration), a copy bit, the row
+    position below P of the neighbor that sent a copy, and the budget below
+    B left. The staircase `stair` is ascending, with copy bits clear, and
+    holds per group the accepted entries no smaller origin dominates: origins
+    ascending, budgets strictly increasing. `copies` come in any order.
+
+    One sort puts every group in the order a node stepping alone reads its
+    inbox: origins ascending, each origin's staircase entry ahead of its
+    copies, the copies by sender. So the first entry of each origin is its
+    staircase entry, making its copies re-arrivals, or the copy from the
+    smallest sender. One running maximum of the budgets per group decides
+    the rest: an entry is admitted, or stays on the staircase, iff its
+    budget exceeds every one before it in its group. Later copies have the
+    first one's budget, and a re-arrival less than the entry it was accepted
+    with or the one that dominated that, so these are rejected.
+
+    Returns the next staircase (the admitted copies added with copy bits
+    cleared, the entries they dominate dropped) and the admitted copies.
     """
-    sender = key // tn
-    start = indptr[sender]
-    deg = indptr[sender + 1] - start - (back < len(code))
-    slot = run_slots(start, deg)
-    slot += slot >= np.repeat(back, deg)
-    arrived = np.repeat((key - sender * tn) * n, deg)
-    arrived += code[slot]
-    return slot, arrived
+    merged = np.concatenate((stair, copies))
+    merged.sort()
+    # lift each group above every earlier one, so one running maximum never
+    # carries a budget across a group boundary: group * B + budget, which is
+    # merged - (q - group) * B for q = merged // B. Scalar division is
+    # vectorized in numpy and `%` is not
+    lifted = merged // B
+    lifted -= lifted // (n * 2 * P)
+    lifted *= B
+    np.subtract(merged, lifted, out=lifted)
+    keep = np.ones(len(merged), dtype=bool)
+    np.greater(lifted[1:], np.maximum.accumulate(lifted)[:-1], out=keep[1:])
+    del lifted
+    # masks select through index lists: on masks as scattered as these,
+    # numpy's boolean indexing is several times slower
+    kept = merged[np.flatnonzero(keep)]
+    del merged, keep
+    new = np.flatnonzero(kept // (P * B) & 1)
+    admitted = kept[new]
+    kept[new] = admitted - P * B
+    return kept, admitted
 
 
 def _carve_rounds(
     g: Graph, params: PaddedParams, radii: np.ndarray, transcript: RoundTranscript
-) -> tuple[list, np.ndarray, np.ndarray]:
+) -> tuple[list, np.ndarray]:
     """The rounds of `carve`, without the `Floods` build. Returns the
-    accepted floods as chunks of (key, rem, back), each chunk ascending, the
-    (n, t) center matrix and the budgets, indexed by key mod t·n."""
+    accepted floods as chunks of (hop, key, via), each chunk ascending, and
+    the (n, t) center matrix."""
     n = g.n
     radii = np.asarray(radii, dtype=float)
     if params.n != n:
@@ -350,24 +331,34 @@ def _carve_rounds(
     t = len(radii)
     tn = t * n
     r_decide = decide_round(params, n)
-    budget = np.floor(radii).ravel()  # budget[i * n + origin]
-    dtype = _flood_dtype(n, t, int(budget.max()))
-    budget = budget.astype(dtype)
-    indptr, indices = (a.astype(dtype) for a in g.shadow_csr())
+    indptr, indices = g.shadow_csr()
+    dmax = int(np.diff(indptr).max(initial=0))
+    bmax = int(np.floor(radii.max()))
+    dtype = _flood_dtype(n, t, dmax, bmax)
+    # the radices of `_merge`'s packed values, and one key's span of them
+    P, B = max(1, dmax), bmax + 1
+    K = 2 * P * B
+    budget = np.floor(radii).ravel().astype(dtype)  # budget[i * n + origin]
+    indptr, indices = indptr.astype(dtype), indices.astype(dtype)
     slots = len(indices)
-    # slot (u, w) -> w * t·n·n + the position of u in w's row; the shadow is
+    # slot (u, w) -> the part of a copy's value its slot decides: w * t·n·K
+    # plus the copy bit and the position of u in w's row. The shadow is
     # symmetric and its rows ascending, so sorting the slots by (w, u) lists
-    # w's row in order
+    # w's row in order, and positions order the senders as their ids do
     tail = np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
     by_head = np.lexsort((tail, indices))
     code = np.empty(slots, dtype=dtype)
     code[by_head] = np.arange(slots, dtype=dtype) - indptr[indices[by_head]]
-    code += indices * (tn * n)
+    code += P
+    code *= B
+    code += indices * (tn * K)
     centers = np.empty((n, t), dtype=np.int64)
 
     # one block of iterations a..b-1 per state [a, b, key, rem, back,
-    # stair_key, stair_rem]: the entries its last round accepted and its
-    # staircases. Each starts from its nodes' own floods, node-major
+    # stair]: the entries its last round admitted, each with the slot of its
+    # node's row that holds the neighbor that delivered it (`slots` for a
+    # node's own flood), and its staircases. Each starts from its nodes' own
+    # floods, node-major
     step = max(1, _BLOCK_SLOTS // max(1, slots))
     blocks, chunks = [], []
     for a in range(0, t, step):
@@ -376,47 +367,52 @@ def _carve_rounds(
         key = node * tn + np.tile(np.arange(a * n, b * n, n, dtype=dtype), n) + node
         rem = budget[key % tn]
         back = np.full(len(key), slots, dtype=dtype)
-        blocks.append([a, b, key, rem, back, key, rem])
-        chunks.append((key, rem, back))
+        blocks.append([a, b, key, rem, back, key * K + rem])
+        chunks.append((0, key, node))
 
-    # masks select through index lists: on masks as scattered as these,
-    # numpy's boolean indexing is several times slower
     r = 0
     while True:
         # one message per adjacency slot (u, w) with an entry for w in some
         # block; its payload holds the entries of every block
         per_slot = None
         for blk in list(blocks):
-            a, b, key, rem, back, stair_key, stair_rem = blk
+            a, b, key, rem, back, stair = blk
+            # each entry with budget left goes to every neighbor of its node
+            # u but the one that delivered it: one `run_slots` over the rows,
+            # one slot short where the row holds `back`, with the slots from
+            # `back` on moved up by one
             live = np.flatnonzero(rem >= 1)
-            slot, arrived = _send(indptr, code, key[live], back[live], tn, n)
-            if not len(arrived):
+            key, rem, back = key[live], rem[live], back[live]
+            sender = key // tn
+            start = indptr[sender]
+            deg = indptr[sender + 1] - start - (back < slots)
+            slot = run_slots(start, deg)
+            if not len(slot):
                 # nothing more to accept: each staircase's head is its
                 # smallest accepted origin, which nothing dominates
-                heads = stair_key[run_starts(stair_key // n)] % n
-                centers[:, a:b] = heads.reshape(n, b - a)
+                key = stair // K
+                centers[:, a:b] = (key[run_starts(key // n)] % n).reshape(n, b - a)
                 blocks.remove(blk)
                 continue
+            slot += slot >= np.repeat(back, deg)
+            copies = np.repeat((key - sender * tn) * K + rem - 1, deg)
+            copies += code[slot]
+            del key, rem, back, sender, start, deg
             count = np.bincount(slot, minlength=slots)
             per_slot = count if per_slot is None else per_slot + count
             del slot
-            # each node's inbox in reading order; the first copy of each
-            # (node, iteration, origin) is the one from the smallest sender
-            arrived.sort()
-            arrived = arrived[np.flatnonzero(run_starts(arrived // n))]
-            key, back = np.divmod(arrived, n)
-            del arrived
+            stair, admitted = _merge(stair, copies, n, P, B)
+            del copies
+            key, rem = np.divmod(admitted, B)
+            del admitted
+            key, back = np.divmod(key, P)
+            key //= 2
             back += indptr[key // tn]
-            rem = budget[key % tn] - (r + 1)
-            admitted, stair_key, stair_rem = _admit_batch(
-                stair_key, stair_rem, key, rem, n)
-            admitted = np.flatnonzero(admitted)
-            key, rem, back = key[admitted], rem[admitted], back[admitted]
-            blk[2:] = key, rem, back, stair_key, stair_rem
-            chunks.append((key, rem, back))
+            blk[2:] = key, rem, back, stair
+            chunks.append((r + 1, key, indices[back]))
         if per_slot is None:
             transcript.charge("decomposition", max(r, r_decide))
-            return chunks, centers, budget
+            return chunks, centers
         transcript.send(3 * per_slot[per_slot > 0])
         r += 1
         check_rounds(r, r_decide + 2)
@@ -434,23 +430,15 @@ def carve(
     every neighbor but the one that delivered it. It then joins, per
     iteration, the smallest accepted id.
 
-    Each round is a few linear passes over every node and iteration at once.
-    An accepted flood is keyed (node * t + iteration) * n + origin, whose
-    last part, iteration * n + origin, indexes its budget, so a copy
-    arriving in round r has budget[...] - r left. Next to its key each
-    entry keeps the slot of its node's row that holds the neighbor that
-    delivered it. `_send` expands the entries sent in a round over the
-    adjacency with one `run_slots` over their senders' rows and an
-    `np.repeat` of each entry's values. One sort by (node, iteration,
-    origin, sender) puts each node's inbox in the order a node stepping
-    alone would read it, so the first copy of each origin is the one from
-    the smallest sender. `_admit_batch` then admits the arrivals against
-    each node-iteration's staircase in one merge. A staircase's head is its
-    smallest accepted origin, which nothing can dominate, so the centers are
-    the heads of the final staircases, and `sample_decomposition_distributed`
-    takes them without the `Floods` build. Keys, budgets and the CSR copies
-    take the narrowest type that holds them (`_flood_dtype`: int32 while
-    n³·t < 2³¹ and budgets stay below n², as in every bench workload).
+    Each round is one sort and a few linear passes over every node and
+    iteration at once. An accepted flood is keyed (node * t + iteration) * n
+    + origin. The entries a round admitted with budget left are expanded
+    over their senders' rows with one `run_slots` into copies, one packed
+    integer each, and `_merge` admits them against every node-iteration's
+    domination staircase. A staircase's head is its smallest accepted
+    origin, which nothing can dominate, so the centers are the heads of the
+    final staircases, which `sample_decomposition_distributed` takes without
+    the `Floods` build. Every array takes `_flood_dtype`'s integer type.
 
     The iterations meet only in the transcript, so the rounds run over
     blocks of iterations, each of at most `_BLOCK_SLOTS` adjacency slots
@@ -463,35 +451,19 @@ def carve(
     sent, and `check_rounds` raises `ProtocolTimeout` past `decide_round` +
     2. `tests/carve_reference.py` holds the per-node flood this must equal.
 
-    Returns the accepted floods (int64 fields) and the (n, t) center matrix.
+    Returns the accepted floods and the (n, t) center matrix.
     """
-    chunks, centers, budget = _carve_rounds(g, params, radii, transcript)
-    n, tn = g.n, len(budget)
-    key, rem, back = ([chunk[j] for chunk in chunks] for j in range(3))
+    chunks, centers = _carve_rounds(g, params, radii, transcript)
+    hop, key, via = zip(*chunks)
     del chunks
     # the chunks are each ascending, so one stable sort merges them; each
     # field is merged and its chunks dropped in turn, to stay near the result
     key = np.concatenate(key)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    rem = np.concatenate(rem)[order]
-    back = np.concatenate(back)[order]
-    del order
-    node, base = np.divmod(key, tn)
-    del key
-    iteration, origin = np.divmod(base, n)
-    hop = budget[base]
-    hop -= rem
-    del base
-    # the neighbor that delivered each flood: back past the last slot picks
-    # the pad, and a node's own flood came from itself
-    indices = g.shadow_csr()[1]
-    own = back == len(indices)
-    via = np.append(indices, 0)[back]
-    del back
-    via[own] = node[own]
-    return Floods(*(a.astype(np.int64, copy=False) for a in (
-        node, iteration, origin, hop, rem, via))), centers
+    hop = np.repeat(np.array(hop, dtype=key.dtype), [len(v) for v in via])[order]
+    via = np.concatenate(via)[order]
+    return Floods(key, hop, via), centers
 
 
 def sample_decomposition_distributed(
@@ -511,7 +483,7 @@ def sample_decomposition_distributed(
     if transcript is None:
         transcript = RoundTranscript()
     radii = draw_radii(params, seed, iteration, g.n)
-    _, centers, _ = _carve_rounds(g, params, radii[None, :], transcript)
+    _, centers = _carve_rounds(g, params, radii[None, :], transcript)
     return Clustering(assignment=centers[:, 0], radii=radii), transcript
 
 

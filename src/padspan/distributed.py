@@ -228,7 +228,8 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     demands whose source it is: 5 scalars plus one per demand. In each round
     every report not yet at its center c moves one hop, to the neighbor that
     delivered c's flood to the node holding it, read with one searchsorted
-    from that node's rows of `floods`. A node sends each neighbor one
+    in `floods.key`, whose own integer type the queries take so that no
+    search converts the table. A node sends each neighbor one
     message holding every report it forwards there that round. The rounds
     are the longest path, and `check_rounds` times out past decide_round +
     2, as on the engine. Returns the `Gathered` clusters and trees.
@@ -249,7 +250,6 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     by_demand = np.lexsort((dem, dem_cluster))
     demand_ptr = np.searchsorted(dem_cluster[by_demand], np.arange(len(key) + 1))
 
-    flood_key = (floods.node * t + floods.iteration) * n + floods.origin
     size = 5 + held
     walk = np.flatnonzero(center != node)
     at = node[walk]
@@ -257,7 +257,8 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     hops = [(none, none, none)]
     r = 0
     while len(walk):
-        row = np.searchsorted(flood_key, (at * t + it[walk]) * n + center[walk])
+        want = (at * t + it[walk]) * n + center[walk]
+        row = np.searchsorted(floods.key, want.astype(floods.key.dtype))
         nxt = floods.via[row]
         per_link = np.unique(at * n + nxt, return_inverse=True)[1]
         transcript.send(np.bincount(per_link, size[walk]))

@@ -95,12 +95,28 @@ class ExperimentConfig:
 # -- seeded generators -----------------------------------------------------
 
 
+#: Coins `gen_gnp` draws at once, in whole rows (at least one): a few MB.
+_COIN_BLOCK = 1 << 18
+
+
 def gen_gnp(n: int, p: float, seed: int, directed: bool = True) -> Graph:
-    """Random (di)graph: every ordered (or unordered) pair kept with prob p."""
+    """Random (di)graph: every ordered (or unordered) pair kept with prob p.
+
+    The pairs take one stream's uniforms in row-major order, drawn a block of
+    rows at a time: sequential draws continue the stream, so the edges are
+    those of one draw."""
     rng = rng_stream(seed, "gen-gnp")
-    u, v = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
-    keep = rng.random(len(u)) < p
-    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()), directed=directed)
+    cols = np.arange(n)
+    tails, heads = [], []
+    step = max(1, _COIN_BLOCK // n)
+    for a in range(0, n, step):
+        rows = np.arange(a, min(a + step, n))[:, None]
+        u, v = np.nonzero(cols != rows if directed else cols > rows)
+        keep = np.flatnonzero(rng.random(len(u)) < p)
+        tails.append(u[keep] + a)
+        heads.append(v[keep])
+    u, v = np.concatenate(tails), np.concatenate(heads)
+    return Graph(n, zip(u.tolist(), v.tolist()), directed=directed)
 
 
 def gen_cycle(n: int, directed: bool = True) -> Graph:

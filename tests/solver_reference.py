@@ -36,9 +36,9 @@ class _A2State:
 
 def node_states(floods, centers):
     """One `_A2State` per node from `carve`'s floods and (n, t) centers."""
-    n = len(centers)
-    flood_key = floods.iteration * n + floods.origin
-    rows = np.searchsorted(floods.node, np.arange(n + 1))
+    n, t = centers.shape
+    node, flood_key = np.divmod(floods.key, t * n)
+    rows = np.searchsorted(node, np.arange(n + 1))
     return [
         _A2State(flood_key[a:b], floods.via[a:b], centers[u])
         for u, (a, b) in enumerate(zip(rows[:-1], rows[1:]))

@@ -16,8 +16,8 @@ from padspan.decomposition import (
     Clustering,
     DecompositionError,
     PaddedParams,
-    _admit_batch,
     _flood_dtype,
+    _merge,
     carve,
     cluster_diameters,
     cluster_diameters_batch,
@@ -75,6 +75,13 @@ class TestParams:
         # a NaN k would give a NaN radius cap, which every check passes
         with pytest.raises(DecompositionError, match="k must be nonnegative, got nan"):
             PaddedParams(k=math.nan, epsilon=0.5, n=4)
+
+    def test_infinite_k(self):
+        # an infinite k gave an infinite radius cap: the centralized sampler
+        # put a whole 6-cycle in one cluster and `validate_clustering`
+        # passed it, while the distributed sampler raised
+        with pytest.raises(DecompositionError, match="k must be finite, got inf"):
+            PaddedParams(k=math.inf, epsilon=0.5, n=6)
 
 
 class TestSampleRadius:
@@ -291,14 +298,25 @@ class TestDistributedSampler:
             assert max(cluster_diameters(g, c).values()) <= cap2
 
 
-def accepted_floods(floods, n, t):
+def flood_rows(floods, radii):
+    """(node, iteration, origin, hop, rem, via) of every row `carve`
+    returns, in order: the key split into its parts, and the budget left
+    read off the radii."""
+    t, n = radii.shape
+    node, rest = np.divmod(floods.key.astype(np.int64), t * n)
+    iteration, origin = np.divmod(rest, n)
+    hop = floods.hop.astype(np.int64)
+    rem = np.floor(radii).astype(np.int64)[iteration, origin] - hop
+    return list(zip(*(a.tolist() for a in (
+        node, iteration, origin, hop, rem, floods.via))))
+
+
+def accepted_floods(floods, radii):
     """Per node and iteration, origin -> (hop, rem, via), from the flat
     rows `carve` returns: the shape the reference flood returns."""
+    t, n = radii.shape
     accepted = [[{} for _ in range(t)] for _ in range(n)]
-    for u, i, o, *entry in zip(
-            floods.node.tolist(), floods.iteration.tolist(),
-            floods.origin.tolist(), floods.hop.tolist(), floods.rem.tolist(),
-            floods.via.tolist()):
+    for u, i, o, *entry in flood_rows(floods, radii):
         accepted[u][i][o] = tuple(entry)
     return accepted
 
@@ -312,7 +330,7 @@ def carve_digest(g, params, seed, t):
     doc = {
         "accepted": [
             [sorted([o, *entry] for o, entry in acc.items()) for acc in node]
-            for node in accepted_floods(floods, g.n, t)
+            for node in accepted_floods(floods, radii)
         ],
         "centers": centers.tolist(),
         "phase_rounds": transcript.phase_rounds,
@@ -327,7 +345,7 @@ def assert_carve_matches_reference(g, params, radii):
     got_t, want_t = RoundTranscript(), RoundTranscript()
     floods, centers = carve(g, params, radii, got_t)
     accepted, want_centers = carve_reference(g, params, radii, want_t)
-    assert accepted_floods(floods, g.n, len(radii)) == accepted
+    assert accepted_floods(floods, radii) == accepted
     assert np.array_equal(centers, want_centers)
     assert got_t == want_t
 
@@ -356,42 +374,54 @@ class TestCarve:
     @given(
         start=st.lists(st.integers(0, 12), min_size=64, max_size=64),
         batches=st.lists(st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 15)), max_size=30),
-            max_size=6),
+            st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 3)),
+            max_size=30), max_size=6),
     )
     def test_admit_batch_matches_definition(self, start, batches):
         # an arrival is admitted iff its origin is new to its group and no
         # admitted smaller origin of the group has >= budget left; a batch is
         # read in (group, origin) order, and as in a flood an origin offered
-        # in batch j has j less budget than it started with
-        n = 16
-        stair_key = np.zeros(0, dtype=np.int64)
-        stair_rem = np.zeros(0, dtype=np.int64)
+        # in batch j has j less budget than it started with. The copies of an
+        # origin come in any order from senders at row positions below P,
+        # and the one from the smallest position is the one admitted
+        n, P, B = 16, 4, 13
+        stair = np.zeros(0, dtype=np.int64)
         admitted: dict[tuple[int, int], int] = {}
         for j, batch in enumerate(batches):
-            order = sorted({(grp, o) for grp, o in batch
-                            if start[grp * n + o] >= j})
-            rem = [start[grp * n + o] - j for grp, o in order]
+            batch = [(grp, o, pos) for grp, o, pos in batch
+                     if start[grp * n + o] >= j]
+            sender: dict[tuple[int, int], int] = {}
+            for grp, o, pos in batch:
+                sender[grp, o] = min(pos, sender.get((grp, o), P))
             expected = []
-            for (grp, origin), budget in zip(order, rem):
+            for grp, origin in sorted(sender):
+                budget = start[grp * n + origin] - j
                 ok = (grp, origin) not in admitted and not any(
                     g2 == grp and o < origin and r >= budget
                     for (g2, o), r in admitted.items())
-                expected.append(ok)
                 if ok:
                     admitted[grp, origin] = budget
-            key = np.array([grp * n + o for grp, o in order], dtype=np.int64)
-            got, stair_key, stair_rem = _admit_batch(
-                stair_key, stair_rem, key, np.array(rem, dtype=np.int64), n)
-            assert got.tolist() == expected
+                    expected.append(
+                        (grp * n + origin, sender[grp, origin], budget))
+            copies = np.array(
+                [(((grp * n + o) * 2 + 1) * P + pos) * B + start[grp * n + o] - j
+                 for grp, o, pos in batch], dtype=np.int64)
+            stair, got = _merge(stair, copies, n, P, B)
+            key, rem = np.divmod(got, B)
+            key, pos = np.divmod(key, P)
+            assert (key % 2 == 1).all()
+            assert list(zip((key // 2).tolist(), pos.tolist(),
+                            rem.tolist())) == expected
             # the staircase: per group, origins ascending, budgets strictly
-            # increasing, exactly the admitted entries no smaller one dominates
+            # increasing, exactly the admitted entries no smaller one
+            # dominates, with their copy bits clear
             undominated = sorted(
                 grp * n + o for (grp, o), r in admitted.items()
                 if not any(g2 == grp and o2 < o and r2 >= r
                            for (g2, o2), r2 in admitted.items()))
-            assert stair_key.tolist() == undominated
-            assert stair_rem.tolist() == [
+            assert (stair // (2 * P * B)).tolist() == undominated
+            assert (stair // (P * B) % 2 == 0).all()
+            assert (stair % B).tolist() == [
                 admitted[divmod(k, n)] for k in undominated]
 
     @settings(max_examples=150, deadline=None)
@@ -436,10 +466,10 @@ class TestCarve:
             floods, centers = carve(g, params, radii, RoundTranscript())
         # each center is the smallest origin its node accepted in that
         # iteration: the head of the node-iteration's final staircase
-        group = floods.node * t + floods.iteration
+        group, origin = np.divmod(floods.key, n)
         first = np.flatnonzero(np.diff(group, prepend=-1))
         assert np.array_equal(group[first], np.arange(n * t))
-        smallest = np.minimum.reduceat(floods.origin, first)
+        smallest = np.minimum.reduceat(origin, first)
         assert np.array_equal(centers.ravel(), smallest)
 
     @settings(max_examples=50, deadline=None)
@@ -474,11 +504,13 @@ class TestCarve:
         assert_carve_matches_reference(g, params, radii)
 
     @pytest.mark.parametrize("width, case", [
-        # n³·t = 2**16: the int32 keys every bench workload uses
+        # 2·t·n²·dmax·(bmax + 1) = 2·4·1600·3·16 = 6.1e5: the int32 values
+        # every bench workload uses
         (np.int32, "grid-2x20"),
-        # n = 1300, so n³ = 2.2e9 > 2**31 and the keys need int64
-        (np.int64, "grid-2x650"),
-        # n³·t is tiny, but budgets near 2.5e8 lift past 2**31
+        # the hub's degree 399 and bmax = 23 give 2·400²·399·24 = 3.1e9
+        # > 2**31, so the values need int64
+        (np.int64, "star-400"),
+        # n and t are tiny, but budgets near 2.5e8 pack past 2**31
         (np.int64, "path-4-large-budgets"),
     ])
     def test_matches_reference_at_both_key_widths(self, width, case):
@@ -491,25 +523,48 @@ class TestCarve:
                               [2.5e8, 2.5e8, 2.5e8 + 1, 2.5e8 + 3],
                               [3.0, 2.5e8 + 2, 2.5e8 + 4, 2.5e8]])
         else:
-            g = gen_grid(2, int(case.split("x")[1]))
+            if case == "star-400":
+                g = Graph(400, [(0, i) for i in range(1, 400)], directed=False)
+                t = 1
+            else:
+                g = gen_grid(2, 20)
+                t = 4
             params = PaddedParams(k=1, epsilon=0.5, n=g.n)
-            t = 4 if width is np.int32 else 1
             radii = np.stack([draw_radii(params, 5, i, g.n) for i in range(t)])
         bmax = int(np.floor(radii).max())
-        assert _flood_dtype(g.n, len(radii), bmax) is width
+        dmax = int(np.diff(g.shadow_csr()[0]).max())
+        assert _flood_dtype(g.n, len(radii), dmax, bmax) is width
         assert_carve_matches_reference(g, params, radii)
 
     def test_flood_dtype_boundary(self):
-        # int32 exactly while n³·t < 2**31 (2**31 - 1 is prime, so n = 1)
-        assert _flood_dtype(1, 2**31 - 1, 0) is np.int32
-        assert _flood_dtype(1, 2**31, 0) is np.int64
-        assert _flood_dtype(2, 2**28 - 1, 0) is np.int32
-        assert _flood_dtype(2, 2**28, 0) is np.int64
-        assert _flood_dtype(1290, 1, 0) is np.int32  # 1290³ < 2**31
-        assert _flood_dtype(1291, 1, 0) is np.int64  # 1291³ > 2**31
-        # budgets of n² or more widen it once n·t·(bmax + 1) reaches 2**31
-        assert _flood_dtype(4, 2**20, 2**9 - 2) is np.int32
-        assert _flood_dtype(4, 2**20, 2**9 - 1) is np.int64
+        # int32 exactly while 2·t·n²·max(1, dmax)·(bmax + 1) < 2**31, in
+        # each of its factors
+        assert _flood_dtype(1, 2**30 - 1, 0, 0) is np.int32
+        assert _flood_dtype(1, 2**30, 0, 0) is np.int64
+        assert _flood_dtype(2, 2**28 - 1, 1, 0) is np.int32
+        assert _flood_dtype(2, 2**28, 1, 0) is np.int64
+        assert _flood_dtype(2**15 - 1, 1, 1, 0) is np.int32
+        assert _flood_dtype(2**15, 1, 1, 0) is np.int64
+        assert _flood_dtype(4, 1, 2**26 - 1, 0) is np.int32
+        assert _flood_dtype(4, 1, 2**26, 0) is np.int64
+        assert _flood_dtype(4, 1, 2, 2**25 - 2) is np.int32
+        assert _flood_dtype(4, 1, 2, 2**25 - 1) is np.int64
+        # int64 exactly while it is below 2**63, and a typed error past it
+        assert _flood_dtype(4, 1, 2, 2**57 - 2) is np.int64
+        with pytest.raises(DecompositionError, match="past int64"):
+            _flood_dtype(4, 1, 2, 2**57 - 1)
+
+    def test_budgets_past_int64_rejected(self):
+        # epsilon 1e-18 on a 4-node path caps radii near 2.8e18, and budgets
+        # of 1e18 pack values past int64 (2·4²·2·(1e18 + 1) > 2**63); such a
+        # carve used to run on. The error comes before any array is built
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed=False)
+        params = PaddedParams(k=1, epsilon=1e-18, n=4)
+        radii = np.full((1, 4), 1e18)
+        with pytest.raises(DecompositionError, match="past int64"):
+            carve(g, params, radii, RoundTranscript())
+        with pytest.raises(DecompositionError, match="past int64"):
+            sample_decomposition_distributed(g, params, 0)
 
     def test_several_senders_and_a_budget_tie_pinned(self):
         # 0 - 4 - {2, 3} - 1, and 5 next to 2 and 3. Origin 1 (budget 3)
@@ -525,9 +580,8 @@ class TestCarve:
         radii = np.array([[2.5, 3.0, 0.0, 0.9, 0.0, 0.5]])
         transcript = RoundTranscript()
         floods, centers = carve(g, params, radii, transcript)
-        rows = list(zip(floods.node.tolist(), floods.origin.tolist(),
-                        floods.hop.tolist(), floods.rem.tolist(),
-                        floods.via.tolist()))
+        rows = [(u, o, hop, rem, via)
+                for u, _, o, hop, rem, via in flood_rows(floods, radii)]
         # (node, origin, hop, rem, via)
         assert rows == [
             (0, 0, 0, 2, 0),
@@ -537,7 +591,7 @@ class TestCarve:
             (4, 0, 1, 1, 0), (4, 4, 0, 0, 4),
             (5, 1, 2, 1, 2), (5, 5, 0, 0, 5),
         ]
-        assert floods.iteration.tolist() == [0] * 12
+        assert [i for _, i, *_ in flood_rows(floods, radii)] == [0] * 12
         assert centers[:, 0].tolist() == [0, 1, 0, 0, 0, 1]
         # messages: round 1 0->4, 1->2, 1->3; round 2 4->2, 4->3, 2->4,
         # 2->5, 3->4, 3->5; round 3 5->3. decide_round is min(17, 5)

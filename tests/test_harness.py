@@ -1,6 +1,8 @@
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import padspan.cli as cli
@@ -8,7 +10,7 @@ import padspan.harness as harness
 from padspan.cli import main as cli_main
 from padspan.distributed import ConfigError
 from padspan.graphs import Graph, write_graph
-from padspan.localsim import TRANSCRIPT_CSV_HEADER
+from padspan.localsim import TRANSCRIPT_CSV_HEADER, rng_stream
 from padspan.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -32,6 +34,36 @@ class TestGenerators:
         b = gen_gnp(16, 0.3, seed=5)
         assert a.edges == b.edges
         assert a.edges != gen_gnp(16, 0.3, seed=6).edges
+
+    @pytest.mark.parametrize("block", [None, 1, 100])
+    @pytest.mark.parametrize("n, p, seed, directed", [
+        (1, 0.5, 0, True), (2, 1.0, 1, False), (14, 0.3, 1, True),
+        (50, 0.2, 7, False), (700, 0.01, 3, True), (700, 0.01, 3, False)])
+    def test_gnp_blocks_match_one_draw(self, n, p, seed, directed, block,
+                                       monkeypatch):
+        # the coins drawn a block of rows at a time (one row at a time with
+        # a block of 1) give the edges of one draw of every coin
+        if block is not None:
+            monkeypatch.setattr(harness, "_COIN_BLOCK", block)
+        rng = rng_stream(seed, "gen-gnp")
+        u, v = (np.nonzero(~np.eye(n, dtype=bool)) if directed
+                else np.triu_indices(n, 1))
+        keep = rng.random(len(u)) < p
+        want = Graph(n, zip(u[keep].tolist(), v[keep].tolist()), directed)
+        assert gen_gnp(n, p, seed, directed).edges == want.edges
+
+    def test_gnp_memory_below_dense(self):
+        # one draw of all n(n-1) coins, with their index arrays, peaked at
+        # 420 MB at n=4096; drawn by blocks of rows, n=2048 stays below 8n²
+        # bytes
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            gen_gnp(2048, 8 / 2048, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2048**2
 
     def test_cycle_shape(self):
         g = gen_cycle(8)
