@@ -21,12 +21,12 @@ instance = build_spanner_instance(g, k=2)
 lp = solve_global_oracle(instance)
 print(f"n={g.n}, m={g.m}, fractional optimum {lp.value:.2f}")
 
-labels = classify_edges(g, instance)
+labels = classify_edges(instance)
 print(f"demands: {labels.count('thick')} thick, {labels.count('thin')} thin "
       f"(threshold sqrt(n) = {np.sqrt(g.n):.1f} path nodes)")
 
 out, transcript = round_spanner_distributed(g, lp.x, depth=2, seed=3)
-ok, violations = verify_stretch(g, out.edges, instance)
+ok, violations = verify_stretch(instance, out.edges)
 print(f"\nrounded output: {len(out.edges)} edges "
       f"({len(out.sampled)} coin-sampled, {len(out.tree_edges)} from "
       f"{len(out.roots)} sampled roots)")
@@ -50,7 +50,7 @@ for e in chosen:
     u, v = g.edges[e]
     degs[u] += 1
     degs[v] += 1
-ok2, missed = verify_stretch(g, chosen, deg_instance)
+ok2, missed = verify_stretch(deg_instance, chosen)
 print(f"\nlowest-degree rounding: fractional degree optimum {deg_lp.value:.2f}, "
       f"rounded max degree {int(degs.max())}")
 print(f"demands satisfied in this draw: "

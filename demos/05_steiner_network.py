@@ -32,7 +32,7 @@ print(f"feasible: {check_feasibility(instance, run.solution.x).feasible}, "
       f"concentration: {rep.pass_fraction:.0%}")
 
 out = round_spanner(g, run.solution.x, depth=instance.D, seed=2)
-ok, violations = verify_stretch(g, out.edges, instance)
+ok, violations = verify_stretch(instance, out.edges)
 print(f"\nrounded network: {len(out.edges)} edges, all bounds met: {ok}")
 
 # instances round-trip through a canonical text format

@@ -57,8 +57,7 @@ def _config(args) -> ExperimentConfig:
 
 
 def cmd_decompose(args) -> int:
-    config = _config(args)
-    g = read_graph(args.graph) if args.graph else generate_graph(config, args.seed)
+    g = generate_graph(_config(args), args.seed)
     params = PaddedParams(k=args.k, epsilon=args.epsilon, n=g.n)
     failures = 0
     for trial in range(max(1, args.trials)):
@@ -125,12 +124,11 @@ def cmd_verify(args) -> int:
     if not args.graph:
         print("error: verify needs --graph", file=sys.stderr)
         return 2
-    g = read_graph(args.graph)
     if args.problem == "directed-spanner":
-        instance = build_spanner_instance(g, args.k)
+        instance = build_spanner_instance(read_graph(args.graph), args.k)
     else:
-        config = _config(args)
-        _, instance = generate_instance(config, args.seed)
+        _, instance = generate_instance(_config(args), args.seed)
+    g = instance.graph
     with open(args.edges, "r", encoding="ascii") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
     # accept either the graph file format (with header) or bare `u v` pairs
@@ -146,7 +144,7 @@ def cmd_verify(args) -> int:
     if len(missing):
         a, b = pairs[missing[0]]
         raise InstanceError(f"{args.edges}: ({a},{b}) is not a graph edge")
-    ok, violated = verify_stretch(g, chosen, instance)
+    ok, violated = verify_stretch(instance, chosen)
     print(f"checked {len(instance.demands)} demands; "
           f"{'all satisfied' if ok else f'{len(violated)} violated'}")
     return 0 if ok else 1

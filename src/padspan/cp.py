@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (UNREACHABLE, Graph, _hop_table, as_edge_vector, read_graph, run_slots,
-                     write_graph)
+from .graphs import (UNREACHABLE, Graph, _hop_table, as_edge_vector, as_index, read_graph,
+                     run_slots, write_graph)
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -381,7 +381,7 @@ def build_spanner_instance(
     objective: Objective | None = None,
 ) -> CpInstance:
     """Stretch-k spanner relaxation: one demand per edge, detours up to k hops."""
-    if k < 1:
+    if as_index(k, "stretch", InstanceError) < 1:
         raise InstanceError(f"stretch must be >= 1, got {k}")
     if objective is None:
         objective = linear_sum()

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, run_slots, run_starts
+from .graphs import Graph, as_index, run_slots, run_starts
 from .localsim import RoundTranscript, check_rounds, rng_stream, rng_uniforms
 # perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
@@ -82,7 +82,7 @@ class PaddedParams:
             raise DecompositionError(f"k must be finite, got {self.k}")
         if not (0 < self.epsilon <= 1):
             raise DecompositionError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.n < 1:
+        if as_index(self.n, "n", DecompositionError) < 1:
             raise DecompositionError(f"n must be positive, got {self.n}")
 
     @property
@@ -94,9 +94,13 @@ class PaddedParams:
         return self.r * math.log(self.n) + self.k
 
 
-def sample_radius(
-    params: PaddedParams, u: float | np.ndarray, n: int | None = None
-) -> float | np.ndarray:
+def _check_size(g: Graph, params: PaddedParams) -> None:
+    """Raise unless `params.n`, which the radii and rounds read, is g's n."""
+    if params.n != g.n:
+        raise DecompositionError(f"params are for n={params.n}, the graph has {g.n} nodes")
+
+
+def sample_radius(params: PaddedParams, u: float | np.ndarray) -> float | np.ndarray:
     """Carving radii by inverse CDF of uniforms `u` in [0, 1) (a float or an
     array; the result has its shape).
 
@@ -104,8 +108,7 @@ def sample_radius(
     z = -r * ln(1 - u*(n-1)/n). As u < 1, z stays below r ln n, so no clamp
     is needed and `radius_cap` bounds every radius, loosely by k.
     """
-    if n is None:
-        n = params.n
+    n = params.n
     if n < 2:
         raise DecompositionError(f"radius sampling needs n >= 2, got {n}")
     u = np.asarray(u, dtype=float)
@@ -114,11 +117,11 @@ def sample_radius(
     return (-params.r * np.log1p(-u * (n - 1) / n))[()]
 
 
-def draw_radii(params: PaddedParams, seed: int, iteration, n: int) -> np.ndarray:
-    """The n carving radii of one iteration, or the (len(iteration), n)
-    radii of a 1-D array of iterations. Node v's radius in iteration i comes
-    from the v-th uniform of the stream keyed by (seed, i), so every sampler
-    draws the same radii.
+def draw_radii(params: PaddedParams, seed: int, iteration) -> np.ndarray:
+    """The n = `params.n` carving radii of one iteration, or the
+    (len(iteration), n) radii of a 1-D array of iterations. Node v's radius
+    in iteration i comes from the v-th uniform of the stream keyed by (seed,
+    i), so every sampler draws the same radii.
 
     One iteration reads its stream through `rng_stream`; an array of them
     draws every stream in one `rng_uniforms` pass, equal row by row and much
@@ -127,13 +130,13 @@ def draw_radii(params: PaddedParams, seed: int, iteration, n: int) -> np.ndarray
     alone, from a fresh stream with the same key advanced to block v // 4. A
     single node has nothing to carve: its radius is 0.
     """
-    if n == 1:
+    if params.n == 1:
         return np.zeros(np.shape(iteration) + (1,))
     if np.ndim(iteration) == 0:
-        u = rng_stream(seed, "decomp-radius", iteration).random(n)
+        u = rng_stream(seed, "decomp-radius", iteration).random(params.n)
     else:
-        u = rng_uniforms(seed, "decomp-radius", iteration, n)
-    return sample_radius(params, u, n)
+        u = rng_uniforms(seed, "decomp-radius", iteration, params.n)
+    return sample_radius(params, u)
 
 
 @dataclass
@@ -201,7 +204,8 @@ def sample_decomposition_centralized(
     (ascending node index, matching the distributed protocol). Radii come
     from `draw_radii`, identical to the draws the distributed protocol makes.
     """
-    radii = draw_radii(params, seed, iteration, g.n)
+    _check_size(g, params)
+    radii = draw_radii(params, seed, iteration)
     pi_order = _carving_order(seed, iteration, g.n, permutation)
     return Clustering(assignment=_assign(g, radii, pi_order), radii=radii)
 
@@ -219,13 +223,13 @@ def _carving_order(seed: int, iteration: int, n: int,
 # -- the carving flood ------------------------------------------------------
 
 
-def decide_round(params: PaddedParams, n: int) -> int:
+def decide_round(params: PaddedParams) -> int:
     """Round at which every flood has certainly arrived.
 
     Budgets never exceed the radius cap and hop distances never exceed n-1;
     nodes know n, so they can decide at the smaller of the two.
     """
-    return min(math.ceil(params.radius_cap), n - 1)
+    return min(math.ceil(params.radius_cap), params.n - 1)
 
 
 @dataclass(frozen=True)
@@ -314,9 +318,6 @@ def _carve_rounds(
     the (n, t) center matrix."""
     n = g.n
     radii = np.asarray(radii, dtype=float)
-    if params.n != n:
-        raise DecompositionError(
-            f"params are for n={params.n}, the graph has {n} nodes")
     if radii.ndim != 2 or radii.shape[0] < 1 or radii.shape[1] != n:
         raise DecompositionError(
             f"radii have shape {radii.shape}, expected (t >= 1, {n})")
@@ -330,7 +331,7 @@ def _carve_rounds(
             f"radius cap {params.radius_cap}")
     t = len(radii)
     tn = t * n
-    r_decide = decide_round(params, n)
+    r_decide = decide_round(params)
     indptr, indices = g.shadow_csr()
     dmax = int(np.diff(indptr).max(initial=0))
     bmax = int(np.floor(radii.max()))
@@ -453,6 +454,7 @@ def carve(
 
     Returns the accepted floods and the (n, t) center matrix.
     """
+    _check_size(g, params)
     chunks, centers = _carve_rounds(g, params, radii, transcript)
     hop, key, via = zip(*chunks)
     del chunks
@@ -471,7 +473,6 @@ def sample_decomposition_distributed(
     params: PaddedParams,
     seed: int,
     iteration: int = 0,
-    transcript: RoundTranscript | None = None,
 ) -> tuple[Clustering, RoundTranscript]:
     """Sample a padded decomposition with the LOCAL flood protocol.
 
@@ -480,9 +481,9 @@ def sample_decomposition_distributed(
     permutation is therefore ascending node id; output equals the centralized
     sampler run with permutation="ids" and the same seed/iteration.
     """
-    if transcript is None:
-        transcript = RoundTranscript()
-    radii = draw_radii(params, seed, iteration, g.n)
+    _check_size(g, params)
+    transcript = RoundTranscript()
+    radii = draw_radii(params, seed, iteration)
     _, centers = _carve_rounds(g, params, radii[None, :], transcript)
     return Clustering(assignment=centers[:, 0], radii=radii), transcript
 
@@ -504,7 +505,8 @@ def sample_assignments_batch(
     radii of every row come from one `draw_radii` call. Every sampled
     clustering is checked against the 2x radius-cap diameter bound.
     """
-    radii = draw_radii(params, seed, np.arange(count), g.n)
+    _check_size(g, params)
+    radii = draw_radii(params, seed, np.arange(count))
     out = np.empty((count, g.n), dtype=np.int64)
     for s in range(count):
         out[s] = _assign(g, radii[s], _carving_order(seed, s, g.n, permutation))
@@ -580,6 +582,7 @@ def validate_clustering(
     Every cluster id must be a node and there must be one radius per node.
     A failed per-node check names the smallest offending node.
     """
+    _check_size(g, params)
     n = g.n
     assign, radii = clustering.assignment, clustering.radii
     if assign.shape != (n,):

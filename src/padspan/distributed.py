@@ -24,7 +24,7 @@ from .cp import CpInstance, evaluate_objective
 from .decomposition import (
     Clustering, PaddedParams, carve, decide_round, draw_radii,
 )
-from .graphs import _frontier_bfs, run_slots
+from .graphs import _frontier_bfs, as_index, run_slots
 from .localsim import ProtocolError, RoundTranscript, check_rounds
 # perfbench/spans.py wraps distributed.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
@@ -69,7 +69,8 @@ class SolverConfig:
             raise ConfigError(
                 f"epsilon must be in the open interval (0, 1), got {self.epsilon}"
             )
-        if self.t_override is not None and self.t_override < 1:
+        if self.t_override is not None and as_index(
+                self.t_override, "t_override", ConfigError) < 1:
             raise ConfigError(
                 f"t_override must be at least 1, got {self.t_override}"
             )
@@ -141,7 +142,6 @@ class Gathered:
 def solve_distributed(
     instance: CpInstance,
     config: SolverConfig,
-    transcript: RoundTranscript | None = None,
     lp_cache: dict | None = None,
 ) -> DistributedRun:
     """Run the full distributed solver on the LOCAL model.
@@ -157,8 +157,7 @@ def solve_distributed(
     """
     g = instance.graph
     n = g.n
-    if transcript is None:
-        transcript = RoundTranscript()
+    transcript = RoundTranscript()
     if not instance.demands:
         return DistributedRun(
             CpSolution(np.zeros(g.m), {}, 0.0, 0.0, ()),
@@ -167,7 +166,7 @@ def solve_distributed(
     D = instance.D
     t = config.iterations(n)
     params = PaddedParams(k=D, epsilon=config.lam, n=n)
-    radii = draw_radii(params, config.seed, np.arange(t), n)
+    radii = draw_radii(params, config.seed, np.arange(t))
     floods, centers = carve(g, params, radii, transcript)
     assign = np.ascontiguousarray(centers.T)  # (t, n): node u's center in iteration i
     padded = _phase_probe(g, assign, D, transcript)
@@ -235,7 +234,7 @@ def _phase_gather(g, params, floods, assign, padded, sources, transcript):
     2, as on the engine. Returns the `Gathered` clusters and trees.
     """
     t, n = assign.shape
-    max_rounds = decide_round(params, n) + 2
+    max_rounds = decide_round(params) + 2
     it, node = np.divmod(np.arange(t * n), n)
     center = assign.ravel()
     key, cluster = np.unique(it * n + center, return_inverse=True)
@@ -334,7 +333,7 @@ def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.nda
     its own cluster in iteration i, or -1.
     """
     t, n = assign.shape
-    max_rounds = decide_round(params, n) + 2
+    max_rounds = decide_round(params) + 2
     k, child, parent, depth = (gathered.cluster, gathered.child,
                                gathered.parent, gathered.depth)
     it, center = np.divmod(gathered.key, n)

@@ -35,9 +35,9 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], directed: bool = True):
-        if n <= 0:
+        self.n = as_index(n, "node count")
+        if self.n <= 0:
             raise GraphError(f"node count must be positive, got {n}")
-        self.n = int(n)
         self.directed = bool(directed)
         # each edge's endpoints as read-only arrays: edge i is tail[i] -> head[i]
         self.tail, self.head = _checked_endpoints(self.n, list(edges), self.directed).T
@@ -51,12 +51,8 @@ class Graph:
     # -- communication-shadow metric ------------------------------------
 
     def check_node(self, u: int) -> int:
-        """u as an int, if it is an integer (as `operator.index` reads it)
-        naming a node; else GraphError."""
-        try:
-            node = operator.index(u)
-        except TypeError:
-            raise GraphError(f"node {u!r} is not an integer") from None
+        """u as an int, if it is an integer naming a node; else GraphError."""
+        node = as_index(u, "node")
         if not (0 <= node < self.n):
             raise GraphError(f"node {u} out of range for n={self.n}")
         return node
@@ -169,6 +165,14 @@ class Graph:
         keys = np.repeat(np.arange(n), np.diff(indptr)) * n + heads
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[at] == want, ids[at], -1)
+
+
+def as_index(value, what: str, error: type[ValueError] = GraphError) -> int:
+    """`value` as an int if `operator.index` reads it as one, else `error`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def _checked_endpoints(n: int, pairs: list, directed: bool) -> np.ndarray:
@@ -361,12 +365,18 @@ def arborescences(
 # -- file format ---------------------------------------------------------
 
 
+def graph_text(g: Graph, edges: Iterable[int] | None = None) -> str:
+    """The `n m directed|undirected` header and one `u v` line per edge of
+    `g`, or per edge index in `edges`, in order; no final newline."""
+    pairs = g.edges if edges is None else [g.edges[e] for e in edges]
+    return "\n".join([f"{g.n} {len(pairs)} {'directed' if g.directed else 'undirected'}"]
+                     + [f"{u} {v}" for u, v in pairs])
+
+
 def write_graph(g: Graph, path) -> None:
-    """Write the `n m directed|undirected` header plus one `u v` line per edge."""
-    lines = [f"{g.n} {g.m} {'directed' if g.directed else 'undirected'}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    """Write `graph_text(g)` and a final newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(graph_text(g) + "\n")
 
 
 def read_graph(path) -> Graph:

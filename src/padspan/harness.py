@@ -35,7 +35,7 @@ from .distributed import (
     round_bound,
     solve_distributed,
 )
-from .graphs import UNREACHABLE, Graph, _hop_table, read_graph
+from .graphs import UNREACHABLE, Graph, _hop_table, as_index, graph_text, read_graph
 from .localsim import TRANSCRIPT_CSV_HEADER, rng_stream, transcript_csv_row
 from .lp import check_feasibility
 from .rounding import output_csv, round_low_degree, round_spanner_distributed, verify_stretch
@@ -72,6 +72,10 @@ class ExperimentConfig:
             raise HarnessError(f"unknown generator {self.gen!r}")
         if self.gen == "file" and not self.graph_path:
             raise HarnessError("generator 'file' needs a graph path")
+        if self.seed is None:
+            raise HarnessError("seed is mandatory; wall-clock seeding is not allowed")
+        for name in ("n", "k", "trials", "seed", "dsn_slack"):
+            as_index(getattr(self, name), name, HarnessError)
         if self.n < 2 and self.gen != "file":
             raise HarnessError(f"n must be >= 2, got {self.n}")
         if not (0 <= self.p <= 1):
@@ -82,8 +86,6 @@ class ExperimentConfig:
             raise HarnessError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.trials < 0:
             raise HarnessError(f"trials must be >= 0, got {self.trials}")
-        if self.seed is None:
-            raise HarnessError("seed is mandatory; wall-clock seeding is not allowed")
         if self.dsn_slack < 0:
             raise HarnessError(f"dsn_slack must be >= 0, got {self.dsn_slack}")
         if self.t_override is not None and self.t_override < 1:
@@ -105,6 +107,8 @@ def gen_gnp(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     The pairs take one stream's uniforms in row-major order, drawn a block of
     rows at a time: sequential draws continue the stream, so the edges are
     those of one draw."""
+    if not 0 <= p <= 1:
+        raise HarnessError(f"p must be in [0, 1], got {p}")
     rng = rng_stream(seed, "gen-gnp")
     cols = np.arange(n)
     tails, heads = [], []
@@ -374,20 +378,16 @@ def run_trial(
     if config.problem in ("directed-spanner", "dsn"):
         depth = config.k if config.problem == "directed-spanner" else instance.D
         out, rt = round_spanner_distributed(g, run.solution.x, depth, seed)
-        ok, _ = verify_stretch(g, out.edges, instance)
+        ok, _ = verify_stretch(instance, out.edges)
         row.e_out = len(out.edges)
         row.stretch_ok = ok
         row.rounding_rounds = rt.phase_rounds.get("rounding", 0)
-        kind = "directed" if g.directed else "undirected"
-        artifacts["edges"] = "\n".join(
-            [f"{g.n} {len(out.edges)} {kind}"]
-            + [f"{g.edges[e][0]} {g.edges[e][1]}" for e in sorted(out.edges)]
-        )
+        artifacts["edges"] = graph_text(g, sorted(out.edges))
         artifacts["provenance"] = output_csv(g, out)
     elif config.problem == "low-degree-spanner":
         capped = np.minimum(run.solution.x, 1.0)
         chosen = round_low_degree(g, capped, config.k, seed)
-        ok, _ = verify_stretch(g, chosen, instance)
+        ok, _ = verify_stretch(instance, chosen)
         picked = np.zeros(g.m)
         picked[list(chosen)] = 1.0
         degs = fractional_degrees(g, picked)

@@ -114,7 +114,6 @@ def round_spanner(
 
 def round_spanner_distributed(
     g: Graph, x, depth: int, seed: int, iteration: int = 0,
-    transcript: RoundTranscript | None = None,
 ) -> tuple[SpannerOutput, RoundTranscript]:
     """LOCAL protocol for the same rounding distribution.
 
@@ -126,8 +125,7 @@ def round_spanner_distributed(
     `tests/rounding_reference.py` charges it on the engine.
     """
     out, node, level = _draw(g, x, depth, seed, iteration)
-    if transcript is None:
-        transcript = RoundTranscript()
+    transcript = RoundTranscript()
     n = g.n
     # round 0: one message per (owner, other endpoint) pair, 3 scalars per
     # coin, plus a root's two level-0 announcements when trees grow at all;
@@ -164,15 +162,14 @@ def round_low_degree(g: Graph, x, k: int, seed: int, iteration: int = 0) -> froz
     return frozenset(np.flatnonzero(coins < probs).tolist())
 
 
-def verify_stretch(
-    g: Graph, out_edges, instance: CpInstance
-) -> tuple[bool, list[int]]:
+def verify_stretch(instance: CpInstance, out_edges) -> tuple[bool, list[int]]:
     """Check every demand's distance bound inside the rounded subgraph.
 
-    Returns (all satisfied, indices of violated demands); distances are
-    hops along the output edges' arcs in `g.arc_csr("out")`, from one search
-    of all sources. Edge indices outside 0..m-1 raise GraphError.
+    Returns (all satisfied, indices of violated demands); distances are hops
+    along the output edges' arcs in `instance.graph.arc_csr("out")`, from one
+    search of all sources. Edge indices outside 0..m-1 raise GraphError.
     """
+    g = instance.graph
     chosen = np.fromiter(map(operator.index, out_edges), dtype=np.int64)
     bad = chosen[(chosen < 0) | (chosen >= g.m)]
     if len(bad):
@@ -187,14 +184,14 @@ def verify_stretch(
     return (not violations, violations)
 
 
-def classify_edges(g: Graph, instance: CpInstance) -> list[str]:
+def classify_edges(instance: CpInstance) -> list[str]:
     """Label each demand thick or thin by its allowed-path node count.
 
     A demand is thick when the union of nodes on its allowed paths has at
-    least sqrt(n) members (boundary inclusive); arborescence sampling covers
-    thick demands, edge sampling the thin ones.
+    least sqrt(n) members of the instance's n nodes (boundary inclusive);
+    arborescence sampling covers thick demands, edge sampling the thin ones.
     """
-    threshold = math.sqrt(g.n)
+    threshold = math.sqrt(instance.graph.n)
     labels = []
     for fam in instance.families:
         nodes: set[int] = set()

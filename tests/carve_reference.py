@@ -49,7 +49,7 @@ def carve_reference(g, params, radii, transcript):
     matrix.
     """
     t, n = radii.shape
-    r_decide = decide_round(params, n)
+    r_decide = decide_round(params)
     budgets = np.floor(radii).astype(np.int64).tolist()
     init = [
         ([{u: (0, budgets[i][u], u)} for i in range(t)],

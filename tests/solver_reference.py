@@ -82,7 +82,7 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
     padded demand indices.
     """
     n = g.n
-    r_gather = decide_round(params, n)
+    r_gather = decide_round(params)
     gathered: list[dict[int, dict]] = [dict() for _ in range(t)]
 
     def accept(center: int, i: int, report) -> None:
@@ -135,7 +135,7 @@ def _phase_gather(g, params, states, t, demands_at, transcript):
 
 def _phase_broadcast(g, params, states, t, solutions, transcript) -> None:
     """Send each cluster solution back down the recorded gather tree."""
-    r_bcast = decide_round(params, g.n)
+    r_bcast = decide_round(params)
     size_cache: dict[int, int] = {}
 
     def sol_size(sol) -> int:

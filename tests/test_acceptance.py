@@ -288,7 +288,7 @@ def test_criterion_7_rounding_size_and_validity():
             )
             assert tr.phase_rounds.get("rounding", 0) <= 2 * k + 5
             transcripts.append((k, tr))
-            ok, _ = verify_stretch(g, out.edges, instance)
+            ok, _ = verify_stretch(instance, out.edges)
             stretch_pass += ok
             total += 1
             worst = max(worst, len(out.edges) / denom)

@@ -216,6 +216,14 @@ class TestSpannerInstance:
         g = Graph(3, [(0, 1), (1, 2), (2, 0)])
         assert build_spanner_instance(g, 2).spanning is True
 
+    @pytest.mark.parametrize("k", [1.5, math.inf, math.nan])
+    def test_non_integer_stretch_rejected(self, k):
+        # 1.5 was stored as every demand's bound with 1-hop paths; inf raised
+        # OverflowError and NaN a bare ValueError
+        g = Graph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(InstanceError, match="stretch .* is not an integer"):
+            build_spanner_instance(g, k)
+
 
 class TestDsnInstance:
     def test_distance_preserver_special_case(self):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -54,6 +55,11 @@ def random_graph(data, n, directed):
     return Graph(n, edges, directed=directed)
 
 
+#: The message of every (g, params) entry point given params for n=10**9 on
+#: an 8x8 grid.
+MISMATCH = "params are for n=1000000000, the graph has 64 nodes"
+
+
 class TestParams:
     def test_derived_quantities_exact(self):
         p = PaddedParams(k=2, epsilon=0.25, n=16)
@@ -83,6 +89,10 @@ class TestParams:
         with pytest.raises(DecompositionError, match="k must be finite, got inf"):
             PaddedParams(k=math.inf, epsilon=0.5, n=6)
 
+    def test_non_integer_n(self):
+        with pytest.raises(DecompositionError, match="n 1.5 is not an integer"):
+            PaddedParams(k=1, epsilon=0.5, n=1.5)
+
 
 class TestSampleRadius:
     def test_u_zero_gives_zero(self):
@@ -103,9 +113,9 @@ class TestSampleRadius:
         assert abs(z - 3.452184869421371) < 1e-12
 
     def test_small_n_rejected(self):
-        p = PaddedParams(k=1, epsilon=0.5, n=8)
+        p = PaddedParams(k=1, epsilon=0.5, n=1)
         with pytest.raises(DecompositionError):
-            sample_radius(p, 0.5, n=1)
+            sample_radius(p, 0.5)
 
     def test_never_exceeds_cap(self):
         p = PaddedParams(k=2, epsilon=0.25, n=32)
@@ -129,6 +139,12 @@ class TestCentralizedSampler:
             gen_gnp(14, 0.25, seed=3, directed=True),
             Graph(6, [(0, 1), (1, 2), (3, 4)], directed=False),  # disconnected
         ]
+
+    def test_params_for_another_n_rejected(self):
+        g = gen_grid(8, 8)
+        params = PaddedParams(k=1, epsilon=0.5, n=10**9)
+        with pytest.raises(DecompositionError, match=MISMATCH):
+            sample_decomposition_centralized(g, params, 0)
 
     def test_invariants_across_samples(self):
         for g in self.graphs():
@@ -230,6 +246,14 @@ class TestValidateClustering:
             self.check(g, params, [0, 0, 0], [10, 0, 0])
         assert str(err.value) == "node 0: d(center 0, u)=0 vs radius 10.0"
 
+    def test_params_for_another_n_rejected(self):
+        # n=10**9 lifts the cap from 17.6 to 83.9, so one radius-40 cluster
+        # over an 8x8 grid passed
+        g = gen_grid(8, 8)
+        params = PaddedParams(k=1, epsilon=0.5, n=10**9)
+        with pytest.raises(DecompositionError, match=MISMATCH):
+            self.check(g, params, [0] * 64, [40] * 64)
+
 
 class TestDistributedSampler:
     def test_matches_centralized_with_id_permutation(self):
@@ -268,7 +292,7 @@ class TestDistributedSampler:
         assert np.array_equal(central.assignment, dist.assignment)
         assert np.array_equal(central.radii, dist.radii)
         # the bundled flood carves each iteration as the sampler would alone
-        radii = np.stack([draw_radii(params, seed, i, n) for i in range(3)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(3)])
         _, centers = carve(g, params, radii, RoundTranscript())
         for i in range(3):
             alone = sample_decomposition_centralized(
@@ -279,7 +303,7 @@ class TestDistributedSampler:
         g = gen_gnp(24, 0.2, seed=4, directed=False)
         params = PaddedParams(k=2, epsilon=0.5, n=24)
         _, transcript = sample_decomposition_distributed(g, params, 3)
-        assert transcript.rounds_elapsed <= decide_round(params, 24) + 1
+        assert transcript.rounds_elapsed <= decide_round(params) + 1
 
     def test_star_epsilon_one_budget(self):
         n = 17
@@ -324,7 +348,7 @@ def accepted_floods(floods, radii):
 def carve_digest(g, params, seed, t):
     """sha256 of canonical JSON of everything `carve` outputs: each node's
     accepted floods per iteration, the centers and the transcript."""
-    radii = np.stack([draw_radii(params, seed, i, g.n) for i in range(t)])
+    radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
     transcript = RoundTranscript()
     floods, centers = carve(g, params, radii, transcript)
     doc = {
@@ -438,7 +462,7 @@ class TestCarve:
                                                 epsilon, t, seed):
         g = random_graph(data, n, directed)
         params = PaddedParams(k=k, epsilon=epsilon, n=n)
-        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
         assert_carve_matches_reference(g, params, radii)
 
     @settings(max_examples=100, deadline=None)
@@ -459,7 +483,7 @@ class TestCarve:
         budget = data.draw(st.integers(1, max(1, slots * (t - 1))))
         assert max(1, budget // max(1, slots)) < t
         params = PaddedParams(k=k, epsilon=0.5, n=n)
-        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decomposition, "_BLOCK_SLOTS", budget)
             assert_carve_matches_reference(g, params, radii)
@@ -500,7 +524,7 @@ class TestCarve:
         # padding parameter for epsilon=0.5 and a length bound of 4
         g = gen_gnp(16, 0.35, seed=5)
         params = PaddedParams(k=4, epsilon=SolverConfig(0.5, seed=3).lam, n=16)
-        radii = np.stack([draw_radii(params, 3, i, 16) for i in range(200)])
+        radii = np.stack([draw_radii(params, 3, i) for i in range(200)])
         assert_carve_matches_reference(g, params, radii)
 
     @pytest.mark.parametrize("width, case", [
@@ -530,7 +554,7 @@ class TestCarve:
                 g = gen_grid(2, 20)
                 t = 4
             params = PaddedParams(k=1, epsilon=0.5, n=g.n)
-            radii = np.stack([draw_radii(params, 5, i, g.n) for i in range(t)])
+            radii = np.stack([draw_radii(params, 5, i) for i in range(t)])
         bmax = int(np.floor(radii).max())
         dmax = int(np.diff(g.shadow_csr()[0]).max())
         assert _flood_dtype(g.n, len(radii), dmax, bmax) is width
@@ -672,6 +696,12 @@ class TestPaddingStatistics:
         freqs = padded_frequencies(g, assignments, 1)
         slack = 3 * math.sqrt(eps * (1 - eps) / N)
         assert np.all(freqs >= 1 - eps - slack)
+
+    def test_batch_params_for_another_n_rejected(self):
+        g = gen_grid(8, 8)
+        params = PaddedParams(k=1, epsilon=0.5, n=10**9)
+        with pytest.raises(DecompositionError, match=MISMATCH):
+            sample_assignments_batch(g, params, seed=0, count=2)
 
     def test_padded_nodes_matches_frequencies(self):
         g = gen_grid(3, 3)
@@ -854,7 +884,7 @@ def validate_full_diameters(g, params, clustering):
 
 def batch_full_diameters(g, params, seed, count):
     """`sample_assignments_batch` measuring every sample's diameters."""
-    radii = draw_radii(params, seed, np.arange(count), g.n)
+    radii = draw_radii(params, seed, np.arange(count))
     out = np.array([decomposition._assign(
         g, radii[s], decomposition._carving_order(seed, s, g.n, "random"))
         for s in range(count)], dtype=np.int64)
@@ -876,9 +906,9 @@ def verdict(check, *args):
     return None
 
 
-def cap_params(cap):
-    """A stand-in for PaddedParams with the given radius cap."""
-    return type("Params", (), {"radius_cap": cap})()
+def cap_params(cap, n):
+    """A stand-in for PaddedParams on n nodes with the given radius cap."""
+    return type("Params", (), {"radius_cap": cap, "n": n})()
 
 
 #: Radius caps for the check tests: real ones, and caps within 1e-12 below
@@ -986,7 +1016,7 @@ class TestCenterBound:
     )
     def test_validate_matches_full_diameters(self, data, n, cap, corrupt):
         g = random_graph(data, n, False)
-        params = cap_params(cap)
+        params = cap_params(cap, n)
         # a clustering honouring its radii: the centralized assignment of
         # radii below the cap, then perhaps corrupted
         radii = np.array(data.draw(st.lists(
@@ -1036,7 +1066,7 @@ class TestCenterBound:
         # 3 - 1e-13, so twice the largest center distance no longer settles
         # the diameter bound; the full diameters decide, with the same message
         g = Graph(7, [(i, i + 1) for i in range(6)], directed=False)
-        params = cap_params(3 - 1e-13)
+        params = cap_params(3 - 1e-13, 7)
         calls = []
         measure = decomposition.cluster_diameters
         monkeypatch.setattr(decomposition, "cluster_diameters",
@@ -1052,7 +1082,7 @@ class TestCenterBound:
         assert str(err.value) == message
         assert len(calls) == 2
         # a cap at the integer itself is settled by the bound
-        validate_clustering(g, cap_params(3.0), wide)
+        validate_clustering(g, cap_params(3.0, 7), wide)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("cap, message", [
@@ -1097,6 +1127,34 @@ def _matrix_readers(tree, module):
 
     visit(tree, "<module>")
     return found
+
+
+class TestParamsSizeGuard:
+    def test_every_graph_and_params_entry_point_checks_n(self):
+        # params for another n give radii, a radius cap and a decision round
+        # for another graph, so every public function taking both must refuse
+        # them; a new entry point joins this test by its signature alone
+        g = gen_grid(8, 8)
+        params = PaddedParams(k=1, epsilon=0.5, n=10**9)
+        args = {"seed": 0, "count": 2, "radii": np.zeros((1, 64)),
+                "transcript": RoundTranscript(),
+                "clustering": Clustering(np.zeros(64, dtype=np.int64),
+                                         np.full(64, 40.0))}
+        checked = set()
+        for name, fn in inspect.getmembers(decomposition, inspect.isfunction):
+            signature = inspect.signature(fn).parameters
+            if (name.startswith("_") or fn.__module__ != decomposition.__name__
+                    or not {"g", "params"} <= set(signature)):
+                continue
+            rest = {p: args[p] for p, spec in signature.items()
+                    if p not in ("g", "params") and spec.default is spec.empty}
+            with pytest.raises(DecompositionError, match=MISMATCH):
+                fn(g, params, **rest)
+            checked.add(name)
+        assert checked >= {"carve", "sample_assignments_batch",
+                           "sample_decomposition_centralized",
+                           "sample_decomposition_distributed",
+                           "validate_clustering"}
 
 
 class TestDenseMatrixReaders:

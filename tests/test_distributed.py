@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="t_override"):
             SolverConfig(epsilon=0.5, seed=0, t_override=t)
 
+    def test_non_integer_override_rejected(self):
+        # a float count reached `rng_uniforms` and failed there untyped
+        with pytest.raises(ConfigError, match="t_override 2.5 is not an integer"):
+            SolverConfig(epsilon=0.5, seed=1, t_override=2.5)
+
 
 def small_run(seed=3, eps=0.5, n=12, t=40):
     g = gen_gnp(n, 0.3, seed=seed)
@@ -310,7 +315,7 @@ class TestCertificates:
         g, inst, cfg, run = small_run(seed=5, t=30)
         params = PaddedParams(k=inst.D, epsilon=cfg.lam, n=g.n)
         per_iteration = np.stack(
-            [draw_radii(params, cfg.seed, i, g.n) for i in range(30)])
+            [draw_radii(params, cfg.seed, i) for i in range(30)])
         got = np.stack([rec.clustering.radii for rec in run.records])
         assert np.array_equal(got, per_iteration)
 
@@ -507,7 +512,7 @@ class TestArrayPhases:
                         seed=seed, directed=directed)
         n = g.n
         params = PaddedParams(k=k, epsilon=epsilon, n=n)
-        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
         sources = np.array(data.draw(st.lists(
             st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
         phase_params = None if phase_k is None else PaddedParams(
@@ -532,7 +537,7 @@ class TestArrayPhases:
             g = gen_gnp(data.draw(st.integers(1, 20)),
                         data.draw(st.sampled_from([0.1, 0.25, 0.5])), seed=seed)
         params = PaddedParams(k=k, epsilon=0.5, n=g.n)
-        radii = np.stack([draw_radii(params, seed, i, g.n) for i in range(t)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
         assign = np.ascontiguousarray(carve(g, params, radii, RoundTranscript())[1].T)
         whole = distributed._phase_probe(g, assign, k, RoundTranscript())
         with pytest.MonkeyPatch.context() as mp:
@@ -562,7 +567,7 @@ class TestArrayPhases:
                         data.draw(st.sampled_from([0.1, 0.25, 0.5])), seed=seed)
         n = g.n
         params = PaddedParams(k=k, epsilon=epsilon, n=n)
-        radii = np.stack([draw_radii(params, seed, i, n) for i in range(t)])
+        radii = np.stack([draw_radii(params, seed, i) for i in range(t)])
         floods, centers = carve(g, params, radii, RoundTranscript())
         assign = np.ascontiguousarray(centers.T)
         padded = distributed._phase_probe(g, assign, k, RoundTranscript())
@@ -585,7 +590,7 @@ class TestArrayPhases:
         # parameter for epsilon=0.5, a length bound of 4 and n/2 demands
         g = gen_gnp(16, 0.35, seed=5)
         params = PaddedParams(k=4, epsilon=SolverConfig(0.5, seed=3).lam, n=16)
-        radii = np.stack([draw_radii(params, 3, i, 16) for i in range(200)])
+        radii = np.stack([draw_radii(params, 3, i) for i in range(200)])
         sources = np.array([0, 2, 3, 5, 8, 8, 11, 14], dtype=np.int64)
         assert_phases_match_reference(g, params, radii, sources)
 

@@ -123,6 +123,11 @@ class TestGraphConstruction:
         with pytest.raises(GraphError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_non_integer_node_count(self):
+        # int(n) truncated 2.5 to a 2-node graph
+        with pytest.raises(GraphError, match="node count 2.5 is not an integer"):
+            Graph(2.5, [(0, 1)])
+
     def test_edge_count_consistent(self):
         g = cycle(5)
         assert g.m == len(g.edges) == 5
@@ -545,7 +550,7 @@ class TestFrontierBfs:
         sub = Graph(g.n, [g.edges[e] for e in sorted(kept)], g.directed)
         want = [i for i, d in enumerate(demands)
                 if directed_bfs_oracle(sub, d.u)[d.v] > d.bound]
-        got = verify_stretch(g, kept, SimpleNamespace(demands=demands))
+        got = verify_stretch(SimpleNamespace(graph=g, demands=demands), kept)
         assert got == (not want, want)
 
 

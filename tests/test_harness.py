@@ -117,6 +117,19 @@ class TestGenerators:
         with pytest.raises(HarnessError, match="t_override"):
             ExperimentConfig(n=8, seed=1, t_override=t)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10.7), ("k", 1.5), ("trials", 1.5), ("seed", 1.5), ("dsn_slack", 1.5)])
+    def test_config_rejects_non_integer_sizes(self, field, value):
+        # each was accepted, to fail later deep in a run or not at all
+        with pytest.raises(HarnessError, match=f"{field} {value} is not an integer"):
+            ExperimentConfig(**{"seed": 1, field: value})
+
+    @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5])
+    def test_gnp_rejects_p_outside_unit_interval(self, p):
+        # a NaN p kept no pair and gave a graph with no edges
+        with pytest.raises(HarnessError, match="p must be in"):
+            gen_gnp(8, p, seed=1)
+
 
 class TestRunExperiment:
     def small_config(self, out=None, trials=2):

@@ -254,9 +254,10 @@ class TestRngUniforms:
 
     def test_radii_of_an_iteration_array(self):
         params = PaddedParams(k=2, epsilon=0.5, n=10)
-        stacked = np.stack([draw_radii(params, 4, i, 10) for i in range(6)])
-        assert np.array_equal(draw_radii(params, 4, np.arange(6), 10), stacked)
-        assert draw_radii(params, 4, np.arange(6), 1).shape == (6, 1)
+        stacked = np.stack([draw_radii(params, 4, i) for i in range(6)])
+        assert np.array_equal(draw_radii(params, 4, np.arange(6)), stacked)
+        assert draw_radii(PaddedParams(k=2, epsilon=0.5, n=1), 4,
+                          np.arange(6)).shape == (6, 1)
 
 
 def local_uniform(seed, phase, iteration, index):
@@ -277,8 +278,8 @@ class TestLocalDraws:
         params = PaddedParams(k=2, epsilon=0.5, n=n)
         u = np.array([local_uniform(5, "decomp-radius", 3, v)
                       for v in range(n)])
-        assert np.array_equal(draw_radii(params, 5, 3, n),
-                              sample_radius(params, u, n))
+        assert np.array_equal(draw_radii(params, 5, 3),
+                              sample_radius(params, u))
 
     def test_coins_are_owner_local(self, monkeypatch):
         g = gen_gnp(12, 0.4, seed=1)

@@ -289,7 +289,7 @@ class TestClusterCp:
         ilp = min(
             (len(sub) for sub in
              (tuple(e for e in range(6) if (mask >> e) & 1) for mask in range(64))
-             if verify_stretch(g, sub, inst)[0]),
+             if verify_stretch(inst, sub)[0]),
         )
         assert sol.value <= ilp + 1e-9
         assert ilp == 3

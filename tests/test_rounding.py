@@ -223,7 +223,7 @@ class TestVerifyStretch:
     def test_full_graph_valid(self):
         g = gen_gnp(10, 0.3, seed=60)
         inst = build_spanner_instance(g, 2)
-        ok, violations = verify_stretch(g, range(g.m), inst)
+        ok, violations = verify_stretch(inst, range(g.m))
         assert ok and violations == []
 
     def test_bidirected_four_cycle_drop_one_direction(self):
@@ -233,31 +233,31 @@ class TestVerifyStretch:
         g = Graph(4, edges)
         inst = build_spanner_instance(g, 3)
         kept = [e for e in range(g.m) if g.edges[e] != (0, 1)]
-        ok, violations = verify_stretch(g, kept, inst)
+        ok, violations = verify_stretch(inst, kept)
         assert ok  # detour 0->3->2->1 has exactly 3 hops
 
     def test_empty_output_violates(self):
         g = Graph(2, [(0, 1)])
         inst = build_spanner_instance(g, 1)
-        ok, violations = verify_stretch(g, [], inst)
+        ok, violations = verify_stretch(inst, [])
         assert not ok and violations == [0]
 
     def test_edge_id_out_of_range_rejected(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         inst = build_spanner_instance(g, 2)
-        assert verify_stretch(g, [2], inst) == (False, [0, 1])
+        assert verify_stretch(inst, [2]) == (False, [0, 1])
         for bad in ([-1], [3], [0, 3]):
             with pytest.raises(GraphError, match="out of range"):
-                verify_stretch(g, bad, inst)
+                verify_stretch(inst, bad)
         with pytest.raises(TypeError):
-            verify_stretch(g, [2.0], inst)
+            verify_stretch(inst, [2.0])
 
     def test_dsn_bounds(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         inst = build_dsn_instance(g, [(0, 3, 1)])
-        ok, _ = verify_stretch(g, [3], inst)   # direct edge (0,3)
+        ok, _ = verify_stretch(inst, [3])   # direct edge (0,3)
         assert ok
-        ok2, _ = verify_stretch(g, [0, 1, 2], inst)  # 3-hop path too long
+        ok2, _ = verify_stretch(inst, [0, 1, 2])  # 3-hop path too long
         assert not ok2
 
 
@@ -265,16 +265,16 @@ class TestClassifyEdges:
     def test_single_edge_demand_thin(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         inst = build_spanner_instance(g, 2)
-        assert classify_edges(g, inst) == ["thin"] * 3
+        assert classify_edges(inst) == ["thin"] * 3
 
     def test_complete_nine_thick(self):
         g = complete_digraph(9)
         inst = build_spanner_instance(g, 2)
-        labels = classify_edges(g, inst)
+        labels = classify_edges(inst)
         assert all(lab == "thick" for lab in labels)
 
     def test_boundary_inclusive(self):
         # n = 4: a two-node path set hits sqrt(4) exactly and counts as thick
         g = Graph(4, [(0, 1), (2, 3)])
         inst = build_spanner_instance(g, 2)
-        assert classify_edges(g, inst) == ["thick", "thick"]
+        assert classify_edges(inst) == ["thick", "thick"]
