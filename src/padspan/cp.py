@@ -345,6 +345,18 @@ class CpInstance:
         return np.repeat(np.arange(len(self.hop_ptr) - 1), self.hop_ptr[1:] - self.hop_ptr[:-1])
 
     @functools.cached_property
+    def shares_edges(self) -> np.ndarray:
+        """Per demand, whether some edge lies on two of its allowed paths.
+
+        A simple path crosses an edge once, so a repeated (demand, edge) key
+        among the hops is an edge on two of the demand's paths."""
+        m = self.graph.m
+        key = np.sort(self.path_owner[self.hop_path] * m + self.hop_edge)
+        shared = np.zeros(len(self.demands), dtype=bool)
+        shared[key[1:][key[1:] == key[:-1]] // m] = True
+        return shared
+
+    @functools.cached_property
     def D(self) -> int:
         """Longest allowed path length over every demand (0 if no demands)."""
         return int(np.diff(self.hop_ptr).max(initial=0))
@@ -412,7 +424,7 @@ def build_dsn_instance(
         u, v = g.check_node(u), g.check_node(v)
         if u == v:
             raise InstanceError(f"degenerate demand ({u},{v})")
-        rows.append((u, v, int(bound)))
+        rows.append((u, v, as_index(bound, "bound", InstanceError)))
     u, v, bound = np.array([(a, b, _simple_bound(g, c)) for a, b, c in rows],
                            dtype=np.int64).reshape(-1, 3).T
     hops = _target_hops(g, v, int(bound.max(initial=0)))

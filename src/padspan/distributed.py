@@ -171,13 +171,11 @@ def solve_distributed(
     assign = np.ascontiguousarray(centers.T)  # (t, n): node u's center in iteration i
     padded = _phase_probe(g, assign, D, transcript)
     sources = np.array([d.u for d in instance.demands], dtype=np.int64)
-    gathered = _phase_gather(g, params, floods, assign, padded, sources,
-                             transcript)
+    gathered = _phase_gather(params, floods, assign, padded, sources, transcript)
     solved = _solve_clusters(instance, gathered, t, lp_cache)
     sols, sol_of = solved[:2]
     sizes = np.array([_solution_size(sol) for sol in sols], dtype=np.int64)
-    delivered = _phase_broadcast(g, params, assign, gathered, sizes[sol_of],
-                                 transcript)
+    delivered = _phase_broadcast(params, assign, gathered, sizes[sol_of], transcript)
     return _assemble(instance, config, assign, padded, delivered, solved,
                      radii, transcript)
 
@@ -220,7 +218,7 @@ def _phase_probe(g, assign, D, transcript) -> np.ndarray:
     return np.ascontiguousarray(~unpadded.T)
 
 
-def _phase_gather(g, params, floods, assign, padded, sources, transcript):
+def _phase_gather(params, floods, assign, padded, sources, transcript):
     """Route per-iteration node reports to cluster centers along flood trees.
 
     Report (i, u) names node u and, when u is padded in iteration i, the
@@ -316,7 +314,7 @@ def _solution_size(sol: CpSolution) -> int:
     return int(np.count_nonzero(sol.x)) + sum(len(f) for f in sol.flows.values()) + 2
 
 
-def _phase_broadcast(g, params, assign, gathered, payload, transcript) -> np.ndarray:
+def _phase_broadcast(params, assign, gathered, payload, transcript) -> np.ndarray:
     """Send each cluster solution back down the tree its gather used.
 
     A center holds its solution from round 0 and a tree node at depth h gets

@@ -107,6 +107,8 @@ def gen_gnp(n: int, p: float, seed: int, directed: bool = True) -> Graph:
     The pairs take one stream's uniforms in row-major order, drawn a block of
     rows at a time: sequential draws continue the stream, so the edges are
     those of one draw."""
+    if as_index(n, "n", HarnessError) < 1:
+        raise HarnessError(f"gen_gnp needs n >= 1, got {n}")
     if not 0 <= p <= 1:
         raise HarnessError(f"p must be in [0, 1], got {p}")
     rng = rng_stream(seed, "gen-gnp")

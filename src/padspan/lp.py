@@ -4,8 +4,8 @@ Every solve goes to HiGHS (Huangfu & Hall 2018) through scipy's compiled
 binding, loaded from its file on the first solve so that `scipy` itself is
 never imported. On top of the solver sit the builders that turn an instance
 (optionally restricted to a cluster) into the path-flow LP, the global
-oracle, and the feasibility certificate: one block max-flow LP over all
-demands.
+oracle, and the feasibility certificate: closed forms for the demands
+whose path families settle them, and one block max-flow LP over the rest.
 """
 
 from __future__ import annotations
@@ -426,21 +426,33 @@ class FeasibilityReport:
 def check_feasibility(instance: CpInstance, x, tol: float = 1e-9) -> FeasibilityReport:
     """Max-flow certificate: does x admit one unit of allowed-path flow per demand?
 
-    One block LP maximizes the total flow. Each demand has its own block of
-    path-flow columns, with capacity rows sum_{p: e in p} f_p <= x_e and a row
-    sum f <= 1 that keeps it bounded. The blocks share no rows or columns, so
-    an optimum of the sum is optimal in every block, and demand i's max flow
-    is the sum of its block. The instance is feasible iff every demand
-    reaches flow >= 1 - tol.
+    Demand i's max flow is capped at 1 by its row sum f <= 1, next to the
+    capacity rows sum_{p: e in p} f_p <= x_e. The path families settle most
+    demands in closed form, from the bottleneck min_{e in p} x_e of each
+    path: a demand with a saturated path (bottleneck >= 1) has flow exactly
+    1, and one whose paths share no edge has min(1, sum of bottlenecks).
+    One block LP maximizes the total flow of the other demands, if any. Each
+    has its own block of path-flow columns and rows; the blocks share no
+    rows or columns, so an optimum of the sum is optimal in every block, and
+    a demand's max flow is the sum of its block. The instance is feasible
+    iff every demand reaches flow >= 1 - tol.
     """
     x = as_edge_vector(instance.graph, x)
-    nd, nv = len(instance.demands), int(instance.path_ptr[-1])
-    start, index, value, row_edge = _family_rows(instance, np.ones(nd, dtype=bool), 0)
-    problem = LpProblem(_family_names(instance, range(nd)), dict.fromkeys(range(nv), -1.0),
-                        start, index, value, np.full(len(row_edge), -np.inf),
-                        np.append(x, 1.0)[row_edge])
-    sol = solve_lp(problem)
-    flows = np.bincount(instance.path_owner, weights=sol.values, minlength=nd).astype(float)
+    nd, owner = len(instance.demands), instance.path_owner
+    # every path has a hop, so no reduceat slice is empty
+    bottleneck = np.minimum.reduceat(x[instance.hop_edge], instance.hop_ptr[:-1])
+    saturated = np.zeros(nd, dtype=bool)
+    saturated[owner[bottleneck >= 1]] = True
+    flows = np.minimum(1.0, np.bincount(owner, weights=bottleneck, minlength=nd))
+    flows[saturated] = 1.0
+    left = ~saturated & instance.shares_edges
+    if left.any():
+        start, index, value, row_edge = _family_rows(instance, left, 0)
+        names = _family_names(instance, np.flatnonzero(left).tolist())
+        problem = LpProblem(names, dict.fromkeys(range(len(names)), -1.0), start, index,
+                            value, np.full(len(row_edge), -np.inf), np.append(x, 1.0)[row_edge])
+        sol = solve_lp(problem)
+        flows[left] = np.bincount(owner[left[owner]], weights=sol.values, minlength=nd)[left]
     return FeasibilityReport(bool(np.all(flows >= 1 - tol)), flows)
 
 

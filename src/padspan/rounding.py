@@ -165,22 +165,34 @@ def round_low_degree(g: Graph, x, k: int, seed: int, iteration: int = 0) -> froz
 def verify_stretch(instance: CpInstance, out_edges) -> tuple[bool, list[int]]:
     """Check every demand's distance bound inside the rounded subgraph.
 
-    Returns (all satisfied, indices of violated demands); distances are hops
-    along the output edges' arcs in `instance.graph.arc_csr("out")`, from one
-    search of all sources. Edge indices outside 0..m-1 raise GraphError.
+    Returns (all satisfied, indices of violated demands, ascending). A
+    demand with a wholly kept allowed path is met, since every allowed path
+    is simple and within its bound. The others are searched: distances are
+    hops along the output edges' arcs in `instance.graph.arc_csr("out")`,
+    from one search of their sources. Edge indices outside 0..m-1 raise
+    GraphError.
     """
     g = instance.graph
     chosen = np.fromiter(map(operator.index, out_edges), dtype=np.int64)
     bad = chosen[(chosen < 0) | (chosen >= g.m)]
     if len(bad):
         raise GraphError(f"edge {bad[0]} out of range for m={g.m}")
+    kept_edge = np.zeros(g.m, dtype=bool)
+    kept_edge[chosen] = True
+    # every path has a hop, so no reduceat slice is empty
+    whole = np.logical_and.reduceat(kept_edge[instance.hop_edge], instance.hop_ptr[:-1])
+    met = np.zeros(len(instance.demands), dtype=bool)
+    met[instance.path_owner[whole]] = True
+    left = np.flatnonzero(~met)
+    if not len(left):
+        return (True, [])
     indptr, heads, ids = g.arc_csr("out")
-    kept = np.isin(ids, chosen)
-    u, v, bound = np.array([(d.u, d.v, d.bound) for d in instance.demands],
-                           dtype=np.int64).reshape(-1, 3).T
+    kept = kept_edge[ids]
+    demands = [instance.demands[i] for i in left.tolist()]
+    u, v, bound = np.array([(d.u, d.v, d.bound) for d in demands], dtype=np.int64).T
     hops = _hop_table(np.r_[0, np.cumsum(kept)][indptr], heads[kept], u,
-                      int(bound.max(initial=0)))(np.arange(len(u)), v)
-    violations = np.flatnonzero(hops > bound).tolist()
+                      int(bound.max()))(np.arange(len(u)), v)
+    violations = left[hops > bound].tolist()
     return (not violations, violations)
 
 

@@ -163,10 +163,13 @@ def dict_cluster_cp(instance, cluster, demand_indices=None):
     return problem, scope, list(demand_indices)
 
 
-def dict_feasibility_lp(instance, x):
-    """The block max-flow LP of check_feasibility, row by row."""
+def dict_feasibility_lp(instance, x, demands=None):
+    """The block max-flow LP of check_feasibility over the demands
+    `demands` (all by default), ascending, row by row."""
     problem = LpProblem(var_names=[], objective={})
     for di, fam_edges in enumerate(instance.family_edges):
+        if demands is not None and di not in demands:
+            continue
         base, k = problem.num_vars, len(fam_edges)
         problem.var_names.extend(f"f_{di}_{j}" for j in range(k))
         for e, js in _paths_by_edge(fam_edges):

@@ -17,10 +17,10 @@ import workloads  # noqa: E402
 
 #: Layer counts of a traced trial 0 at seed 1.
 PINNED_COUNTS = {
-    "spanner-gnp": {"cp.paths": 93, "lp.simplex_calls": 2, "lp.simplex_iterations": 222,
-                    "lp.rows_max": 186, "lp.cols_max": 142, "lp.nnz_sum": 597},
-    "dsn-gnp": {"cp.paths": 31, "lp.simplex_calls": 2, "lp.simplex_iterations": 69,
-                "lp.rows_max": 65, "lp.cols_max": 112, "lp.nnz_sum": 277},
+    "spanner-gnp": {"cp.paths": 93, "lp.simplex_calls": 1, "lp.simplex_iterations": 141,
+                    "lp.rows_max": 186, "lp.cols_max": 142, "lp.nnz_sum": 367},
+    "dsn-gnp": {"cp.paths": 31, "lp.simplex_calls": 1, "lp.simplex_iterations": 49,
+                "lp.rows_max": 65, "lp.cols_max": 112, "lp.nnz_sum": 167},
 }
 
 #: `Outcome.digest` of trials 0-2 at seed 1: every output of a trial, so a

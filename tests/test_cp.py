@@ -273,6 +273,14 @@ class TestDsnInstance:
         with pytest.raises(InstanceError):
             build_dsn_instance(g, [(1, 1, 2)])
 
+    @pytest.mark.parametrize("bound", [2.5, 2.0, "2", None])
+    def test_non_integer_bound_rejected(self, bound):
+        # a bound is a hop count: int() would truncate 2.5 to 2
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InstanceError, match=f"bound {bound!r} is not an integer"):
+            build_dsn_instance(g, [(0, 2, bound)])
+        assert build_dsn_instance(g, [(0, 2, np.int64(2))]).demands == (Demand(0, 2, 2),)
+
     def test_non_spanning_flagged(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         inst = build_dsn_instance(g, [(0, 1, 1)])
@@ -555,6 +563,15 @@ class TestFlatFamily:
         assert inst.D == 2
         assert inst.path_owner.tolist() == [0, 0, 0, 1]
         assert inst.hop_path.tolist() == [0, 0, 1, 1, 2, 3]
+        assert inst.shares_edges.tolist() == [False, False]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shares_edges_matches_family_sets(self, k):
+        inst = build_spanner_instance(gen_gnp(9, 0.4, seed=3), k)
+        want = [any(set(p) & set(q) for p, q in itertools.combinations(fam, 2))
+                for fam in inst.family_edges]
+        assert inst.shares_edges.tolist() == want
+        assert any(want) == (k == 3)  # k=2 families are parallel paths
 
     def test_arrays_read_only(self):
         inst = build_spanner_instance(Graph(3, [(0, 1), (1, 2), (2, 0)]), 2)

@@ -453,7 +453,7 @@ def assert_phases_match_reference(g, params, radii, sources, phase_params=None):
     got_t, want_t = RoundTranscript(), RoundTranscript()
     both = run_both(
         lambda: distributed._phase_gather(
-            g, phase_params, floods, assign, padded, sources, got_t),
+            phase_params, floods, assign, padded, sources, got_t),
         lambda: solver_reference._phase_gather(
             g, phase_params, states, t, demands_at, want_t))
     assert got_t == want_t
@@ -476,7 +476,7 @@ def assert_phases_match_reference(g, params, radii, sources, phase_params=None):
     got_t, want_t = RoundTranscript(), RoundTranscript()
     both = run_both(
         lambda: distributed._phase_broadcast(
-            g, phase_params, assign, gathered, payload, got_t),
+            phase_params, assign, gathered, payload, got_t),
         lambda: solver_reference._phase_broadcast(
             g, phase_params, states, t, per_iteration, want_t))
     assert got_t == want_t
@@ -573,7 +573,7 @@ class TestArrayPhases:
         padded = distributed._phase_probe(g, assign, k, RoundTranscript())
         transcript = RoundTranscript()
         gathered = distributed._phase_gather(
-            g, params, floods, assign, padded, np.arange(n), transcript)
+            params, floods, assign, padded, np.arange(n), transcript)
         tree = gathered.cluster.tolist(), gathered.child.tolist()
         depth_of = dict(zip(zip(*tree), gathered.depth.tolist()))
         assert len(depth_of) == len(gathered.child)  # one parent per child
@@ -612,7 +612,7 @@ class TestArrayPhases:
         g, inst, cfg, _ = small_run(seed=6, t=6)
         broadcast = distributed._phase_broadcast
 
-        def drop_one_edge(g, params, assign, gathered, payload, transcript):
+        def drop_one_edge(params, assign, gathered, payload, transcript):
             n = g.n
             us = np.array([u for u, _ in g.edges])
             vs = np.array([v for _, v in g.edges])
@@ -631,7 +631,7 @@ class TestArrayPhases:
                 gathered.demand_ptr, gathered.demands, gathered.cluster[keep],
                 gathered.child[keep], gathered.parent[keep],
                 gathered.depth[keep])
-            return broadcast(g, params, assign, pruned, payload, transcript)
+            return broadcast(params, assign, pruned, payload, transcript)
 
         monkeypatch.setattr(distributed, "_phase_broadcast", drop_one_edge)
         with pytest.raises(AssemblyError, match="missing broadcast solution"):

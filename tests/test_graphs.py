@@ -5,14 +5,13 @@ import subprocess
 import sys
 from collections import deque
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padspan.cp import Demand, enumerate_paths
+from padspan.cp import build_dsn_instance, enumerate_paths
 from padspan.graphs import (
     Graph,
     GraphError,
@@ -542,16 +541,23 @@ class TestFrontierBfs:
     @settings(max_examples=80, deadline=None)
     @given(g=bfs_graphs(), data=st.data())
     def test_verify_stretch_matches_per_source_bfs(self, g, data):
+        # a real instance of the drawn demands that g meets, so that the
+        # screen (a wholly kept allowed path) and the search both answer:
+        # the kept set adds one whole family path of each demand drawn so
         pair = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(
             lambda uv: uv[0] != uv[1])
-        demands = [Demand(u, v, data.draw(st.integers(1, 4))) for u, v in
-                   data.draw(st.lists(pair, max_size=6))] if g.n > 1 else []
+        drawn = [(u, v, data.draw(st.integers(1, 4))) for u, v in
+                 data.draw(st.lists(pair, max_size=6))] if g.n > 1 else []
+        inst = build_dsn_instance(g, [(u, v, bound) for u, v, bound in drawn
+                                      if directed_bfs_oracle(g, u)[v] <= bound])
         kept = data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+        for fam in inst.family_edges:
+            if data.draw(st.booleans()):
+                kept.update(fam[data.draw(st.integers(0, len(fam) - 1))])
         sub = Graph(g.n, [g.edges[e] for e in sorted(kept)], g.directed)
-        want = [i for i, d in enumerate(demands)
+        want = [i for i, d in enumerate(inst.demands)
                 if directed_bfs_oracle(sub, d.u)[d.v] > d.bound]
-        got = verify_stretch(SimpleNamespace(graph=g, demands=demands), kept)
-        assert got == (not want, want)
+        assert verify_stretch(inst, kept) == (not want, want)
 
 
 def per_edge_reference(n, edges, directed):

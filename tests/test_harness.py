@@ -130,6 +130,15 @@ class TestGenerators:
         with pytest.raises(HarnessError, match="p must be in"):
             gen_gnp(8, p, seed=1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_gnp_rejects_no_nodes(self, n):
+        # the coin block is sized by n, so n must be checked first
+        with pytest.raises(HarnessError, match=f"gen_gnp needs n >= 1, got {n}"):
+            gen_gnp(n, 0.3, seed=1)
+        with pytest.raises(HarnessError, match="n 2.5 is not an integer"):
+            gen_gnp(2.5, 0.3, seed=1)
+        assert gen_gnp(1, 0.3, seed=1).n == 1
+
 
 class TestRunExperiment:
     def small_config(self, out=None, trials=2):

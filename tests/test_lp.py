@@ -382,18 +382,33 @@ class TestFeasibility:
         assert rep.demand_flow.shape == (0,)
 
     def test_one_solve_per_certificate(self, monkeypatch):
-        g = gen_gnp(10, 0.3, seed=16)
-        inst = build_spanner_instance(g, 2)
         calls = []
 
         def counted(problem):
-            calls.append(problem.num_vars)
+            calls.append(problem.var_names)
             return solve_lp(problem)
 
         monkeypatch.setattr(lp, "solve_lp", counted)
-        rep = check_feasibility(inst, np.ones(g.m))
-        assert rep.feasible
-        assert calls == [sum(len(fam) for fam in inst.families)]
+        g = gen_gnp(10, 0.3, seed=16)
+        rep = check_feasibility(build_spanner_instance(g, 2), np.ones(g.m))
+        assert rep.feasible and calls == []  # every path is saturated
+        # no path is saturated at x = 0.9, so the families whose paths share
+        # an edge stay open, and one LP holds their paths
+        inst = FEASIBILITY_INSTANCES["gnp-k3"]()
+        x = np.full(inst.graph.m, 0.9)
+        left = [i for i, done in enumerate(settled(inst, x)) if not done]
+        assert 0 < len(left) < len(inst.demands)
+        assert not check_feasibility(inst, x).feasible
+        assert calls == [[f"f_{i}_{j}" for i in left
+                          for j in range(len(inst.family_edges[i]))]]
+
+
+def settled(instance, x):
+    """Per demand, whether the certificate settles it without an LP: some
+    allowed path has every x_e >= 1, or its paths share no edge."""
+    return [any(all(x[e] >= 1 for e in path) for path in fam)
+            or len({e for path in fam for e in path}) == sum(map(len, fam))
+            for fam in instance.family_edges]
 
 
 def per_demand_max_flow(instance, x):
@@ -442,6 +457,97 @@ class TestBlockCertificate:
         inst = FEASIBILITY_INSTANCES["gnp-k3"]()
         assert any(set(p) & set(q) for fam in inst.family_edges
                    for p, q in itertools.combinations(fam, 2))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A spanner (k = 2 or 3) or dsn instance and an edge vector with exact
+    1.0 entries, exact zeros and values on both sides of 1. Drawn values
+    stay above 1e-6: `_solve_highs` snaps path flows below 1e-9 to zero, so
+    the per-demand LP would read a flow of 1e-12 as 0."""
+    g = gen_gnp(draw(st.integers(3, 9)), draw(st.sampled_from([0.3, 0.5])),
+                seed=draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from([2, 3, "dsn"]))
+    if kind == "dsn":
+        try:
+            inst = build_dsn_instance(g, sample_spanning_demands(g, draw(st.integers(0, 1000))))
+        except HarnessError:  # some node reaches nothing
+            inst = build_spanner_instance(g, 3)
+    else:
+        inst = build_spanner_instance(g, kind)
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]), st.floats(1e-6, 1.5))
+    return inst, np.array(draw(st.lists(value, min_size=g.m, max_size=g.m)))
+
+
+class TestScreenedCertificate:
+    """The closed forms and the LP over the demands left, against one LP
+    per demand, and planted defects that a screen settling the wrong
+    demand would miss."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=certificate_cases())
+    def test_matches_per_demand_max_flow(self, case):
+        inst, x = case
+        ref = per_demand_max_flow(inst, x)
+        rep = check_feasibility(inst, x)
+        assert rep.demand_flow.shape == ref.shape
+        assert np.max(np.abs(rep.demand_flow - ref), initial=0.0) <= 1e-12
+        assert rep.feasible == bool(np.all(ref >= 1 - 1e-9))
+
+    def test_planted_cut_on_the_only_saturated_path(self, monkeypatch):
+        # x = 1 except 0 on the edges of demand i's other paths, so path p
+        # is i's only saturated one; then one edge of p drops to 1 - delta
+        inst, delta = FEASIBILITY_INSTANCES["dsn"](), 1e-3
+        found = None
+        for i, fam in enumerate(inst.family_edges):
+            if not any(set(p) & set(q) for p, q in itertools.combinations(fam, 2)):
+                continue
+            for p in fam:
+                x = np.ones(inst.graph.m)
+                x[[e for q in fam for e in q if e not in p]] = 0.0
+                x[p[0]] = 1 - delta
+                ref = per_demand_max_flow(inst, x)
+                others = np.delete(ref, i)
+                if abs(ref[i] - (1 - delta)) <= 1e-12 and np.all(others >= 1 - 1e-9):
+                    found = i, x, ref
+                    break
+            if found:
+                break
+        else:
+            pytest.fail("no shared-edge demand whose one path can be cut alone")
+        i, x, ref = found
+        calls = []
+
+        def counted(problem):
+            calls.append(problem.var_names)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        rep = check_feasibility(inst, x)
+        assert not rep.feasible
+        assert np.max(np.abs(rep.demand_flow - ref)) <= 1e-12
+        assert len(calls) == 1 and f"f_{i}_0" in calls[0]  # through the LP
+        x[p[0]] = 1.0
+        assert check_feasibility(inst, x).feasible
+
+    def test_planted_bottlenecks_below_one(self, monkeypatch):
+        # k = 2 families are parallel paths: the first edge of each of
+        # demand i's paths gets (1 - delta) / paths, so the bottlenecks sum
+        # to 1 - delta
+        inst, delta = FEASIBILITY_INSTANCES["gnp-k2"](), 1e-3
+        for i, fam in enumerate(inst.family_edges):
+            x = np.ones(inst.graph.m)
+            x[[p[0] for p in fam]] = (1 - delta) / len(fam)
+            ref = per_demand_max_flow(inst, x)
+            if len(fam) > 1 and np.all(np.delete(ref, i) >= 1 - 1e-9):
+                break
+        else:
+            pytest.fail("no demand whose bottlenecks can be lowered alone")
+        monkeypatch.setattr(lp, "solve_lp", None)  # closed forms only
+        rep = check_feasibility(inst, x)
+        assert not rep.feasible
+        assert rep.demand_flow[i] == pytest.approx(1 - delta, abs=1e-12)
+        assert np.max(np.abs(rep.demand_flow - ref)) <= 1e-12
 
 
 class TestLpDump:
@@ -563,7 +669,12 @@ class TestArrayRowsMatchDictReference:
 
         with mock.patch.object(lp, "solve_lp", record):
             check_feasibility(inst, x)
-        want = dict_feasibility_lp(inst, x)
+        left = [i for i, done in enumerate(settled(inst, x)) if not done]
+        if not left:
+            assert seen == []
+            return
+        want = dict_feasibility_lp(inst, x, left)
+        assert len(seen) == 1
         assert seen[0].var_names == want.var_names
         assert seen[0].objective == want.objective
         assert rows_in_order(seen[0]) == rows_in_order(want)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padspan.rounding as rounding
-from padspan.cp import build_dsn_instance, build_spanner_instance
+from padspan.cp import Demand, build_dsn_instance, build_spanner_instance, linear_sum
 from padspan.graphs import Graph, GraphError
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.lp import solve_global_oracle
@@ -25,6 +25,7 @@ from padspan.rounding import (
     root_probability,
     verify_stretch,
 )
+from paths_reference import instance_from_families
 from rounding_reference import round_spanner_reference
 
 
@@ -259,6 +260,43 @@ class TestVerifyStretch:
         assert ok
         ok2, _ = verify_stretch(inst, [0, 1, 2])  # 3-hop path too long
         assert not ok2
+
+    def test_partial_family_searched(self):
+        # a hand-built family without the direct edge: no family path is
+        # kept, and the search still finds the bound met
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        inst = instance_from_families(g, (Demand(0, 2, 2),), (((0, 1, 2),),), linear_sum())
+        assert verify_stretch(inst, [2]) == (True, [])
+        assert verify_stretch(inst, [0]) == (False, [0])
+
+    def test_planted_missing_demand_found_by_search(self, monkeypatch):
+        # below n = 289 every node roots a tree, so the rounding keeps every
+        # edge and every demand has a wholly kept family path
+        g = gen_gnp(12, 0.3, seed=17)
+        inst = build_spanner_instance(g, 2)
+        out = round_spanner(g, solve_global_oracle(inst).x, 2, seed=1)
+        assert out.edges == frozenset(range(g.m))
+        roots = []
+        search = rounding._hop_table
+
+        def recorded(indptr, heads, sources, depth):
+            roots.append(sorted(set(np.asarray(sources).tolist())))
+            return search(indptr, heads, sources, depth)
+
+        monkeypatch.setattr(rounding, "_hop_table", recorded)
+        assert verify_stretch(inst, out.edges) == (True, []) and roots == []
+        # drop demand i's own edge and the first edge of each of its
+        # detours, for the first i that leaves every other demand a whole
+        # family path (the families hold every path within the bound)
+        for i, fam in enumerate(inst.family_edges):
+            kept = out.edges - {path[0] for path in fam}
+            met = [any(set(path) <= kept for path in f) for f in inst.family_edges]
+            if len(fam) > 1 and met == [j != i for j in range(len(met))]:
+                break
+        else:
+            pytest.fail("no demand can be cut alone")
+        assert verify_stretch(inst, kept) == (False, [i])
+        assert roots == [[inst.demands[i].u]]  # the search ran for demand i alone
 
 
 class TestClassifyEdges:
