@@ -20,7 +20,7 @@ from .decomposition import (
     sample_decomposition_distributed,
     validate_clustering,
 )
-from .graphs import read_graph
+from .graphs import read_graph, write_text
 from .harness import (
     GENERATORS,
     PROBLEMS,
@@ -78,8 +78,7 @@ def cmd_decompose(args) -> int:
               f"rounds={transcript.rounds_elapsed}")
         if args.out:
             path = args.out if args.trials <= 1 else f"{args.out}.{trial}"
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(clustering_csv(dist))
+            write_text(path, clustering_csv(dist))
     return 1 if failures else 0
 
 
@@ -104,8 +103,7 @@ def cmd_round(args) -> int:
     row, _, _, artifacts = run_trial(config, 0, 0)
     print(f"|E_out|={row.e_out} stretch_ok={row.stretch_ok}")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(artifacts["provenance"])
+        write_text(args.out, artifacts["provenance"])
     return 0 if row.stretch_ok else 1
 
 

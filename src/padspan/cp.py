@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (UNREACHABLE, Graph, _hop_table, as_edge_vector, as_index, read_graph,
-                     run_slots, write_graph)
+                     run_slots, write_graph, write_text)
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -46,6 +46,7 @@ def enumerate_paths(
     InstanceError when the family would exceed `cap` paths.
     """
     u, v = g.check_node(u), g.check_node(v)
+    max_len = as_index(max_len, "max_len", InstanceError)
     if max_len < 1:
         raise InstanceError(f"max_len must be >= 1, got {max_len}")
     target, bound = np.array([v]), _simple_bound(g, max_len)
@@ -464,8 +465,7 @@ def write_instance(instance: CpInstance, path: str, graph_filename: str | None =
         f"demands {len(instance.demands)}",
     ]
     lines.extend(f"{d.u} {d.v} {d.bound}" for d in instance.demands)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines))
 
 
 #: The header lines of an instance file, each with the parser of its value.

@@ -506,6 +506,8 @@ def sample_assignments_batch(
     clustering is checked against the 2x radius-cap diameter bound.
     """
     _check_size(g, params)
+    if as_index(count, "count", DecompositionError) < 0:
+        raise DecompositionError(f"count must be >= 0, got {count}")
     radii = draw_radii(params, seed, np.arange(count))
     out = np.empty((count, g.n), dtype=np.int64)
     for s in range(count):
@@ -587,6 +589,8 @@ def validate_clustering(
     assign, radii = clustering.assignment, clustering.radii
     if assign.shape != (n,):
         raise DecompositionError("assignment is not total")
+    if assign.dtype.kind not in "iu":
+        raise DecompositionError(f"cluster ids must be integers, got {assign.dtype}")
     if radii.shape != (n,):
         raise DecompositionError(f"radii have shape {radii.shape}, expected ({n},)")
     foreign = (assign < 0) | (assign >= n)

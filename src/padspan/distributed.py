@@ -110,10 +110,15 @@ class IterationRecord:
 
 @dataclass
 class DistributedRun:
+    """A solver run: the capped averaged solution, its transcript, one
+    record per iteration, and `solves`, the run's distinct cluster solves
+    keyed by (members, demand indices) as ascending tuples."""
+
     solution: CpSolution
     transcript: RoundTranscript
     records: list[IterationRecord]
     config: SolverConfig
+    solves: dict[tuple, CpSolution]
 
 
 @dataclass(frozen=True)
@@ -139,21 +144,15 @@ class Gathered:
     depth: np.ndarray
 
 
-def solve_distributed(
-    instance: CpInstance,
-    config: SolverConfig,
-    lp_cache: dict | None = None,
-) -> DistributedRun:
+def solve_distributed(instance: CpInstance, config: SolverConfig) -> DistributedRun:
     """Run the full distributed solver on the LOCAL model.
 
     Returns the capped averaged solution, the round transcript (phases:
-    decomposition, gather incl. the padding probe, solve-broadcast), and one
-    record per iteration for certificates and audits.
-
-    `lp_cache` maps (member frozenset, demand tuple) to cluster solutions;
-    passing a dict shares solves across iterations and with the caller (the
-    whole-graph entry doubles as the oracle optimum). Caching only skips
-    repeated node computation, which the model charges zero rounds anyway.
+    decomposition, gather incl. the padding probe, solve-broadcast), one
+    record per iteration for certificates and audits, and the table of the
+    run's distinct cluster solves. Clusters with the same members and
+    demands share one solve, which only skips repeated node computation,
+    charged zero rounds by the model anyway.
     """
     g = instance.graph
     n = g.n
@@ -161,7 +160,7 @@ def solve_distributed(
     if not instance.demands:
         return DistributedRun(
             CpSolution(np.zeros(g.m), {}, 0.0, 0.0, ()),
-            transcript, [], config,
+            transcript, [], config, {},
         )
     D = instance.D
     t = config.iterations(n)
@@ -172,9 +171,9 @@ def solve_distributed(
     padded = _phase_probe(g, assign, D, transcript)
     sources = np.array([d.u for d in instance.demands], dtype=np.int64)
     gathered = _phase_gather(params, floods, assign, padded, sources, transcript)
-    solved = _solve_clusters(instance, gathered, t, lp_cache)
-    sols, sol_of = solved[:2]
-    sizes = np.array([_solution_size(sol) for sol in sols], dtype=np.int64)
+    solved = _solve_clusters(instance, gathered, t)
+    solves, sol_of = solved[:2]
+    sizes = np.array([_solution_size(sol) for sol in solves.values()], dtype=np.int64)
     delivered = _phase_broadcast(params, assign, gathered, sizes[sol_of], transcript)
     return _assemble(instance, config, assign, padded, delivered, solved,
                      radii, transcript)
@@ -274,38 +273,29 @@ def _phase_gather(params, floods, assign, padded, sources, transcript):
                     depth[first])
 
 
-def _solve_clusters(instance, gathered, t, lp_cache=None):
-    """Centers solve their cluster programs; clusters with the same members
-    and demands share one solve.
+def _solve_clusters(instance, gathered, t):
+    """Centers solve their cluster programs, each distinct pair of members
+    and demands once.
 
-    Returns the distinct solutions, each gathered cluster's index into them,
-    and per iteration the dict center -> solution.
+    Returns the table of solves, keyed by (members, demand indices) as
+    ascending tuples; each gathered cluster's row in the table, in its
+    order; and per iteration the dict center -> solution.
     """
-    cache: dict[tuple, CpSolution] = {} if lp_cache is None else lp_cache
     n = instance.graph.n
-    solutions: list[dict[int, CpSolution]] = [dict() for _ in range(t)]
     members, mptr = gathered.members.tolist(), gathered.member_ptr.tolist()
     demands, dptr = gathered.demands.tolist(), gathered.demand_ptr.tolist()
-    distinct: list[CpSolution] = []
-    index: dict[tuple, int] = {}
-    of = np.empty(len(gathered.key), dtype=np.int64)
-    for k, ic in enumerate(gathered.key.tolist()):
-        sig = (tuple(members[mptr[k]:mptr[k + 1]]),
-               tuple(demands[dptr[k]:dptr[k + 1]]))
-        j = index.get(sig)
-        if j is None:
-            cluster = frozenset(sig[0])
-            sol = cache.get((cluster, sig[1]))
-            if sol is None:
-                sol = solve_cluster_cp(instance, cluster,
-                                       demand_indices=list(sig[1]))
-                cache[cluster, sig[1]] = sol
-            j = index[sig] = len(distinct)
-            distinct.append(sol)
-        of[k] = j
+    row: dict[tuple, int] = {}
+    of = np.array([row.setdefault((tuple(members[mptr[k]:mptr[k + 1]]),
+                                   tuple(demands[dptr[k]:dptr[k + 1]])), len(row))
+                   for k in range(len(gathered.key))], dtype=np.int64)
+    solves = {key: solve_cluster_cp(instance, key[0], demand_indices=list(key[1]))
+              for key in row}
+    sols = list(solves.values())
+    solutions: list[dict[int, CpSolution]] = [dict() for _ in range(t)]
+    for ic, j in zip(gathered.key.tolist(), of.tolist()):
         i, c = divmod(ic, n)
-        solutions[i][c] = distinct[j]
-    return distinct, of, solutions
+        solutions[i][c] = sols[j]
+    return solves, of, solutions
 
 
 def _solution_size(sol: CpSolution) -> int:
@@ -356,7 +346,7 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
     g = instance.graph
     t = len(radii)
     eps = config.epsilon
-    sols, sol_of, solutions = solved
+    solves, sol_of, solutions = solved
     us, vs = g.tail, g.head
     same = assign[:, us] == assign[:, vs]  # (t, m)
 
@@ -366,8 +356,8 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
         raise AssemblyError(f"missing broadcast solution at edge {e}")
     # the x vectors of the distinct solutions, then a zero row that a
     # delivery of -1 picks
-    xs = np.stack([sol.x for sol in sols] + [np.zeros(g.m)])
-    held = np.append(sol_of, len(sols))[delivered]  # (t, n): row of xs
+    xs = np.stack([sol.x for sol in solves.values()] + [np.zeros(g.m)])
+    held = np.append(sol_of, len(solves))[delivered]  # (t, n): row of xs
     edge_ids = np.arange(g.m)
 
     def average(ends):
@@ -402,20 +392,15 @@ def _assemble(instance, config, assign, padded, delivered, solved, radii,
         x=val_u, flows={}, value=value, residual=0.0,
         demand_indices=tuple(range(len(instance.demands))),
     )
-    return DistributedRun(solution, transcript, records, config)
+    return DistributedRun(solution, transcript, records, config, solves)
 
 
-def cached_global_oracle(instance: CpInstance, lp_cache: dict) -> CpSolution:
-    """Whole-graph optimum, reusing the solver's cache entry when present."""
-    key = (
-        frozenset(range(instance.graph.n)),
-        tuple(range(len(instance.demands))),
-    )
-    sol = lp_cache.get(key)
-    if sol is None:
-        sol = solve_global_oracle(instance)
-        lp_cache[key] = sol
-    return sol
+def cached_global_oracle(instance: CpInstance, run: DistributedRun) -> CpSolution:
+    """Whole-graph optimum: the run's own solve of the whole graph with
+    every demand when it made one, else `solve_global_oracle`."""
+    key = (tuple(range(instance.graph.n)), tuple(range(len(instance.demands))))
+    sol = run.solves.get(key)
+    return solve_global_oracle(instance) if sol is None else sol
 
 
 # -- certificates ----------------------------------------------------------

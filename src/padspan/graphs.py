@@ -354,6 +354,7 @@ def arborescences(
     parent, and `level` is node's hop distance from the root.
     """
     indptr, heads, ids = g.arc_csr(orientation)
+    depth = as_index(depth, "depth")
     if depth < 0:
         raise GraphError(f"depth must be nonnegative, got {depth}")
     roots = [g.check_node(r) for r in roots]
@@ -373,10 +374,16 @@ def graph_text(g: Graph, edges: Iterable[int] | None = None) -> str:
                      + [f"{u} {v}" for u, v in pairs])
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` as ASCII with "\\n" line ends, and a final newline if it
+    lacks one: every file padspan writes goes through here."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+
+
 def write_graph(g: Graph, path) -> None:
     """Write `graph_text(g)` and a final newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(graph_text(g) + "\n")
+    write_text(path, graph_text(g))
 
 
 def read_graph(path) -> Graph:

@@ -35,7 +35,8 @@ from .distributed import (
     round_bound,
     solve_distributed,
 )
-from .graphs import UNREACHABLE, Graph, _hop_table, as_index, graph_text, read_graph
+from .graphs import (UNREACHABLE, Graph, _hop_table, as_index, graph_text, read_graph,
+                     write_text)
 from .localsim import TRANSCRIPT_CSV_HEADER, rng_stream, transcript_csv_row
 from .lp import check_feasibility
 from .rounding import output_csv, round_low_degree, round_spanner_distributed, verify_stretch
@@ -88,7 +89,8 @@ class ExperimentConfig:
             raise HarnessError(f"trials must be >= 0, got {self.trials}")
         if self.dsn_slack < 0:
             raise HarnessError(f"dsn_slack must be >= 0, got {self.dsn_slack}")
-        if self.t_override is not None and self.t_override < 1:
+        if self.t_override is not None and as_index(
+                self.t_override, "t_override", HarnessError) < 1:
             raise HarnessError(
                 f"t_override must be at least 1, got {self.t_override}"
             )
@@ -357,9 +359,8 @@ def run_trial(
     solver_cfg = SolverConfig(
         epsilon=config.epsilon, seed=seed, t_override=config.t_override
     )
-    lp_cache: dict = {}
-    run = solve_distributed(instance, solver_cfg, lp_cache=lp_cache)
-    oracle = cached_global_oracle(instance, lp_cache)
+    run = solve_distributed(instance, solver_cfg)
+    oracle = cached_global_oracle(instance, run)
     rep = concentration_report(run, instance)
     feas = check_feasibility(instance, run.solution.x, tol=1e-9)
     cp_star = oracle.value
@@ -444,9 +445,7 @@ def _write_artifacts(out_dir: str, trial: int, retry: int, artifacts: dict) -> N
     os.makedirs(out_dir, exist_ok=True)
     for kind, body in artifacts.items():
         ext = "edges" if kind == "edges" else "csv"
-        path = os.path.join(out_dir, f"rounded_{trial}_{retry}.{ext}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(body + ("\n" if not body.endswith("\n") else ""))
+        write_text(os.path.join(out_dir, f"rounded_{trial}_{retry}.{ext}"), body)
 
 
 def write_report(out_dir: str, report: RunReport, elapsed: float | None = None) -> None:
@@ -454,13 +453,9 @@ def write_report(out_dir: str, report: RunReport, elapsed: float | None = None) 
     and timing.txt (not deterministic, excluded from comparisons)."""
     os.makedirs(out_dir, exist_ok=True)
     lines = [REPORT_CSV_HEADER] + [trial_csv_row(r) for r in report.rows]
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(os.path.join(out_dir, "report.csv"), "\n".join(lines))
     tlines = [TRANSCRIPT_CSV_HEADER] + report.transcript_rows
-    with open(os.path.join(out_dir, "transcripts.csv"), "w", encoding="ascii",
-              newline="\n") as fh:
-        fh.write("\n".join(tlines) + "\n")
+    write_text(os.path.join(out_dir, "transcripts.csv"), "\n".join(tlines))
     config_echo = asdict(report.config)
     config_echo.pop("out", None)  # filesystem detail, not an experiment input
     manifest = {
@@ -468,14 +463,10 @@ def write_report(out_dir: str, report: RunReport, elapsed: float | None = None) 
         "aggregates": report.aggregates(),
         "runs": report.manifests,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "manifest.json"),
+               json.dumps(manifest, indent=1, sort_keys=True))
     if elapsed is not None:
-        with open(os.path.join(out_dir, "timing.txt"), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write(f"wall_clock_seconds {elapsed:.3f}\n")
+        write_text(os.path.join(out_dir, "timing.txt"), f"wall_clock_seconds {elapsed:.3f}")
 
 
 def report_files(out_dir: str) -> list[str]:

@@ -10,7 +10,6 @@ whose path families settle them, and one block max-flow LP over the rest.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -20,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp import CpInstance, Objective, evaluate_objective
+from .cp import CpInstance, evaluate_objective
 from .decomposition import padded_mask
-from .graphs import as_edge_vector, induced_edges, run_starts
+from .graphs import as_edge_vector, induced_edges, run_starts, write_text
 
 
 class LpError(RuntimeError):
@@ -285,8 +284,11 @@ def build_cluster_cp(
     Variables are x_e for e in the induced edge set and f_<demand>_<path> for
     each included demand; capacity rows are emitted only for (demand, edge)
     pairs where some allowed path uses the edge (the remaining rows reduce to
-    x_e >= 0, already implied). Returns the LP, the scope edge indices, and
-    the included demand indices, ascending: the LP takes them in that order.
+    x_e >= 0, already implied). A max-degree or inf-norm objective adds the
+    column lam and its rows, a finite p-norm with p > 1 Kelley's epigraph
+    column t, whose cuts `solve_cluster_cp` adds. Returns the LP, the scope
+    edge indices, and the included demand indices, ascending: the LP takes
+    them in that order.
     """
     g = instance.graph
     members = set(int(u) for u in cluster)
@@ -327,11 +329,9 @@ def build_cluster_cp(
         col = col[np.argsort(row * (lam + 1) + col)]
         problem.add_rows(np.bincount(row, minlength=nr), col, np.where(col == lam, -1.0, 1.0),
                          np.full(nr, -np.inf), np.zeros(nr))
-    elif obj.kind != "linear-sum" and not (obj.kind == "p-norm" and obj.p == 1):
-        raise LpError(
-            f"objective {obj.label()} has no direct LP form; "
-            "use solve_cluster_cp which handles it by cutting planes"
-        )
+    elif obj.kind == "p-norm" and obj.p > 1:
+        problem.var_names.append("t")
+        problem.objective = {len(problem.var_names) - 1: 1.0}
     return problem, scope, dids
 
 
@@ -344,18 +344,19 @@ def solve_cluster_cp(
 
     The returned x lives on the full edge index set (zero outside scope);
     flows map demand index -> per-path values. Finite p-norm objectives with
-    p > 1 are minimized by cutting planes over the same LP feasible set. A
-    cluster without demands builds no LP: its optimum is zero.
+    p > 1 are minimized by Kelley's cutting planes, added to the LP that
+    `build_cluster_cp` builds for them. A cluster without demands builds no
+    LP: its optimum is zero.
     """
     if demand_indices is None:
         cluster = set(int(u) for u in cluster)
         demand_indices = cluster_demands(instance, cluster)
     if not len(demand_indices):
         return CpSolution(np.zeros(instance.graph.m), {}, 0.0, 0.0, ())
+    problem, scope, dids = build_cluster_cp(instance, cluster, demand_indices)
     obj = instance.objective
     if obj.kind == "p-norm" and 1 < obj.p < math.inf:
-        return _solve_pnorm(instance, cluster, demand_indices)
-    problem, scope, dids = build_cluster_cp(instance, cluster, demand_indices)
+        return _solve_pnorm(instance, problem, scope, dids)
     return _unpack(instance, scope, dids, solve_lp(problem))
 
 
@@ -374,15 +375,12 @@ def _unpack(instance, scope, dids, sol: LpSolution) -> CpSolution:
     )
 
 
-def _solve_pnorm(instance: CpInstance, cluster, demand_indices: list[int]) -> CpSolution:
-    """Kelley cutting planes: minimize t with t >= tangent of ||x||_p at iterates."""
-    base, scope, dids = build_cluster_cp(
-        dataclasses.replace(instance, objective=Objective("linear-sum")),
-        cluster, demand_indices)
+def _solve_pnorm(instance: CpInstance, base: LpProblem, scope, dids) -> CpSolution:
+    """Kelley cutting planes on `build_cluster_cp`'s LP, whose last column
+    is t: minimize t, adding after each solve the cut t >= the tangent of
+    ||x||_p at its x, until t meets the norm."""
     p = instance.objective.p
-    tcol = len(base.var_names)
-    base.var_names.append("t")
-    base.objective = {tcol: 1.0}
+    tcol = base.num_vars - 1
     best: CpSolution | None = None
     for _ in range(200):
         sol = solve_lp(base)
@@ -479,5 +477,4 @@ def dump_lp(problem: LpProblem, path: str) -> None:
     for name in problem.var_names:
         lines.append(f" 0 <= {name}")
     lines.append("End")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines))

@@ -152,14 +152,16 @@ def dict_cluster_cp(instance, cluster, demand_indices=None):
             coeffs = {x_col[e]: 1.0 for e in incident[w]}
             coeffs[lam] = coeffs.get(lam, 0.0) - 1.0
             problem.add_row(coeffs, "<=", 0.0)
-    elif obj.kind == "p-norm" and math.isinf(obj.p):
+    elif math.isinf(obj.p):
         lam = len(problem.var_names)
         problem.var_names.append("lam")
         problem.objective = {lam: 1.0}
         for e in scope:
             problem.add_row({x_col[e]: 1.0, lam: -1.0}, "<=", 0.0)
-    else:
-        raise LpError(f"objective {obj.label()} has no direct LP form")
+    else:  # a finite p-norm, p > 1: Kelley's epigraph column, no rows yet
+        t = len(problem.var_names)
+        problem.var_names.append("t")
+        problem.objective = {t: 1.0}
     return problem, scope, list(demand_indices)
 
 

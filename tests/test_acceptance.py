@@ -162,9 +162,8 @@ def _run_case(kind, n, eps, seed):
                                epsilon=eps, seed=seed)
     g, instance = generate_instance(cfg, seed)
     solver_cfg = SolverConfig(epsilon=eps, seed=seed)
-    cache: dict = {}
-    run = solve_distributed(instance, solver_cfg, lp_cache=cache)
-    oracle = cached_global_oracle(instance, cache)
+    run = solve_distributed(instance, solver_cfg)
+    oracle = cached_global_oracle(instance, run)
     return g, instance, solver_cfg, run, oracle
 
 

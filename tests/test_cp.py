@@ -94,6 +94,13 @@ class TestEnumeratePaths:
         with pytest.raises(InstanceError):
             enumerate_paths(g, 0, 1, 0)
 
+    @pytest.mark.parametrize("max_len", [math.nan, 2.9])
+    def test_non_integer_max_len_rejected(self, max_len):
+        # nan raised a bare ValueError, and 2.9 was read as 2
+        g = complete_digraph(4)
+        with pytest.raises(InstanceError, match=f"max_len {max_len} is not an integer"):
+            enumerate_paths(g, 0, 1, max_len)
+
 
 def random_cross_zero_vector(g, assignment, rng):
     x = rng.random(g.m)

@@ -229,6 +229,12 @@ class TestValidateClustering:
         with pytest.raises(DecompositionError, match="node 1: cluster id 3"):
             self.check(g, params, [0, 3, 3], [3, 0, 0])
 
+    def test_float_cluster_ids_rejected(self):
+        # numpy refused them as indices with an IndexError
+        g, params = self.path(3)
+        with pytest.raises(DecompositionError, match="cluster ids must be integers"):
+            validate_clustering(g, params, Clustering(np.zeros(3), np.full(3, 3.0)))
+
     def test_radii_length_checked(self):
         g, params = self.path(3)
         with pytest.raises(DecompositionError, match="radii"):
@@ -702,6 +708,14 @@ class TestPaddingStatistics:
         params = PaddedParams(k=1, epsilon=0.5, n=10**9)
         with pytest.raises(DecompositionError, match=MISMATCH):
             sample_assignments_batch(g, params, seed=0, count=2)
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "count must be >= 0, got -1"), (2.5, "count 2.5 is not an integer")])
+    def test_batch_count_checked(self, count, message):
+        g = gen_grid(4, 4)
+        params = PaddedParams(k=1, epsilon=0.5, n=16)
+        with pytest.raises(DecompositionError, match=message):
+            sample_assignments_batch(g, params, seed=0, count=count)
 
     def test_padded_nodes_matches_frequencies(self):
         g = gen_grid(3, 3)

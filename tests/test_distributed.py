@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from padspan import distributed
+from padspan import distributed, lp
 from padspan.cp import build_spanner_instance, evaluate_objective
 from padspan.decomposition import (
     PaddedParams, carve, draw_radii, padded_mask,
@@ -174,11 +175,54 @@ class TestSolveDistributed:
         g = gen_gnp(10, 0.35, seed=10)
         inst = build_spanner_instance(g, 2)
         cfg = SolverConfig(epsilon=0.5, seed=3, t_override=20)
-        cache = {}
-        run = solve_distributed(inst, cfg, lp_cache=cache)
-        cached = cached_global_oracle(inst, cache)
+        run = solve_distributed(inst, cfg)
+        cached = cached_global_oracle(inst, run)
         fresh = solve_global_oracle(inst)
         assert cached.value == pytest.approx(fresh.value, abs=1e-9)
+
+    def test_run_keeps_each_distinct_solve_once(self, monkeypatch):
+        # every record's solution is the table entry of its cluster's
+        # members and demands, and each entry cost one cluster solve; here
+        # 10 clusters share 3 solves
+        g, inst, cfg, _ = small_run(seed=19, t=8)
+        calls = []
+        solve = distributed.solve_cluster_cp
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "solve_cluster_cp", counted)
+        run = solve_distributed(inst, cfg)
+        assert len(calls) == len(run.solves)
+        assert len(run.solves) < sum(len(rec.clustering.centers) for rec in run.records)
+        for rec in run.records:
+            for center, members in rec.clustering.clusters().items():
+                sol = rec.solutions[center]
+                assert run.solves[tuple(members), sol.demand_indices] is sol
+
+    def test_cached_oracle_reads_the_run(self, monkeypatch):
+        # the run solved the whole graph with every demand: the oracle is
+        # that solve, and no LP is solved for it
+        g = gen_gnp(10, 0.35, seed=10)
+        inst = build_spanner_instance(g, 2)
+        run = solve_distributed(inst, SolverConfig(epsilon=0.5, seed=3, t_override=20))
+        key = (tuple(range(g.n)), tuple(range(len(inst.demands))))
+        solves = []
+        solve_lp = lp.solve_lp
+
+        def counted(problem):
+            solves.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        assert cached_global_oracle(inst, run) is run.solves[key]
+        assert solves == []
+        # without it, the oracle solves the whole graph once
+        missed = cached_global_oracle(inst, dataclasses.replace(run, solves={}))
+        assert len(solves) == 1
+        fresh = solve_global_oracle(inst)
+        assert missed.x.tolist() == fresh.x.tolist() and missed.value == fresh.value
 
 
 def random_run(problem, n, p, seed, t):
@@ -645,7 +689,8 @@ class TestArrayPhases:
 
         def swap_one(instance, config, assign, padded, delivered, solved,
                      radii, transcript):
-            sols, sol_of, _ = solved
+            solves, sol_of, _ = solved
+            sols = list(solves.values())
             x = np.stack([sols[j].x for j in sol_of])  # by cluster
             for i, e in zip(*np.nonzero(assign[:, g.tail] == assign[:, g.head])):
                 u = g.tail[e]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import os
@@ -26,6 +27,7 @@ from padspan.graphs import (
     run_slots,
     run_starts,
     write_graph,
+    write_text,
 )
 from padspan.harness import gen_gnp, gen_grid
 from padspan.rounding import verify_stretch
@@ -475,6 +477,10 @@ class TestArborescence:
         with pytest.raises(GraphError):
             arborescences(cycle(4), [0], 1, "sideways")
 
+    def test_non_integer_depth_rejected(self):
+        with pytest.raises(GraphError, match="depth 1.5 is not an integer"):
+            arborescences(cycle(4), [0], 1.5)
+
 
 class TestFrontierBfs:
     @settings(max_examples=120, deadline=None)
@@ -681,3 +687,58 @@ class TestGraphFile:
         path.write_text(text)
         with pytest.raises(GraphError, match=f"bad.graph: line {line}: .* is not an integer"):
             read_graph(path)
+
+
+def _file_writers(tree, module):
+    """(module, enclosing function) of every `open` call in one syntax tree
+    whose mode may write: a literal other than read modes, or any
+    expression. `open(path, mode)` takes the mode second, `Path.open` first."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            fn = node.func
+            at = (1 if isinstance(fn, ast.Name) and fn.id == "open" else
+                  0 if isinstance(fn, ast.Attribute) and fn.attr == "open" else None)
+            if at is not None:
+                modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                            and set(m.value) <= set("rbt")) for m in modes):
+                    found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+class TestOneTextWriter:
+    def test_only_write_text_opens_a_file_for_writing(self):
+        # the ASCII and "\n" file policy stays in one place
+        package = ROOT / "src" / "padspan"
+        found = set().union(*(_file_writers(ast.parse(path.read_text()), path.name)
+                              for path in sorted(package.glob("*.py"))))
+        assert found == {("graphs.py", "write_text")}
+
+    def test_file_writers_are_found(self):
+        tree = ast.parse(
+            "def f(p):\n"
+            "    open(p, 'w', encoding='ascii').close()\n"
+            "def g(p, m):\n"
+            "    return open(p, mode=m)\n"
+            "def h(p):\n"
+            "    return p.open('a')\n"
+            "def r(p):\n"
+            "    return open(p), open(p, 'rb'), p.open(), open(p, encoding='ascii')\n"
+            "x = open('log', 'x')\n")
+        assert _file_writers(tree, "m.py") == {("m.py", "f"), ("m.py", "g"), ("m.py", "h"),
+                                                ("m.py", "<module>")}
+
+    def test_write_text_adds_a_missing_final_newline_only(self, tmp_path):
+        path = tmp_path / "t.txt"
+        for text, want in (("a\nb", b"a\nb\n"), ("a\n", b"a\n"), ("", b"\n")):
+            write_text(path, text)
+            assert path.read_bytes() == want
+

@@ -118,7 +118,8 @@ class TestGenerators:
             ExperimentConfig(n=8, seed=1, t_override=t)
 
     @pytest.mark.parametrize("field, value", [
-        ("n", 10.7), ("k", 1.5), ("trials", 1.5), ("seed", 1.5), ("dsn_slack", 1.5)])
+        ("n", 10.7), ("k", 1.5), ("trials", 1.5), ("seed", 1.5), ("dsn_slack", 1.5),
+        ("t_override", 2.5)])
     def test_config_rejects_non_integer_sizes(self, field, value):
         # each was accepted, to fail later deep in a run or not at all
         with pytest.raises(HarnessError, match=f"{field} {value} is not an integer"):

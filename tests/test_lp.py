@@ -608,7 +608,8 @@ def lp_cases(draw):
     g = gen_gnp(n, draw(st.sampled_from([0.3, 0.5])), seed=draw(st.integers(0, 10**6)),
                 directed=draw(st.booleans()))
     obj = draw(st.sampled_from([None, max_degree("out"), max_degree("in"),
-                                max_degree("inout"), p_norm(math.inf), p_norm(1)]))
+                                max_degree("inout"), p_norm(math.inf), p_norm(1),
+                                p_norm(2)]))
     if draw(st.booleans()):
         inst = build_spanner_instance(g, draw(st.integers(1, 3)), obj)
     else:

@@ -70,6 +70,13 @@ class TestRoundSpanner:
         assert out.edges == frozenset()
         assert out.roots == ()
 
+    @pytest.mark.parametrize("rounder", [rounding.round_spanner,
+                                         rounding.round_spanner_distributed])
+    def test_non_integer_depth_rejected(self, rounder):
+        g = gen_gnp(9, 0.4, seed=21)
+        with pytest.raises(GraphError, match="depth 1.5 is not an integer"):
+            rounder(g, np.zeros(g.m), 1.5, seed=1)
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_rejected(self, bad):
         g = gen_gnp(9, 0.4, seed=21)
