@@ -2,27 +2,27 @@
 bounded diameter and which keep each radius-k ball intact with probability at
 least 1 - epsilon.
 
-Every sampler takes its radii from `draw_radii`: one counter-based stream
-per iteration, keyed by (seed, iteration), which the solver and the batch
-sampler draw for all their iterations in one array pass. The vectorized
-centralized sampler is the reference, and the batch sampler runs its
-assignment once per iteration. `carve` is the one message-passing flood: it
-runs t carvings bundled into one message stream, and in each one every node
-joins the smallest id whose flood reached it. It simulates each LOCAL round
-as one sort and a few linear passes over every node and iteration at once:
-the round's entries are expanded over the shadow CSR in one `run_slots`
-into copies, each one packed integer, and `_merge` sorts them with every
-node-iteration's domination staircase into one array, in which one running
-maximum admits them. The centers are the heads of the final staircases,
-and `Floods` keeps the three columns the solver's gather reads. The rounds
-run over blocks of iterations of a fixed size in slots, so a round's
-temporaries stay bounded at the paper's t. It charges the transcript's ledger (`send`,
-`check_rounds`) as the engine would charge the per-node protocol that the
-tests hold it to. The distributed sampler is its t=1 case, which reads the
-centers without building `Floods`, and matches the centralized sampler
-exactly when the permutation is node-ID order and the seed and iteration
-are the same; the distributed solver runs all its iterations as one
-`carve`.
+Every sampler takes its radii from `draw_radii`: node v's radius in
+iteration i is position i·n + v of one counter-based stream keyed by the
+seed, so the solver and the batch sampler draw all their iterations as one
+span of it. The vectorized centralized sampler is the reference, and the
+batch sampler runs its assignment once per iteration. `carve` is the one
+message-passing flood: it runs t carvings bundled into one message stream,
+and in each one every node joins the smallest id whose flood reached it.
+It simulates each LOCAL round as one sort and a few linear passes over
+every node and iteration at once: the round's entries are expanded over
+the shadow CSR in one `run_slots` into copies, each one packed integer,
+and `_merge` sorts them with every node-iteration's domination staircase
+into one array, in which one running maximum admits them. The centers are
+the heads of the final staircases, and `Floods` keeps the three columns
+the solver's gather reads. The rounds run over blocks of iterations of a
+fixed size in slots, so a round's temporaries stay bounded at the paper's
+t. It charges the transcript's ledger (`send`, `check_rounds`) as the
+engine would charge the per-node protocol that the tests hold it to. The
+distributed sampler is its t=1 case, which reads the centers without
+building `Floods`, and matches the centralized sampler exactly when the
+permutation is node-ID order and the seed and iteration are the same; the
+distributed solver runs all its iterations as one `carve`.
 
 The checks read only what decides them. `padded_mask` is the one central
 padding test, is B(u, k) inside u's cluster; it spreads a cut frontier from
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, as_index, run_slots, run_starts
-from .localsim import RoundTranscript, check_rounds, rng_stream, rng_uniforms
+from .localsim import RoundTranscript, check_rounds, rng_stream
 # perfbench/spans.py wraps decomposition.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
 
@@ -120,23 +120,30 @@ def sample_radius(params: PaddedParams, u: float | np.ndarray) -> float | np.nda
 def draw_radii(params: PaddedParams, seed: int, iteration) -> np.ndarray:
     """The n = `params.n` carving radii of one iteration, or the
     (len(iteration), n) radii of a 1-D array of iterations. Node v's radius
-    in iteration i comes from the v-th uniform of the stream keyed by (seed,
-    i), so every sampler draws the same radii.
+    in iteration i comes from position i·n + v of the one stream keyed by
+    `seed`, so every sampler draws the same radii. Philox is counter-based,
+    so node v computes its own alone, from a fresh stream advanced to block
+    (i·n + v) // 4. A single node has nothing to carve: its radius is 0. A
+    seed or iteration that is not a nonnegative integer raises
+    DecompositionError.
 
-    One iteration reads its stream through `rng_stream`; an array of them
-    draws every stream in one `rng_uniforms` pass, equal row by row and much
-    faster from a few iterations on (numpy is faster for one). The draw stays
-    node-local: Philox is counter-based, so node v computes its own uniform
-    alone, from a fresh stream with the same key advanced to block v // 4. A
-    single node has nothing to carve: its radius is 0.
+    Iterations lo to hi are one draw of (hi - lo + 1)·n uniforms, after the
+    stream advances to the block of position lo·n and skips lo·n % 4 (Philox
+    emits four uniforms per block).
     """
-    if params.n == 1:
-        return np.zeros(np.shape(iteration) + (1,))
-    if np.ndim(iteration) == 0:
-        u = rng_stream(seed, "decomp-radius", iteration).random(params.n)
-    else:
-        u = rng_uniforms(seed, "decomp-radius", iteration, params.n)
-    return sample_radius(params, u)
+    n, its = params.n, np.asarray(iteration)
+    if (as_index(seed, "seed", DecompositionError) < 0
+            or its.dtype.kind not in "iu" or np.any(its < 0)):
+        raise DecompositionError(f"seed {seed} and iteration {iteration} "
+                                 "must be nonnegative integers")
+    if n == 1 or not its.size:
+        return np.zeros(its.shape + (n,))
+    lo, hi = int(its.min()), int(its.max())
+    rng = rng_stream(seed, "decomp-radius")
+    rng.bit_generator.advance(lo * n // 4)
+    rng.random(lo * n % 4)
+    u = rng.random((hi - lo + 1) * n).reshape(-1, n)
+    return sample_radius(params, u[its - lo])
 
 
 @dataclass

@@ -69,6 +69,8 @@ class SolverConfig:
             raise ConfigError(
                 f"epsilon must be in the open interval (0, 1), got {self.epsilon}"
             )
+        if as_index(self.seed, "seed", ConfigError) < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.t_override is not None and as_index(
                 self.t_override, "t_override", ConfigError) < 1:
             raise ConfigError(

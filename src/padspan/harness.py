@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise HarnessError(f"k must be >= 1, got {self.k}")
         if not (0 < self.epsilon < 1):
             raise HarnessError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 0:
             raise HarnessError(f"trials must be >= 0, got {self.trials}")
         if self.dsn_slack < 0:

@@ -181,6 +181,7 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     res = _residual(problem, x)
     if res > 1e-6:
         raise SimplexStall(f"float residual {res} too large")
+    np.maximum(x, 0.0, out=x)  # the columns' bound, which x meets within res
     iters = solver.getInfo().simplex_iteration_count
     return LpSolution(x, float(cost @ x), iters, res)
 
@@ -386,18 +387,15 @@ def _solve_pnorm(instance: CpInstance, base: LpProblem, scope, dids) -> CpSoluti
         sol = solve_lp(base)
         cps = _unpack(instance, scope, dids, sol)
         t_val = sol.values[tcol]
-        g_val = float(np.sum(cps.x**p) ** (1.0 / p))
-        if best is None or g_val < best.value:
+        if best is None or cps.value < best.value:
             best = cps
-            best.value = g_val
-        if g_val - t_val <= 1e-9:
+        if cps.value - t_val <= 1e-9:
             break
         xs = cps.x[scope]
-        norm = max(g_val, 1e-12)
-        grad = (np.maximum(xs, 0.0) / norm) ** (p - 1.0)
+        grad = (xs / max(cps.value, 1e-12)) ** (p - 1.0)
         coeffs = {j: float(grad[j]) for j in range(len(scope)) if grad[j] > 0}
         coeffs[tcol] = -1.0
-        rhs = float(np.dot(grad, xs) - g_val)
+        rhs = float(np.dot(grad, xs) - cps.value)
         base.add_row(coeffs, "<=", rhs)
     assert best is not None
     return best

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import CpInstance
-from .graphs import Graph, GraphError, _hop_table, arborescences, as_edge_vector
+from .graphs import Graph, GraphError, _hop_table, arborescences, as_edge_vector, as_index
 from .localsim import RoundTranscript, rng_stream
 # perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 2)
 from .localsim import run_protocol  # noqa: F401
@@ -61,8 +61,9 @@ class SpannerOutput:
         raise RoundingError(f"edge {e} not in output")
 
 
-def edge_probability(n: int, x_e: float) -> float:
-    return min(math.sqrt(n) * math.log(n) * x_e, 1.0)
+def edge_probability(n: int, x_e: float | np.ndarray) -> float | np.ndarray:
+    """min(sqrt(n)*ln(n)*x_e, 1) of an edge value or an array of them."""
+    return np.minimum(math.sqrt(n) * math.log(n) * x_e, 1.0)
 
 
 def root_probability(n: int) -> float:
@@ -75,8 +76,12 @@ def _edge_coins(g: Graph, seed: int, iteration: int) -> np.ndarray:
 
     The smaller-ID endpoint owns the edge and computes coin e alone, from a
     fresh stream with the same key advanced to block e // 4; both the
-    centralized and the distributed rounding consume the same draws.
+    centralized and the distributed rounding consume the same draws. A seed
+    or iteration that is not a nonnegative integer raises RoundingError.
     """
+    for name, value in (("seed", seed), ("iteration", iteration)):
+        if as_index(value, name, RoundingError) < 0:
+            raise RoundingError(f"{name} must be nonnegative, got {value}")
     return rng_stream(seed, "round-edge", iteration).random(g.m)
 
 
@@ -87,8 +92,7 @@ def _draw(
     its in- and out-arborescences, as `arborescences` returns them."""
     x = as_edge_vector(g, x)
     n = g.n
-    scale = math.sqrt(n) * math.log(n)  # edge_probability's, bit for bit
-    sampled = _edge_coins(g, seed, iteration) < np.minimum(scale * x, 1.0)
+    sampled = _edge_coins(g, seed, iteration) < edge_probability(n, x)
     root_coins = rng_stream(seed, "round-root", iteration).random(n)
     roots = np.flatnonzero(root_coins < root_probability(n))
     _, node, _, edge, level = map(np.concatenate, zip(

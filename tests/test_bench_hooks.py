@@ -33,14 +33,14 @@ PINNED_DIGESTS = {
         "570b1cb9c11f3467f71994d5aabf7b9610b897917e3dafab737faf0ef779b22c",
     ],
     "dsn-gnp": [
-        "8f3b2625eb3541aaea05d6b9b0de2e3afea6bec34dc268e76f7bc6c135f6e0d3",
-        "4be817272aa5f49a513e253dc9e61e4ea2931761de7f1ea556b983cdd65aa343",
-        "451a1410c451554fcd9e43fd89f1339da54313a7c7794ed26e295935fee64ad6",
+        "c91db409846da2e539e86898e9075fe42405d5f18eaa4b95d533bdc090994680",
+        "5eb92b1a1afaf9636e09b016ab8c978bd16810f3fd1ee3d74ce57a87bde13a62",
+        "501635798d833dc64bbc6f17847a1f4d957f0b1cd3b343b63b66d0193317015f",
     ],
     "spanner-gnp": [
-        "9195f3239d8140618f5672813b39fe1f2b7e0d3562acd391aa35d019f450ffc5",
-        "7fde29eeb7ff7ce9342336d66c0a7d6bb58277f0397c16a13a980e084f988b08",
-        "b28ec67900ef9f7e41c1882a46a0e5834d2cc62b582f97b4d08a1f44848b890d",
+        "7c9ed36cb0396f8b169b86d785b1711ef8ac9b142090c1476e4c715666429d79",
+        "85599f0cb46e11a13e6804cd7a50c275f4f5e584fdaf6a6d32ab30b39da26877",
+        "2f03e17063a70ec77831dd946b7abf0c25dfa3d14add1dce89324ad33638584b",
     ],
 }
 

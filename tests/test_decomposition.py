@@ -208,6 +208,39 @@ class TestCentralizedSampler:
                 assert same_side
 
 
+#: Radius keys that are not nonnegative integers, with the error's message.
+BAD_KEYS = [({"seed": 1.5}, "seed 1.5 is not an integer"),
+            ({"seed": -3}, "seed -3 and iteration"),
+            ({"iteration": 0.5}, "iteration 0.5 must be nonnegative integers"),
+            ({"iteration": -2}, "iteration -2 must be nonnegative integers")]
+
+
+class TestRadiusKeys:
+    """`draw_radii` makes each sampler's first draw, so it types the keys:
+    numpy's seeding raised TypeError or a bare ValueError for these."""
+
+    @pytest.mark.parametrize("sampler", [sample_decomposition_centralized,
+                                         sample_decomposition_distributed])
+    @pytest.mark.parametrize("key, message", BAD_KEYS)
+    def test_samplers_reject_bad_keys(self, sampler, key, message):
+        g = gen_cycle(6, directed=False)
+        params = PaddedParams(k=1, epsilon=0.5, n=6)
+        with pytest.raises(DecompositionError, match=message):
+            sampler(g, params, **{"seed": 1, "iteration": 0, **key})
+
+    @pytest.mark.parametrize("key, message", BAD_KEYS[:2])
+    def test_batch_rejects_bad_seeds(self, key, message):
+        g = gen_cycle(6, directed=False)
+        params = PaddedParams(k=1, epsilon=0.5, n=6)
+        with pytest.raises(DecompositionError, match=message):
+            sample_assignments_batch(g, params, key["seed"], 3)
+
+    @pytest.mark.parametrize("its", [np.array([0.0, 1.0]), np.array([2, -1])])
+    def test_iteration_arrays_checked(self, its):
+        with pytest.raises(DecompositionError, match="must be nonnegative integers"):
+            draw_radii(PaddedParams(k=1, epsilon=0.5, n=6), 1, its)
+
+
 class TestValidateClustering:
     def path(self, n):
         g = Graph(n, [(i, i + 1) for i in range(n - 1)], directed=False)
@@ -642,7 +675,7 @@ class TestCarve:
         g = gen_gnp(18, 0.25, seed=2)
         params = PaddedParams(k=2, epsilon=0.5, n=18)
         assert carve_digest(g, params, 2, 3) == (
-            "dfebda3bdbdb54b3c586aae7aaf7fc496e6e2b808e2eff211de22374e45c49f0")
+            "0c08cbb831523ed67af0996dfc6e7a64511d058829427b1fd2df21be530e9767")
 
     def test_radii_of_wrong_shape_rejected(self):
         # a (1, 2n) radius row used to be read as its first n columns

@@ -125,6 +125,11 @@ class TestGenerators:
         with pytest.raises(HarnessError, match=f"{field} {value} is not an integer"):
             ExperimentConfig(**{"seed": 1, field: value})
 
+    def test_config_rejects_negative_seed(self):
+        # it was accepted, for `run_trial` to raise a bare ValueError
+        with pytest.raises(HarnessError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+
     @pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5])
     def test_gnp_rejects_p_outside_unit_interval(self, p):
         # a NaN p kept no pair and gave a graph with no edges
@@ -204,13 +209,13 @@ class TestRunExperiment:
             assert row.stretch_ok is not None
 
     def test_aggregates_cover_every_attempt(self, tmp_path):
-        # with t=3, trial 1's first attempt misses concentration and is
-        # retried: the last-attempt statistics hide it, the attempt
+        # with t=3 and seed 2, trial 1's first attempt misses concentration
+        # and is retried: the last-attempt statistics hide it, the attempt
         # statistics do not
         out = str(tmp_path / "r")
         cfg = ExperimentConfig(
             problem="directed-spanner", gen="gnp", n=8, p=0.4, k=2,
-            epsilon=0.5, trials=2, seed=1, t_override=3, out=out,
+            epsilon=0.5, trials=2, seed=2, t_override=3, out=out,
         )
         report = run_experiment(cfg)
         rows = report.rows

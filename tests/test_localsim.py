@@ -3,8 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import padspan
 import padspan.rounding as rounding
@@ -20,7 +18,6 @@ from padspan.localsim import (
     check_rounds,
     payload_scalars,
     rng_stream,
-    rng_uniforms,
     run_protocol,
     transcript_csv_row,
 )
@@ -196,9 +193,10 @@ class TestRngStream:
         assert rng_stream(1, "x").random() != rng_stream(2, "x").random()
 
     def test_numpy_stream_pinned(self):
-        # `rng_uniforms` reimplements numpy's SeedSequence and Philox, and
-        # every report pin rests on these streams: a numpy release that
-        # changes either must fail here, not drift the reports silently
+        # every report pin rests on numpy's SeedSequence and Philox: a numpy
+        # release that changes either must fail here, not drift the reports
+        # silently. These are the radii stream's first four positions, node
+        # 0..3's uniforms in iteration 0
         got = [float.hex(float(x))
                for x in rng_stream(1, "decomp-radius", 0).random(4)]
         assert got == ["0x1.1aaf153b188fbp-1", "0x1.fdf477ea46330p-5",
@@ -210,8 +208,6 @@ class TestRngStream:
         key = {"seed": 1, "iteration": 2, "node": 3, slot: bad}
         with pytest.raises(TypeError):
             rng_stream(key["seed"], "x", key["iteration"], key["node"])
-        with pytest.raises(TypeError):
-            rng_uniforms(key["seed"], "x", [key["iteration"]], 4, key["node"])
 
     @pytest.mark.parametrize("slot", ["seed", "iteration", "node"])
     def test_negative_key_raises_numpy_error(self, slot):
@@ -221,43 +217,6 @@ class TestRngStream:
         key = {"seed": 1, "iteration": 2, "node": 3, slot: -1}
         with pytest.raises(ValueError, match=message):
             rng_stream(key["seed"], "x", key["iteration"], key["node"])
-        with pytest.raises(ValueError, match=message):
-            rng_uniforms(key["seed"], "x", [0, key["iteration"]], 4,
-                         key["node"])
-
-
-class TestRngUniforms:
-    """The array kernel equals numpy's per-key streams, row by row."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**160 - 1), phase=st.text(max_size=8),
-           iterations=st.lists(st.integers(0, 2**34 - 1), max_size=5),
-           node=st.integers(0, 2**40), count=st.integers(0, 70))
-    def test_rows_equal_numpy_streams(self, seed, phase, iterations, node,
-                                      count):
-        got = rng_uniforms(seed, phase, iterations, count, node)
-        assert got.shape == (len(iterations), count)
-        for row, i in zip(got, iterations):
-            assert np.array_equal(row, rng_stream(seed, phase, i, node).random(count))
-
-    @pytest.mark.parametrize("iterations", [[], np.array([], dtype=np.int64)])
-    def test_empty_iterations(self, iterations):
-        assert rng_uniforms(1, "x", iterations, 5).shape == (0, 5)
-
-    def test_one_and_two_word_iterations_mixed(self):
-        its = np.array([2**32 + 1, 0, 2**32 - 1, 2**63 + 3, 7],
-                       dtype=np.uint64)
-        got = rng_uniforms(9, "decomp-radius", its, 13, 2)
-        for row, i in zip(got, its):
-            assert np.array_equal(
-                row, rng_stream(9, "decomp-radius", int(i), 2).random(13))
-
-    def test_radii_of_an_iteration_array(self):
-        params = PaddedParams(k=2, epsilon=0.5, n=10)
-        stacked = np.stack([draw_radii(params, 4, i) for i in range(6)])
-        assert np.array_equal(draw_radii(params, 4, np.arange(6)), stacked)
-        assert draw_radii(PaddedParams(k=2, epsilon=0.5, n=1), 4,
-                          np.arange(6)).shape == (6, 1)
 
 
 def local_uniform(seed, phase, iteration, index):
@@ -273,13 +232,33 @@ class TestLocalDraws:
     """Every radius and coin is computable by its node from its key alone,
     as the LOCAL model requires: no node needs another's draws."""
 
-    def test_radius_is_node_local(self):
+    @pytest.mark.parametrize("i", [0, 1, 7, 10**9])
+    def test_radius_is_node_local(self, i):
+        # node v's radius in iteration i is position i·n + v of one stream;
+        # i = 10**9 stays fast only if `draw_radii` advances to it
         n = 37
         params = PaddedParams(k=2, epsilon=0.5, n=n)
-        u = np.array([local_uniform(5, "decomp-radius", 3, v)
+        u = np.array([local_uniform(5, "decomp-radius", 0, i * n + v)
                       for v in range(n)])
-        assert np.array_equal(draw_radii(params, 5, 3),
+        assert np.array_equal(draw_radii(params, 5, i),
                               sample_radius(params, u))
+
+    def test_iteration_zero_is_the_stream_head(self):
+        # iteration 0's radii are the first n uniforms of the stream
+        params = PaddedParams(k=2, epsilon=0.5, n=11)
+        u = rng_stream(3, "decomp-radius", 0).random(params.n)
+        assert np.array_equal(draw_radii(params, 3, 0),
+                              sample_radius(params, u))
+
+    def test_radii_of_an_iteration_array(self):
+        params = PaddedParams(k=2, epsilon=0.5, n=10)
+        stacked = np.stack([draw_radii(params, 4, i) for i in range(6)])
+        assert np.array_equal(draw_radii(params, 4, np.arange(6)), stacked)
+        # any order and repeats: one draw over the span from 2 to 5
+        its = np.array([5, 2, 5])
+        assert np.array_equal(draw_radii(params, 4, its), stacked[its])
+        assert draw_radii(PaddedParams(k=2, epsilon=0.5, n=1), 4,
+                          np.arange(6)).shape == (6, 1)
 
     def test_coins_are_owner_local(self, monkeypatch):
         g = gen_gnp(12, 0.4, seed=1)
@@ -376,13 +355,60 @@ def test_one_round_ledger():
     assert sum("ProtocolTimeout" in f for f in own) == 1
 
 
+def _random_uses(tree: ast.AST, module: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every use of numpy's random module in
+    one syntax tree: `np.random` or `numpy.random`, and any import of it."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            uses = (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            uses = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            uses = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            uses = False
+        if uses:
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_rng_stream_draws():
+    """Within `src/padspan` only `rng_stream` touches `np.random`, so every
+    draw is keyed and byte-stable."""
+    package = Path(padspan.__file__).parent
+    found = set().union(*(_random_uses(ast.parse(path.read_text()), path.name)
+                          for path in sorted(package.glob("*.py"))))
+    assert found == {("localsim.py", "rng_stream")}
+
+
+def test_random_uses_are_found():
+    tree = ast.parse(
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "def f():\n"
+        "    return np.random.default_rng(1)\n"
+        "def g():\n"
+        "    from numpy.random import Philox\n"
+        "def h(x):\n"
+        "    return numpy.random.rand(), x.random(), random.random()\n")
+    assert _random_uses(tree, "m.py") == {
+        ("m.py", "<module>"), ("m.py", "f"), ("m.py", "g"), ("m.py", "h")}
+
+
 #: The untyped raises `src/padspan` may keep, as (module, function,
-#: exception): `_checked_endpoints` raises TypeError and catches it itself,
-#: and `rng_uniforms` rejects float iterations as `rng_stream`'s numpy
-#: seeding does.
+#: exception): `_checked_endpoints` raises TypeError and catches it itself.
 UNTYPED_RAISES = {
     ("graphs.py", "_checked_endpoints", "TypeError"),
-    ("localsim.py", "rng_uniforms", "TypeError"),
 }
 
 

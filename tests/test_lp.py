@@ -339,6 +339,14 @@ class TestClusterCp:
         )
         assert sol.value == pytest.approx(grid, abs=1e-4)
 
+    def test_pnorm_three_oracle_clamps_slightly_negative_x(self):
+        # a Kelley solve returns x_20 = -4.6e-9 within the accepted residual,
+        # past the zero snap: `evaluate_objective` rejected it as negative
+        inst = build_spanner_instance(gen_gnp(9, 0.35, 3), 2, p_norm(3))
+        sol = solve_global_oracle(inst)
+        assert sol.x.min() >= 0.0
+        assert check_feasibility(inst, sol.x, tol=1e-7).feasible
+
 
 class TestFeasibility:
     def test_all_ones_feasible(self):

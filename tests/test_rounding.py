@@ -77,6 +77,21 @@ class TestRoundSpanner:
         with pytest.raises(GraphError, match="depth 1.5 is not an integer"):
             rounder(g, np.zeros(g.m), 1.5, seed=1)
 
+    @pytest.mark.parametrize("rounder", [
+        rounding.round_spanner, rounding.round_spanner_distributed,
+        rounding.round_low_degree])
+    @pytest.mark.parametrize("key, message", [
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"iteration": 0.5}, "iteration 0.5 is not an integer"),
+        ({"iteration": -2}, "iteration must be nonnegative, got -2")])
+    def test_bad_coin_keys_rejected(self, rounder, key, message):
+        # the edge coins are every rounding's first draw; numpy's seeding
+        # raised TypeError or a bare ValueError for these
+        g = gen_gnp(9, 0.4, seed=21)
+        with pytest.raises(RoundingError, match=message):
+            rounder(g, np.zeros(g.m), 2, **{"seed": 1, "iteration": 0, **key})
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_rejected(self, bad):
         g = gen_gnp(9, 0.4, seed=21)
