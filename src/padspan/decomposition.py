@@ -180,16 +180,19 @@ def _assign(g: Graph, radii: np.ndarray, pi_order: np.ndarray) -> np.ndarray:
     distances that read only the columns of the nodes still unassigned.
     Each node a block reaches takes its first reaching center, and the loop
     ends once every node has one: every node reaches itself, and hop
-    distances are symmetric, so d(center, u) decides. A node no center
-    reaches (a NaN radius) keeps rank 0, as a full scan's argmax gives it.
+    distances are symmetric, so d(center, u) decides. Each radius is
+    clipped at n - 1, which every finite distance is within and the
+    matrix's unreachable sentinel is past. A node no center reaches (a NaN
+    radius) keeps rank 0, as a full scan's argmax gives it.
     """
     dist = g.distance_matrix()
+    reach = np.minimum(radii, g.n - 1)
     rank = np.zeros(g.n, dtype=np.int64)
     left = np.arange(g.n)
     a = 0
     while len(left) and a < g.n:
         centers = pi_order[a:a + max(1, _PAIR_BLOCK // len(left))]
-        reached = dist[np.ix_(centers, left)] <= radii[centers, None]
+        reached = dist[np.ix_(centers, left)] <= reach[centers, None]
         first = np.argmax(reached, axis=0)
         hit = reached[first, np.arange(len(left))]
         rank[left[hit]] = a + first[hit]
@@ -519,15 +522,16 @@ def sample_assignments_batch(
     out = np.empty((count, g.n), dtype=np.int64)
     for s in range(count):
         out[s] = _assign(g, radii[s], _carving_order(seed, s, g.n, permutation))
-    cap2 = 2 * params.radius_cap
+    cap, cap2 = params.radius_cap, 2 * params.radius_cap
     # as in `validate_clustering`: twice the largest center distance bounds
-    # a sample's diameters, and only the samples it leaves open are measured
-    bound = 2 * g.distance_matrix()[out, np.arange(g.n)].max(axis=1, initial=0)
-    unsettled = np.flatnonzero(bound > cap2)
+    # a sample's diameters, only the samples it leaves open are measured,
+    # and each bound is clipped at n - 1
+    far = g.distance_matrix()[out, np.arange(g.n)].max(axis=1, initial=0)
+    unsettled = np.flatnonzero(far > min(cap, g.n - 1))
     for s, diams in zip(unsettled.tolist(),
                         cluster_diameters_batch(g, out[unsettled])):
         diam = max(diams.values())
-        if diam > cap2:
+        if diam > min(cap2, g.n - 1):
             raise DecompositionError(
                 f"sample {s}: cluster diameter {diam} exceeds {cap2}"
             )
@@ -604,10 +608,12 @@ def validate_clustering(
     if foreign.any():
         u = int(np.argmax(foreign))
         raise DecompositionError(f"node {u}: cluster id {assign[u]} is not a node")
+    # each bound is clipped at n - 1, which every finite distance is within
+    # and the matrix's unreachable sentinel is past
     cap = params.radius_cap
     d_c = g.distance_matrix()[assign, np.arange(n)]
     r_c = radii[assign]
-    bad = ~((d_c <= r_c) & (r_c <= cap + 1e-12))
+    bad = ~((d_c <= np.minimum(r_c, n - 1)) & (r_c <= cap + 1e-12))
     if bad.any():
         u = int(np.argmax(bad))
         raise DecompositionError(
@@ -616,10 +622,10 @@ def validate_clustering(
     # d(u, v) <= d(u, c) + d(c, v) bounds each diameter by twice its
     # largest center distance; only a cap within 1e-12 below an integer
     # leaves room for a breach, and then the diameters decide
-    if 2 * d_c.max(initial=0) <= 2 * cap:
+    if d_c.max(initial=0) <= min(cap, n - 1):
         return
     for c, d_max in cluster_diameters(g, clustering).items():
-        if d_max > 2 * cap:
+        if d_max > min(2 * cap, n - 1):
             raise DecompositionError(
                 f"cluster {c} has hop diameter {d_max} > {2 * cap}"
             )
@@ -641,10 +647,17 @@ def cluster_diameters_batch(g: Graph, assignments: np.ndarray) -> list[dict[int,
     one run, smallest node first, and a block of consecutive pairs reads its
     distances to the span of runs it covers and keeps per pair the largest
     inside its own run. Either way a block reads at most `_PAIR_BLOCK`
-    distances, unless one run is longer.
+    distances, unless one run is longer. A label that is not a node raises
+    DecompositionError: the pairs are keyed by row * n + label, so it would
+    share another row's key.
     """
-    dist = g.distance_matrix()
     s, n = assignments.shape
+    foreign = (assignments < 0) | (assignments >= n)
+    if foreign.any():
+        row, u = divmod(int(np.argmax(foreign)), n)
+        raise DecompositionError(
+            f"row {row}, node {u}: cluster id {assignments[row, u]} is not a node")
+    dist = g.distance_matrix()
     label = (np.arange(s)[:, None] * n + assignments).ravel()
     order = np.argsort(label, kind="stable")
     node = order % n

@@ -16,9 +16,14 @@ from typing import Iterable
 
 import numpy as np
 
-#: Sentinel for "unreachable" in integer distance matrices. Larger than any
-#: radius the library ever compares against.
+#: Sentinel for "unreachable" in the int64 hop tables of `_hop_table`.
+#: Larger than any radius the library ever compares against.
 UNREACHABLE = np.int64(2**40)
+
+#: Sentinel for "unreachable" in the int16 `Graph.distance_matrix`. Every
+#: finite entry is at most n - 1, below it, so a bound clipped at n - 1
+#: compares exactly with both.
+UNREACHABLE_HOPS = np.int16(np.iinfo(np.int16).max)
 
 
 class GraphError(ValueError):
@@ -64,10 +69,13 @@ class Graph:
         return indices[indptr[u]:indptr[u + 1]].tolist()
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs hop distances in the undirected shadow.
+        """All-pairs hop distances in the undirected shadow, as an (n, n)
+        int16 array.
 
-        Entry [u, v] is the shortest hop count, or UNREACHABLE. Computed once
-        and cached; the cache fill is idempotent.
+        Entry [u, v] is the shortest hop count, at most n - 1, or
+        UNREACHABLE_HOPS (32767). A graph with more than 32767 nodes raises
+        GraphError before anything is allocated. Computed once and cached;
+        the cache fill is idempotent.
 
         One level-synchronous BFS runs from all sources at once. Row v of the
         frontier and visited bitsets packs, over sources, the searches that
@@ -75,22 +83,27 @@ class Graph:
         gathered through a padded neighbour table whose pad points at an
         all-zero row, and writes level into the (v, source) pairs it newly
         reaches; the metric is symmetric, so those writes run along rows.
-        Temporaries stay at n * ceil(n/8) bytes, and a level costs about
-        (max degree + 8) * n * ceil(n/8) byte operations.
+        Besides the 2n² bytes of the result, the temporaries are four
+        n * ceil(n/8)-byte bitsets and the 2 * (max degree) * n-byte int16
+        neighbour table, and a level costs about (max degree + 8) * n *
+        ceil(n/8) byte operations.
         """
         if self._dist is None:
             n, width = self.n, (self.n + 7) // 8
+            if n > UNREACHABLE_HOPS:
+                raise GraphError(f"distance_matrix holds int16 hop counts: n={n} "
+                                 f"must be at most {UNREACHABLE_HOPS}")
             indptr, indices = self.shadow_csr()
             degree = np.diff(indptr)
             row = np.repeat(np.arange(n), degree)
             # column u holds u's neighbours, then the pad n
-            nbrs = np.full((degree.max(), n), n, dtype=np.intp)
+            nbrs = np.full((degree.max(), n), n, dtype=np.int16)
             nbrs[np.arange(len(indices)) - indptr[row], row] = indices
             ids = np.arange(n)
             front = np.zeros((n + 1, width), dtype=np.uint8)  # row n: the pad
             front[ids, ids // 8] = 0x80 >> (ids % 8)
             seen = front[:n].copy()
-            d = np.full((n, n), UNREACHABLE, dtype=np.int64)
+            d = np.full((n, n), UNREACHABLE_HOPS, dtype=np.int16)
             np.fill_diagonal(d, 0)
             level = 0
             while True:

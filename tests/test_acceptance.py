@@ -91,7 +91,7 @@ def test_criterion_2_diameter_bound():
     checked = 0
     for (name, k, eps), (g, params, assignments) in store.items():
         dist = np.asarray(g.distance_matrix(), dtype=np.float64)
-        finite = dist < float(2**39)
+        finite = dist < g.n
         cap2 = 2 * ((2 * k / eps) * math.log(g.n) + k)
         for s in range(assignments.shape[0]):
             a = assignments[s]

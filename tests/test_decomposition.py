@@ -36,7 +36,7 @@ from padspan.decomposition import (
 )
 from padspan.cp import build_spanner_instance
 from padspan.distributed import SolverConfig
-from padspan.graphs import UNREACHABLE, Graph
+from padspan.graphs import UNREACHABLE_HOPS, Graph
 from padspan.harness import gen_cycle, gen_gnp, gen_grid
 from padspan.localsim import RoundTranscript, rng_stream
 from padspan.lp import cluster_demands
@@ -284,6 +284,16 @@ class TestValidateClustering:
         with pytest.raises(DecompositionError) as err:
             self.check(g, params, [0, 0, 0], [10, 0, 0])
         assert str(err.value) == "node 0: d(center 0, u)=0 vs radius 10.0"
+
+    def test_radius_past_the_sentinel_rejects_another_component(self):
+        # the radius 1e6 and the cap 2.8e6 are both above the matrix's
+        # unreachable sentinel, 32767
+        g = Graph(4, [(0, 1), (2, 3)], directed=False)
+        params = PaddedParams(k=1, epsilon=1e-6, n=4)
+        assert params.radius_cap > np.iinfo(np.int16).max
+        with pytest.raises(DecompositionError,
+                           match=rf"node 3: d\(center 0, u\)={UNREACHABLE_HOPS} "):
+            self.check(g, params, [0, 0, 2, 0], [1e6, 0, 1e6, 0])
 
     def test_params_for_another_n_rejected(self):
         # n=10**9 lifts the cap from 17.6 to 83.9, so one radius-40 cluster
@@ -804,14 +814,16 @@ class TestPaddingStatistics:
         # well-formed sampling never trips the guard
         sample_assignments_batch(g, params, seed=0, count=50)
 
-    def test_batch_guard_counts_unreachable_pairs(self, monkeypatch):
-        # a cluster spanning two components has an unbounded diameter
+    @pytest.mark.parametrize("epsilon", [0.5, 1e-6])
+    def test_batch_guard_counts_unreachable_pairs(self, monkeypatch, epsilon):
+        # a cluster spanning two components has an unbounded diameter; at
+        # epsilon=1e-6 twice the radius cap is past the matrix's sentinel
         g = Graph(4, [(0, 1), (2, 3)], directed=False)
-        params = PaddedParams(k=1, epsilon=0.5, n=4)
+        params = PaddedParams(k=1, epsilon=epsilon, n=4)
         monkeypatch.setattr(decomposition, "_assign",
                             lambda *args: np.zeros(4, dtype=np.int64))
         with pytest.raises(DecompositionError,
-                           match=f"sample 0: cluster diameter {UNREACHABLE} exceeds"):
+                           match=f"sample 0: cluster diameter {UNREACHABLE_HOPS} exceeds"):
             sample_assignments_batch(g, params, seed=0, count=3)
 
     def test_five_hundred_samples_n64_within_diameter_cap(self):
@@ -846,7 +858,7 @@ class TestClusterDiameters:
     )
     def test_matches_brute_force(self, data, n, p, labels, s, seed):
         # labels need not be nodes of their cluster, and clusters may span
-        # components (UNREACHABLE pairs)
+        # components (pairs at UNREACHABLE_HOPS)
         g = gen_gnp(n, p, seed=seed, directed=False)
         rows = data.draw(st.lists(
             st.lists(st.integers(0, min(labels, n) - 1), min_size=n, max_size=n),
@@ -872,6 +884,17 @@ class TestClusterDiameters:
             want[c] = int(dist[np.ix_(idx, idx)].max())
         got = cluster_diameters(g, Clustering(assign, np.zeros(1024)))
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("rows, label", [
+        ([[0, 0, 5, 5], [1, 1, 1, 1]], "row 0, node 2: cluster id 5 "),
+        ([[0, 0, 5, 5]], "row 0, node 2: cluster id 5 "),
+        ([[1, 1, 1, 1], [0, -1, 1, 1]], "row 1, node 1: cluster id -1 "),
+    ])
+    def test_labels_that_are_not_nodes_raise(self, rows, label):
+        # keyed by row * n + label, label 5 of row 0 was row 1's label 1,
+        # and its cluster was lost
+        with pytest.raises(DecompositionError, match=label):
+            cluster_diameters_batch(gen_grid(1, 4), np.array(rows))
 
 
 class TestSerialization:
@@ -1041,6 +1064,15 @@ class TestAssignBlocks:
         assert np.array_equal(got, assign_full_scan(g, r, pi))
         if radii == "zero":
             assert np.array_equal(got, np.arange(n))
+
+    @pytest.mark.parametrize("pi", [[0, 1, 2, 3], [0, 3, 2, 1], [1, 0, 3, 2]])
+    def test_radius_past_the_sentinel_stays_in_its_component(self, pi):
+        # radii of 1e6, above the matrix's unreachable sentinel, as epsilon
+        # = 1e-6 draws them, reach their whole component and nothing more
+        g = Graph(4, [(0, 1), (2, 3)], directed=False)
+        pi = np.array(pi)
+        got = decomposition._assign(g, np.full(4, 1e6), pi)
+        assert got.tolist() == [pi[0]] * 2 + [pi[pi >= 2][0]] * 2
 
     def test_grid_blocks_match_full_scan(self, monkeypatch):
         # blocks of one to a few centers while many nodes are left

@@ -4,6 +4,8 @@ import itertools
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from padspan.graphs import (
     Graph,
     GraphError,
     UNREACHABLE,
+    UNREACHABLE_HOPS,
     _frontier_bfs,
     _hop_table,
     arborescences,
@@ -254,7 +257,8 @@ class TestDistances:
 
     def test_disconnected_is_inf(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert g.distance_matrix()[0, 3] == UNREACHABLE
+        d = g.distance_matrix()
+        assert d.dtype == np.int16 and d[0, 3] == UNREACHABLE_HOPS == 32767
 
     def test_invalid_node(self):
         g = path_graph(3)
@@ -268,12 +272,12 @@ class TestDistances:
             d = g.distance_matrix()
             assert np.array_equal(d, d.T)
             assert np.all(np.diag(d) == 0)
-            finite = d < UNREACHABLE
+            finite = d < g.n
             for u in range(g.n):
                 for v in range(g.n):
                     for w in range(g.n):
                         if finite[u, v] and finite[v, w]:
-                            assert d[u, w] <= d[u, v] + d[v, w]
+                            assert d[u, w] <= int(d[u, v]) + int(d[v, w])
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(1)
@@ -288,21 +292,47 @@ class TestDistances:
         ]
         for g in graphs:
             d = g.distance_matrix()
-            assert d.dtype == np.int64 and d.shape == (g.n, g.n)
+            assert d.dtype == np.int16 and d.shape == (g.n, g.n)
             for s in range(g.n):
                 oracle = bfs_oracle(g, s)
                 for v in range(g.n):
                     if v in oracle:
                         assert d[s, v] == oracle[v]
                     else:
-                        assert d[s, v] == UNREACHABLE
+                        assert d[s, v] == UNREACHABLE_HOPS
 
     def test_grid_matrix_pinned(self):
-        # sha256 of the 32x32 grid's matrix bytes, pinned from the
+        # sha256 of the 32x32 grid's matrix bytes as int64, pinned from the
         # per-source Python BFS that the bitset BFS replaced
         d = gen_grid(32, 32).distance_matrix()
-        assert hashlib.sha256(d.tobytes()).hexdigest() == (
+        assert hashlib.sha256(d.astype(np.int64).tobytes()).hexdigest() == (
             "50ff989e9d100106be67a94ebcc7ca7cd3a989a3e2c2c3a183294a1cbd783a0d")
+
+    def test_build_peak_is_below_four_bytes_per_pair(self):
+        # the int16 matrix is 2n² bytes; the bitsets and neighbour table
+        # stay well under the other 2n²
+        g = gen_grid(32, 32)
+        tracemalloc.start()
+        try:
+            d = g.distance_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.dtype == np.int16
+        assert peak < 4 * g.n * g.n
+
+    def test_too_many_nodes_for_int16_raises_before_allocating(self):
+        g = Graph(32768, [])
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="n=32768"):
+                g.distance_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the matrix would be 2 GiB
+        assert time.perf_counter() - start < 0.5
 
     def test_build_leaves_scipy_unimported(self):
         code = ("import sys; from padspan.harness import gen_grid; "
@@ -354,7 +384,7 @@ class TestBall:
         radius = data.draw(st.sampled_from([0, 0.5, 1, 1.5, 2, 3, g.n, float("inf")]))
         row = g.distance_matrix()[u]
         # an infinite radius still leaves out the nodes u cannot reach
-        within = (row <= radius) & (row < UNREACHABLE)
+        within = (row <= radius) & (row < g.n)
         assert ball(g, u, radius) == frozenset(np.flatnonzero(within).tolist())
 
     def test_never_reads_the_distance_matrix(self, monkeypatch):
