@@ -29,6 +29,7 @@ from .harness import (
     generate_instance,
     run_experiment,
     run_trial,
+    trial_seed,
 )
 from .rounding import verify_stretch
 
@@ -61,7 +62,7 @@ def cmd_decompose(args) -> int:
     params = PaddedParams(k=args.k, epsilon=args.epsilon, n=g.n)
     failures = 0
     for trial in range(max(1, args.trials)):
-        seed = args.seed + trial
+        seed = trial_seed(args.seed, trial, 0)
         central = sample_decomposition_centralized(g, params, seed, permutation="ids")
         dist, transcript = sample_decomposition_distributed(g, params, seed)
         try:
@@ -124,8 +125,8 @@ def cmd_verify(args) -> int:
         return 2
     if args.problem == "directed-spanner":
         instance = build_spanner_instance(read_graph(args.graph), args.k)
-    else:
-        _, instance = generate_instance(_config(args), args.seed)
+    else:  # the instance of trial 0, which `round` rounds
+        _, instance = generate_instance(_config(args), trial_seed(args.seed, 0, 0))
     g = instance.graph
     with open(args.edges, "r", encoding="ascii") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]

@@ -640,61 +640,60 @@ def cluster_diameters(g: Graph, clustering: Clustering) -> dict[int, int]:
 def cluster_diameters_batch(g: Graph, assignments: np.ndarray) -> list[dict[int, int]]:
     """`cluster_diameters` of every row of an (s, n) assignment array.
 
-    Each (row, node) pair finds its eccentricity inside its own cluster, and
-    a cluster's diameter is the largest of its members'. On small graphs a
-    block of whole rows compares every pair of their nodes at once. On large
-    ones a stable sort of the pairs by (row, cluster id) makes each cluster
-    one run, smallest node first, and a block of consecutive pairs reads its
-    distances to the span of runs it covers and keeps per pair the largest
-    inside its own run. Either way a block reads at most `_PAIR_BLOCK`
-    distances, unless one run is longer. A label that is not a node raises
-    DecompositionError: the pairs are keyed by row * n + label, so it would
-    share another row's key.
+    Each distinct row is measured once, keyed by the bytes of its labels as
+    int16 (every node of a graph `distance_matrix` accepts), and every row
+    gets its own copy of its clustering's dict. A stable sort of the
+    distinct rows' (row, node) pairs by (row, cluster id) makes each cluster
+    one run, smallest node first; a block of consecutive pairs reads its
+    distances to the span of runs it covers, and the largest inside a
+    pair's own run is its eccentricity in its cluster. A block reads at most
+    `_PAIR_BLOCK` distances, unless one run is longer. A label that is not a
+    node raises DecompositionError: the pairs are keyed by row * n + label,
+    so it would share another row's key, and the int16 key would merge rows
+    whose labels are not integers.
     """
-    s, n = assignments.shape
+    n = assignments.shape[1]
+    if assignments.dtype.kind not in "biu":
+        raise DecompositionError(f"cluster ids must be integers, got {assignments.dtype}")
     foreign = (assignments < 0) | (assignments >= n)
     if foreign.any():
         row, u = divmod(int(np.argmax(foreign)), n)
         raise DecompositionError(
             f"row {row}, node {u}: cluster id {assignments[row, u]} is not a node")
     dist = g.distance_matrix()
-    label = (np.arange(s)[:, None] * n + assignments).ravel()
+    key = np.ascontiguousarray(assignments, dtype=np.int16)
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, 2 * n))).ravel(),
+                                  return_index=True, return_inverse=True)
+    s = len(first)
+    label = (np.arange(s)[:, None] * n + assignments[first]).ravel()
     order = np.argsort(label, kind="stable")
     node = order % n
     keys, start, size = np.unique(
         label[order], return_index=True, return_counts=True)
-    if n * n <= _PAIR_BLOCK:
-        ecc = np.empty((s, n), dtype=np.int64)
-        step = _PAIR_BLOCK // (n * n)
-        for j in range(0, s, step):
-            a = assignments[j:j + step]
-            same = a[:, :, None] == a[:, None, :]
-            ecc[j:j + step] = np.where(same, dist, -1).max(axis=2)
-        ecc = ecc.ravel()[order]
-    else:
-        which = np.repeat(np.arange(len(keys)), size)  # each pair's run
-        run_start, run_end = start[which], (start + size)[which]
-        ecc = np.empty(s * n, dtype=np.int64)
-        a = 0
-        while a < s * n:
-            # pairs a..b-1 read the columns run_start[a]..run_end[b-1]
-            rows = min(_PAIR_BLOCK // n, s * n - a)
-            reads = np.arange(1, rows + 1) * (run_end[a:a + rows] - run_start[a])
-            b = a + max(1, int(np.searchsorted(reads, _PAIR_BLOCK, "right")))
-            lo = run_start[a]
-            block = dist.take(node[a:b], 0).take(node[lo:run_end[b - 1]], 1)
-            spans = np.maximum.reduceat(
-                block, start[which[a]:which[b - 1] + 1] - lo, axis=1)
-            ecc[a:b] = spans[np.arange(b - a), which[a:b] - which[a]]
-            a = b
+    which = np.repeat(np.arange(len(keys)), size)  # each pair's run
+    run_start, run_end = start[which], (start + size)[which]
+    ecc = np.empty(s * n, dtype=np.int64)
+    a = 0
+    while a < s * n:
+        # pairs a..b-1 read the columns run_start[a]..run_end[b-1]
+        rows = min(_PAIR_BLOCK // n, s * n - a)
+        reads = np.arange(1, rows + 1) * (run_end[a:a + rows] - run_start[a])
+        b = a + max(1, int(np.searchsorted(reads, _PAIR_BLOCK, "right")))
+        lo = run_start[a]
+        block = dist.take(node[a:b], 0).take(node[lo:run_end[b - 1]], 1)
+        spans = np.maximum.reduceat(
+            block, start[which[a]:which[b - 1] + 1] - lo, axis=1)
+        ecc[a:b] = spans[np.arange(b - a), which[a:b] - which[a]]
+        a = b
     diam = np.maximum.reduceat(ecc, start)
     row, ids = np.divmod(keys, n)
     # per row, clusters in the order of their smallest members
     by = np.lexsort((node[start], row))
     bounds = np.searchsorted(row[by], np.arange(s + 1))
     ids, diam = ids[by].tolist(), diam[by].tolist()
-    return [dict(zip(ids[p:q], diam[p:q]))
-            for p, q in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    measured = [dict(zip(ids[p:q], diam[p:q]))
+                for p, q in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return [dict(measured[i]) for i in inverse.tolist()]
 
 
 def padded_nodes(g: Graph, clustering: Clustering, k: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import CpInstance
+from .cp import CpInstance, _simple_bound
 from .graphs import Graph, GraphError, _hop_table, arborescences, as_edge_vector, as_index
 from .localsim import RoundTranscript, rng_stream
 # perfbench/spans.py wraps rounding.run_protocol by name (ROADMAP item 2)
@@ -173,8 +173,8 @@ def verify_stretch(instance: CpInstance, out_edges) -> tuple[bool, list[int]]:
     demand with a wholly kept allowed path is met, since every allowed path
     is simple and within its bound. The others are searched: distances are
     hops along the output edges' arcs in `instance.graph.arc_csr("out")`,
-    from one search of their sources. Edge indices outside 0..m-1 raise
-    GraphError.
+    from one search of their sources, with each bound cut to n - 1, which
+    no hop distance exceeds. Edge indices outside 0..m-1 raise GraphError.
     """
     g = instance.graph
     chosen = np.fromiter(map(operator.index, out_edges), dtype=np.int64)
@@ -193,7 +193,8 @@ def verify_stretch(instance: CpInstance, out_edges) -> tuple[bool, list[int]]:
     indptr, heads, ids = g.arc_csr("out")
     kept = kept_edge[ids]
     demands = [instance.demands[i] for i in left.tolist()]
-    u, v, bound = np.array([(d.u, d.v, d.bound) for d in demands], dtype=np.int64).T
+    u, v, bound = np.array([(d.u, d.v, _simple_bound(g, d.bound)) for d in demands],
+                           dtype=np.int64).T
     hops = _hop_table(np.r_[0, np.cumsum(kept)][indptr], heads[kept], u,
                       int(bound.max()))(np.arange(len(u)), v)
     violations = left[hops > bound].tolist()

@@ -8,9 +8,15 @@ import pytest
 import padspan.cli as cli
 import padspan.harness as harness
 from padspan.cli import main as cli_main
+from padspan.decomposition import (
+    PaddedParams,
+    clustering_csv,
+    sample_decomposition_distributed,
+)
 from padspan.distributed import ConfigError
 from padspan.graphs import Graph, write_graph
 from padspan.localsim import TRANSCRIPT_CSV_HEADER, rng_stream
+from padspan.rounding import verify_stretch
 from padspan.harness import (
     REPORT_CSV_HEADER,
     ExperimentConfig,
@@ -100,6 +106,23 @@ class TestGenerators:
         with pytest.raises(HarnessError):
             generate_instance(cfg, 1)
 
+    def test_empty_graphs_exhaust_the_retries(self, monkeypatch):
+        # p = 0 gives no edges, so no spanner instance; the first attempt
+        # and RETRY_CAP retries are drawn before the error
+        seeds = []
+        real = harness.generate_graph
+
+        def recorded(config, seed):
+            seeds.append(seed)
+            return real(config, seed)
+
+        monkeypatch.setattr(harness, "generate_graph", recorded)
+        cfg = ExperimentConfig(problem="directed-spanner", gen="gnp", n=6, p=0.0,
+                               seed=1)
+        with pytest.raises(HarnessError, match="generator kept producing empty graphs"):
+            generate_instance(cfg, 5)
+        assert seeds == [5 + 7919 * a for a in range(harness.RETRY_CAP + 1)]
+
     def test_config_validation(self):
         with pytest.raises(HarnessError):
             ExperimentConfig(problem="nonsense", seed=1)
@@ -160,6 +183,15 @@ class TestRunExperiment:
         cfg.t_override = 0
         with pytest.raises(ConfigError, match="t_override"):
             run_trial(cfg, 0, 0)
+
+    def test_grid_trial(self):
+        cfg = ExperimentConfig(problem="directed-spanner", gen="grid", n=9, k=2,
+                               epsilon=0.5, seed=3, t_override=8)
+        row, manifest, _, _ = run_trial(cfg, 0, 0)
+        g = gen_grid(3, 3)
+        assert (row.n, row.m, manifest["t"]) == (g.n, g.m, 8)
+        assert row.ratio <= 1.5 + 1e-6 and row.stretch_ok
+        assert len(manifest["iterations"]) == 8
 
     def test_failure_names_trial_and_retry(self, monkeypatch):
         # trial 0 misses concentration, then its retry raises: the error
@@ -326,6 +358,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "clusters=" in out
 
+    def test_decompose_writes_each_trials_csv(self, tmp_path, capsys):
+        # trial i draws from trial_seed(seed, i, 0), as experiment's trials do
+        out = str(tmp_path / "c.csv")
+        assert cli_main(["decompose", "--gen", "grid", "--n", "36", "--k", "1",
+                         "--epsilon", "0.5", "--seed", "7", "--trials", "2",
+                         "--out", out]) == 0
+        g = gen_grid(6, 6)
+        params = PaddedParams(k=1, epsilon=0.5, n=36)
+        lines = capsys.readouterr().out.splitlines()
+        for trial in range(2):
+            clustering, transcript = sample_decomposition_distributed(
+                g, params, harness.trial_seed(7, trial, 0))
+            assert open(f"{out}.{trial}").read() == clustering_csv(clustering)
+            assert lines[trial] == (f"trial {trial}: clusters={len(clustering.centers)} "
+                                    f"rounds={transcript.rounds_elapsed}")
+        assert not os.path.exists(out)
+
     def test_solve_cp_ok(self, capsys):
         rc = cli_main([
             "solve-cp", "--gen", "gnp", "--n", "10", "--p", "0.35",
@@ -399,6 +448,30 @@ class TestCli:
             "--seed", "5",
         ])
         assert rc2 == 0
+
+    def test_verify_dsn_checks_trial_zeros_demands(self, tmp_path, capsys):
+        # verify checks the demands of trial 0, which round rounds: one
+        # allowed path per demand of that trial meets them all, and not
+        # those drawn from the bare seed; one edge of them does not
+        g = gen_gnp(10, 0.35, seed=5)
+        gpath = str(tmp_path / "g.graph")
+        write_graph(g, gpath)
+        cfg = ExperimentConfig(problem="dsn", gen="file", graph_path=gpath, seed=5)
+        _, instance = generate_instance(cfg, harness.trial_seed(5, 0, 0))
+        kept = sorted({e for fam in instance.family_edges for e in fam[0]})
+        _, bare = generate_instance(cfg, 5)
+        assert not verify_stretch(bare, kept)[0]
+        ok, violated = verify_stretch(instance, kept[:1])
+        assert not ok
+        epath = str(tmp_path / "edges.txt")
+        for edges, rc, verdict in ((kept, 0, "all satisfied"),
+                                   (kept[:1], 1, f"{len(violated)} violated")):
+            with open(epath, "w") as fh:
+                fh.write("".join(f"{g.edges[e][0]} {g.edges[e][1]}\n" for e in edges))
+            assert cli_main(["verify", "--problem", "dsn", "--graph", gpath,
+                             "--seed", "5", "--edges", epath]) == rc
+            assert capsys.readouterr().out == (
+                f"checked {len(instance.demands)} demands; {verdict}\n")
 
     def test_round_prints_first_trial(self, tmp_path, capsys):
         g = gen_gnp(10, 0.35, seed=5)

@@ -291,6 +291,22 @@ class TestVerifyStretch:
         assert verify_stretch(inst, [2]) == (True, [])
         assert verify_stretch(inst, [0]) == (False, [0])
 
+    @pytest.mark.parametrize("bound", [2**63, 10**30])
+    def test_huge_bounds_searched_as_n_minus_one(self, bound):
+        # a bound past int64 once overflowed the searched (u, v, bound)
+        # array; no hop distance exceeds n - 1, so the verdicts are those of
+        # bound n - 1
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        dsn = build_dsn_instance(g, [(0, 2, bound), (1, 3, bound)])
+        assert verify_stretch(dsn, []) == (False, [0, 1])
+        assert verify_stretch(dsn, [0, 1]) == (False, [1])
+        assert verify_stretch(dsn, [0, 1, 2]) == (True, [])
+        spanner = build_spanner_instance(g, bound)
+        assert verify_stretch(spanner, []) == (False, [0, 1, 2, 3])
+        assert verify_stretch(spanner, [0, 1, 3]) == (False, [2])
+        # edge (0, 3)'s only detour has 3 = n - 1 hops
+        assert verify_stretch(spanner, [0, 1, 2]) == (True, [])
+
     def test_planted_missing_demand_found_by_search(self, monkeypatch):
         # below n = 289 every node roots a tree, so the rounding keeps every
         # edge and every demand has a wholly kept family path
