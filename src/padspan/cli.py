@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: decompose, solve-cp, round, experiment, verify. Exit codes:
-0 all checks pass, 1 a check failed, 2 usage error.
+Subcommands: decompose, solve-cp, round, experiment, verify. Each takes only
+the options it reads (`COMMANDS`); any other flag is a usage error. Exit
+codes: 0 all checks pass, 1 a check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .harness import (
     GENERATORS,
     PROBLEMS,
     ExperimentConfig,
+    broken_guarantees,
     generate_graph,
     generate_instance,
     run_experiment,
@@ -33,36 +35,42 @@ from .harness import (
 )
 from .rounding import verify_stretch
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="graph file (overrides --gen)")
-    p.add_argument("--gen", default="gnp", choices=GENERATORS)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="output directory or file")
-    p.add_argument("--problem", default="directed-spanner", choices=PROBLEMS)
-    p.add_argument("--objective", help="linear-sum | max-degree[:mode] | p-norm:<p>")
+#: argparse keywords of every option. None has a default: an option not
+#: given leaves its `ExperimentConfig` field at the dataclass default.
+OPTIONS = {
+    "graph": {"dest": "graph_path", "metavar": "GRAPH",
+              "help": "graph file (overrides --gen)"},
+    "gen": {"choices": GENERATORS},
+    "n": {"type": int},
+    "p": {"type": float},
+    "k": {"type": int},
+    "epsilon": {"type": float},
+    "trials": {"type": int},
+    "seed": {"type": int, "required": True},
+    "out": {"help": "output directory or file"},
+    "problem": {"choices": PROBLEMS},
+    "objective": {"help": "linear-sum | max-degree[:mode] | p-norm:<p>"},
+    "edges": {"required": True, "help": "edge list file to verify"},
+}
+_INSTANCE = ("graph", "gen", "n", "p", "k", "epsilon")
 
 
 def _config(args) -> ExperimentConfig:
-    gen = "file" if args.graph else args.gen
-    return ExperimentConfig(
-        problem=args.problem, gen=gen, n=args.n, p=args.p, k=args.k,
-        epsilon=args.epsilon, trials=args.trials, seed=args.seed,
-        out=args.out, graph_path=args.graph, objective=args.objective,
-    )
+    """The config of the options given; every other field keeps its default."""
+    opts = {name: value for name, value in vars(args).items()
+            if name in ExperimentConfig.__dataclass_fields__}
+    if opts.get("graph_path"):
+        opts["gen"] = "file"
+    return ExperimentConfig(**opts)
 
 
 def cmd_decompose(args) -> int:
-    g = generate_graph(_config(args), args.seed)
-    params = PaddedParams(k=args.k, epsilon=args.epsilon, n=g.n)
+    config = _config(args)
+    g = generate_graph(config, config.seed)
+    params = PaddedParams(k=config.k, epsilon=config.epsilon, n=g.n)
     failures = 0
-    for trial in range(max(1, args.trials)):
-        seed = trial_seed(args.seed, trial, 0)
+    for trial in range(config.trials):
+        seed = trial_seed(config.seed, trial, 0)
         central = sample_decomposition_centralized(g, params, seed, permutation="ids")
         dist, transcript = sample_decomposition_distributed(g, params, seed)
         try:
@@ -77,22 +85,19 @@ def cmd_decompose(args) -> int:
             continue
         print(f"trial {trial}: clusters={len(dist.centers)} "
               f"rounds={transcript.rounds_elapsed}")
-        if args.out:
-            path = args.out if args.trials <= 1 else f"{args.out}.{trial}"
+        if config.out:
+            path = config.out if config.trials <= 1 else f"{config.out}.{trial}"
             write_text(path, clustering_csv(dist))
     return 1 if failures else 0
 
 
 def cmd_solve_cp(args) -> int:
-    config = _config(args)
-    row, manifest, _, _ = run_trial(config, 0, 0)
+    row, manifest, _, _ = run_trial(_config(args), 0, 0)
     print(f"n={row.n} m={row.m} D={row.D} t={manifest['t']}")
     print(f"CP*={row.cp_star:.6f} g(x~)={row.g_tilde:.6f} ratio={row.ratio:.6f}")
     print(f"rounds={row.rounds} "
           f"concentration={row.concentration_rate:.3f} feasible={row.feasible}")
-    ok = row.ratio <= 1 + args.epsilon + 1e-6 and (
-        not row.concentration_all or row.feasible)
-    return 0 if ok else 1
+    return 1 if broken_guarantees(row) else 0
 
 
 def cmd_round(args) -> int:
@@ -103,30 +108,28 @@ def cmd_round(args) -> int:
         return 2
     row, _, _, artifacts = run_trial(config, 0, 0)
     print(f"|E_out|={row.e_out} stretch_ok={row.stretch_ok}")
-    if args.out:
-        write_text(args.out, artifacts["provenance"])
-    return 0 if row.stretch_ok else 1
+    if config.out:
+        write_text(config.out, artifacts["provenance"])
+    return 1 if broken_guarantees(row) else 0
 
 
 def cmd_experiment(args) -> int:
-    config = _config(args)
-    report = run_experiment(config)
+    report = run_experiment(_config(args))
     agg = report.aggregates()
     for key in sorted(agg):
         print(f"{key}: {agg[key]}")
-    bad = [r for r in report.final_rows()
-           if r.ratio > 1 + config.epsilon + 1e-6]
-    return 1 if bad else 0
+    return 1 if any(map(broken_guarantees, report.final_rows())) else 0
 
 
 def cmd_verify(args) -> int:
-    if not args.graph:
+    config = _config(args)
+    if not config.graph_path:
         print("error: verify needs --graph", file=sys.stderr)
         return 2
-    if args.problem == "directed-spanner":
-        instance = build_spanner_instance(read_graph(args.graph), args.k)
+    if config.problem == "directed-spanner":
+        instance = build_spanner_instance(read_graph(config.graph_path), config.k)
     else:  # the instance of trial 0, which `round` rounds
-        _, instance = generate_instance(_config(args), trial_seed(args.seed, 0, 0))
+        _, instance = generate_instance(config, trial_seed(config.seed, 0, 0))
     g = instance.graph
     with open(args.edges, "r", encoding="ascii") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
@@ -149,6 +152,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+#: Each subcommand's handler and the options it reads, in help order.
+COMMANDS = {
+    "decompose": (cmd_decompose, _INSTANCE + ("trials", "seed", "out")),
+    "solve-cp": (cmd_solve_cp, _INSTANCE + ("seed", "problem", "objective")),
+    "round": (cmd_round, _INSTANCE + ("seed", "problem", "objective", "out")),
+    "experiment": (cmd_experiment, _INSTANCE + (
+        "trials", "seed", "out", "problem", "objective")),
+    "verify": (cmd_verify, ("graph", "edges", "k", "seed", "problem")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="padspan",
@@ -156,17 +170,10 @@ def main(argv: list[str] | None = None) -> int:
                     "solving, and spanner rounding at desk scale.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("decompose", cmd_decompose),
-        ("solve-cp", cmd_solve_cp),
-        ("round", cmd_round),
-        ("experiment", cmd_experiment),
-        ("verify", cmd_verify),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "verify":
-            p.add_argument("--edges", required=True, help="edge list file to verify")
+    for name, (fn, options) in COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
         p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)

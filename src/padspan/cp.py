@@ -205,15 +205,21 @@ def p_norm(p: float) -> Objective:
 
 
 def objective_from_label(label: str) -> Objective:
-    """Inverse of Objective.label()."""
-    if label == "linear-sum":
-        return linear_sum()
-    if label.startswith("max-degree"):
-        _, _, mode = label.partition(":")
-        return max_degree(mode or "inout")
-    if label.startswith("p-norm"):
-        _, _, p = label.partition(":")
-        return p_norm(float(p))
+    """Inverse of Objective.label(): `linear-sum`, `max-degree`,
+    `max-degree:<out|in|inout>` or `p-norm:<number>`; InstanceError names
+    any other label."""
+    kind, _, arg = label.partition(":")
+    if label in ("linear-sum", "max-degree"):
+        return Objective(label)
+    if kind == "max-degree" and arg in ("out", "in", "inout"):
+        return max_degree(arg)
+    if kind == "p-norm":
+        try:
+            p = float(arg)
+        except ValueError:
+            pass
+        else:
+            return p_norm(p)
     raise InstanceError(f"unknown objective label {label!r}")
 
 

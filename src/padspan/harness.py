@@ -91,6 +91,9 @@ class ExperimentConfig:
             raise HarnessError(f"trials must be >= 0, got {self.trials}")
         if self.dsn_slack < 0:
             raise HarnessError(f"dsn_slack must be >= 0, got {self.dsn_slack}")
+        if self.objective and self.problem == "low-degree-spanner":
+            raise HarnessError("low-degree-spanner solves max-degree:inout; "
+                               f"got objective {self.objective!r}")
         if self.t_override is not None and as_index(
                 self.t_override, "t_override", HarnessError) < 1:
             raise HarnessError(
@@ -254,6 +257,20 @@ class TrialRow:
 
 
 REPORT_CSV_HEADER = ",".join(TrialRow.__dataclass_fields__)
+
+
+def broken_guarantees(row: TrialRow) -> list[str]:
+    """The guarantees `row` breaks, in this order: `ratio` (above
+    1 + epsilon + 1e-6), `infeasible` (concentration passed but the
+    certificate failed) and `stretch` (the rounding missed a demand)."""
+    broken = []
+    if row.ratio > 1 + row.epsilon + 1e-6:
+        broken.append("ratio")
+    if row.concentration_all and not row.feasible:
+        broken.append("infeasible")
+    if row.stretch_ok is False:
+        broken.append("stretch")
+    return broken
 
 
 def _fmt(v) -> str:

@@ -157,7 +157,7 @@ def round_spanner_distributed(
 def round_low_degree(g: Graph, x, k: int, seed: int, iteration: int = 0) -> frozenset[int]:
     """Independent inclusion with probability x_e ** (1/k)."""
     x = as_edge_vector(g, x)
-    if k < 1:
+    if as_index(k, "stretch", RoundingError) < 1:
         raise RoundingError(f"stretch must be >= 1, got {k}")
     if np.any(x > 1 + 1e-12):
         raise RoundingError("edge values must lie in [0, 1]; cap upstream")

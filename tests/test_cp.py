@@ -194,6 +194,14 @@ class TestObjectives:
         for obj in ALL_OBJECTIVES:
             assert objective_from_label(obj.label()) == obj
 
+    @pytest.mark.parametrize("label", [
+        "p-normal:2", "max-degreeX", "max-degree:", "max-degree:both", "p-norm",
+        "p-norm:abc", "p-norm:2:3", "linear-sum:", ""])
+    def test_label_outside_the_grammar_is_refused(self, label):
+        # each was read as a neighbouring label or raised a bare ValueError
+        with pytest.raises(InstanceError, match=f"unknown objective label {label!r}"):
+            objective_from_label(label)
+
 
 class TestSpannerInstance:
     def test_triangle_k2(self):

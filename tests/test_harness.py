@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,14 @@ class TestGenerators:
         # each was accepted, to fail later deep in a run or not at all
         with pytest.raises(HarnessError, match=f"{field} {value} is not an integer"):
             ExperimentConfig(**{"seed": 1, field: value})
+
+    @pytest.mark.parametrize("objective", ["p-norm:2", "max-degree:inout"])
+    def test_config_refuses_an_objective_for_low_degree(self, objective):
+        # the low-degree program is max-degree:inout; a label given with it
+        # was replaced without a word
+        with pytest.raises(HarnessError, match=f"got objective {objective!r}"):
+            ExperimentConfig(problem="low-degree-spanner", objective=objective,
+                             seed=1)
 
     def test_config_rejects_negative_seed(self):
         # it was accepted, for `run_trial` to raise a bare ValueError
@@ -298,6 +307,17 @@ class TestRunExperiment:
         assert len(run0["iterations"]) == 25
         assert "timing.txt" not in report_files(out)[0]
 
+    def test_broken_guarantees_follow_the_bench_rules(self):
+        row = _row()
+        assert harness.broken_guarantees(row) == []
+        row.stretch_ok = None  # a problem without rounding checks no stretch
+        assert harness.broken_guarantees(row) == []
+        row = _row(ratio=1.5 + 2e-6, feasible=False, stretch_ok=False)
+        assert harness.broken_guarantees(row) == ["ratio", "infeasible", "stretch"]
+        # an uncertified run is retried, not a broken certificate
+        assert harness.broken_guarantees(_row(concentration_all=False,
+                                              feasible=False)) == []
+
     def test_low_degree_problem_reports_degree(self):
         cfg = ExperimentConfig(
             problem="low-degree-spanner", gen="gnp", n=10, p=0.35, k=2,
@@ -331,7 +351,74 @@ class TestRunExperiment:
         assert row.ratio <= 1.5 + 1e-6
 
 
+def _row(**fields) -> harness.TrialRow:
+    """A report row that breaks no guarantee, with `fields` replaced."""
+    row = dict(trial=0, retry=0, seed=0, n=4, m=3, D=2, epsilon=0.5,
+               cp_star=1.0, g_tilde=1.25, ratio=1.25, rounds=9, round_bound=99.0,
+               concentration_rate=1.0, concentration_all=True, feasible=True,
+               e_out=3, stretch_ok=True)
+    row.update(fields)
+    return harness.TrialRow(**row)
+
+
+#: The options each subcommand reads: 44 settable values, 12 fewer than
+#: when every subcommand took all eleven shared ones (and verify --edges).
+CONTRACT = {
+    "decompose": {"graph", "gen", "n", "p", "k", "epsilon", "trials", "seed", "out"},
+    "solve-cp": {"graph", "gen", "n", "p", "k", "epsilon", "seed", "problem",
+                 "objective"},
+    "round": {"graph", "gen", "n", "p", "k", "epsilon", "seed", "problem",
+              "objective", "out"},
+    "experiment": {"graph", "gen", "n", "p", "k", "epsilon", "trials", "seed",
+                   "out", "problem", "objective"},
+    "verify": {"graph", "edges", "k", "seed", "problem"},
+}
+
+
 class TestCli:
+    def test_each_command_declares_its_contract(self):
+        assert {name: set(options) for name, (_, options) in cli.COMMANDS.items()} \
+            == CONTRACT
+        assert sum(map(len, CONTRACT.values())) == 44
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["decompose", "--objective", "p-norm:2"], "--objective"),
+        (["solve-cp", "--out", "somewhere"], "--out"),
+        (["solve-cp", "--trials", "-1"], "--trials"),
+        (["round", "--trials", "2"], "--trials"),
+        (["experiment", "--edges", "edges.txt"], "--edges"),
+        (["verify", "--graph", "g.graph", "--edges", "e.txt", "--epsilon", "2"],
+         "--epsilon"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+            self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(argv + ["--seed", "1"])
+        assert rc == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT))
+    def test_every_other_option_is_refused(self, name, capsys):
+        # argparse reads a prefix of one option as that option, so verify
+        # takes `--p 1` as `--problem 1` and refuses the problem
+        required = ["--edges", "e.txt"] if name == "verify" else []
+        for option in sorted(set(cli.OPTIONS) - CONTRACT[name]):
+            assert cli_main([name, f"--{option}", "1", "--seed", "1"] + required) == 2
+            assert f"--{option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT))
+    def test_options_not_given_keep_the_config_defaults(self, name, monkeypatch):
+        seen = []
+        _, options = cli.COMMANDS[name]
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            (lambda args: seen.append(cli._config(args)) or 0, options))
+        given = {"seed": "4", "graph": "g.graph", "edges": "e.txt"}
+        assert cli_main([name] + [arg for option, value in given.items()
+                                  if option in options
+                                  for arg in (f"--{option}", value)]) == 0
+        assert seen == [ExperimentConfig(seed=4, gen="file", graph_path="g.graph")]
+
     def test_usage_error_exit_2(self, capsys):
         assert cli_main(["decompose"]) == 2  # missing --seed
 
@@ -503,3 +590,46 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "exp" / "report.csv").exists()
+
+    def test_decompose_zero_trials_samples_nothing(self, tmp_path, capsys):
+        # `max(1, trials)` once sampled and printed one trial
+        out = str(tmp_path / "c.csv")
+        assert cli_main(["decompose", "--gen", "cycle", "--n", "10", "--k", "1",
+                         "--seed", "3", "--trials", "0", "--out", out]) == 0
+        assert capsys.readouterr().out == ""
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("fields, rc", [
+        ({}, 0),
+        ({"stretch_ok": False}, 1),
+        ({"ratio": 1.5 + 2e-6}, 1),
+        ({"feasible": False}, 1),
+        ({"concentration_all": False, "feasible": False}, 0),
+    ])
+    @pytest.mark.parametrize("command", ["solve-cp", "round", "experiment"])
+    def test_one_verdict_sets_the_exit_code(self, command, fields, rc, tmp_path,
+                                           monkeypatch, capsys):
+        def fake_trial(config, trial, retry):
+            row = _row(trial=trial, retry=retry, **fields)
+            return row, {"t": 1}, "", {"provenance": "edge,u,v,why\n"}
+
+        # cli imports run_trial by name; run_experiment reads harness's
+        monkeypatch.setattr(cli, "run_trial", fake_trial)
+        monkeypatch.setattr(harness, "run_trial", fake_trial)
+        out = ["--out", str(tmp_path / "out")] if command == "round" else []
+        assert cli_main([command, "--seed", "1"] + out) == rc
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch, capsys):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            section = fh.read().split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        assert len(commands) == 5
+        monkeypatch.chdir(tmp_path)
+        g = gen_gnp(16, 0.3, seed=7)
+        write_graph(g, "g.graph")
+        with open("edges.txt", "w") as fh:
+            fh.write("".join(f"{u} {v}\n" for u, v in g.edges))
+        for argv in commands:
+            assert argv[0] == "padspan"
+            assert cli_main(argv[1:]) == 0, argv

@@ -220,6 +220,17 @@ class TestRoundLowDegree:
         with pytest.raises(RoundingError):
             round_low_degree(g, np.array([1.5]), 2, seed=0)
 
+    @pytest.mark.parametrize("k, match", [
+        (math.inf, "stretch inf is not an integer"),
+        (math.nan, "stretch nan is not an integer"),
+        (1.5, "stretch 1.5 is not an integer"),
+        (0, "stretch must be >= 1")])
+    def test_rejects_a_stretch_that_is_not_a_positive_integer(self, k, match):
+        # x ** (1/inf) = 1 kept all 23 edges under an all-zero x, nan kept none
+        g = gen_gnp(8, 0.4, seed=3)
+        with pytest.raises(RoundingError, match=match):
+            round_low_degree(g, np.zeros(g.m), k, seed=0)
+
     def test_expected_degree_bound(self):
         g = gen_gnp(10, 0.4, seed=50)
         rng = np.random.default_rng(6)
